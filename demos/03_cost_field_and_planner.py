@@ -12,7 +12,6 @@ from pathlib import Path
 from socioplan import (
     PlanRequest,
     combined_cost,
-    costmap_to_text,
     field_spec_from_assessment,
     insert_human,
     load_assessment_fixtures,
@@ -27,8 +26,6 @@ from socioplan import (
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-OUT = Path(__file__).resolve().parent / "out"
-OUT.mkdir(exist_ok=True)
 
 scene = load_scene((DATA / "bedroom_scene.json").read_bytes())
 graph = insert_human(
@@ -58,8 +55,6 @@ print("combined cost at the human's edge:", combined_cost((1.0, 3.2), spec))
 
 costmap = rasterize(spec, (), bounds=((0.0, 0.0), (6.0, 5.0)), resolution=0.1)
 print(f"costmap {costmap.width}x{costmap.height}, max cell {costmap.cells.max():.1f}")
-(OUT / "with_relations_costmap.txt").write_text(costmap_to_text(costmap), encoding="utf-8")
-print(f"costmap text written to {OUT / 'with_relations_costmap.txt'}")
 
 path = plan(PlanRequest(start=(0.8, 2.0), goal=(3.4, 0.2), costmap=costmap))
 print(

@@ -34,8 +34,6 @@ from .cost_field import (
     OrientedRectFootprint,
     RectFootprint,
     combined_cost,
-    costmap_from_text,
-    costmap_to_text,
     field_spec_from_assessment,
     footprint_of,
     make_activity_zones,
@@ -45,7 +43,6 @@ from .cost_field import (
 from .human_augmentation import (
     Condition,
     HumanSpec,
-    attach_relation,
     derive_condition_variant,
     insert_human,
 )
@@ -91,7 +88,6 @@ from .trajectory_context import (
     relevant_objects,
     render_context_text,
     resample,
-    validate_trajectory,
 )
 
 __version__ = "0.1.0"

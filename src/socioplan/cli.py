@@ -7,24 +7,25 @@ import json
 import sys
 from pathlib import Path as FilePath
 
-from .cost_assessment import AssessmentError
-from .human_augmentation import Condition, derive_condition_variant, insert_human
+from .cost_assessment import AssessmentError, assess, entries_to_dict
+from .human_augmentation import Condition, derive_condition_variant
 from .jsonio import FormatError, canonical_json
-from .planner import PlanningError
+from .planner import PlanningError, relevant_context
 from .render import render_svg
 from .scenario_runner import (
+    RunReport,
     ScenarioError,
     build_assessor,
     compare_conditions,
     comparison_dict,
+    load_base_scene,
     load_report,
     load_scenario,
     report_to_json,
     run_scenario,
 )
-from .scene_graph import load_scene, validate_scene
-from .trajectory_context import Trajectory, induce_partial_graph, relevant_objects
-from .cost_assessment import assess
+from .scene_graph import load_scene
+from .trajectory_context import Trajectory
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -101,22 +102,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         graph = load_scene(args.scene.read_bytes(), strict=args.strict)
     except FileNotFoundError:
         raise FormatError(f"scene file not found: {args.scene}") from None
-    violations = validate_scene(graph)
+    # load_scene raises FormatError at the first broken invariant: a loaded graph is valid.
     if args.format == "json":
-        payload = {
-            "ok": not violations,
-            "violations": [
-                {"rule": v.rule, "ids": list(v.ids), "message": v.message} for v in violations
-            ],
-        }
-        print(canonical_json(payload), end="")
+        print(canonical_json({"ok": True, "violations": []}), end="")
     else:
-        if violations:
-            for v in violations:
-                print(f"{v.rule}: {v.message}")
-        else:
-            print(f"OK: {len(graph.nodes)} nodes, {len(graph.relations)} relations")
-    return 1 if violations else 0
+        print(f"OK: {len(graph.nodes)} nodes, {len(graph.relations)} relations")
+    return 0
 
 
 def _cmd_assess(args: argparse.Namespace) -> int:
@@ -124,8 +115,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
     conditions = scenario.conditions
     if args.condition:
         conditions = tuple(Condition(v) for v in args.condition)
-    scene = load_scene(scenario.scene_path().read_bytes(), strict=args.strict)
-    base = insert_human(scene, scenario.human) if scenario.human is not None else scene
+    base = load_base_scene(scenario, strict=args.strict)
     if scenario.waypoints is not None:
         trajectory = Trajectory(scenario.waypoints)
     else:
@@ -135,9 +125,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
     output = []
     for condition in conditions:
         variant = derive_condition_variant(base, condition, keep_spatial=args.keep_spatial)
-        ids = relevant_objects(variant, trajectory, scenario.query_radius_m)
-        partial = induce_partial_graph(variant, ids)
-        assessed = ids + tuple(i for i in sorted(partial.nodes) if i not in set(ids))
+        _, partial, assessed = relevant_context(variant, trajectory, scenario.query_radius_m)
         port = build_assessor(scenario, condition, args.assessor)
         assessment = assess(port, partial, trajectory, assessed, scenario.preferences)
         output.append((condition, assessment))
@@ -149,10 +137,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
                 {
                     "condition": condition.value,
                     "assessor": assessment.provenance.assessor,
-                    "entries": {
-                        object_id: {"cost": cc.cost, "clearance": cc.clearance}
-                        for object_id, cc in sorted(assessment.entries.items())
-                    },
+                    "entries": entries_to_dict(assessment.entries),
                 }
                 for condition, assessment in output
             ],
@@ -166,14 +151,17 @@ def _cmd_assess(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario, strict=args.strict)
-    report = run_scenario(
-        scenario,
+def _run(args: argparse.Namespace) -> RunReport:
+    return run_scenario(
+        load_scenario(args.scenario, strict=args.strict),
         assessor_kind=args.assessor,
         keep_spatial=args.keep_spatial,
         strict=args.strict,
     )
+
+
+def _cmd_plan(args: argparse.Namespace) -> int:
+    report = _run(args)
     text = report_to_json(report)
     if args.out:
         args.out.write_text(text, encoding="utf-8")
@@ -197,13 +185,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario, strict=args.strict)
-    report = run_scenario(
-        scenario,
-        assessor_kind=args.assessor,
-        keep_spatial=args.keep_spatial,
-        strict=args.strict,
-    )
+    report = _run(args)
     if args.format == "json":
         print(canonical_json(comparison_dict(report)), end="")
     else:
@@ -239,10 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, ScenarioError, AssessmentError, PlanningError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (FormatError, ScenarioError, AssessmentError, PlanningError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,14 @@ from typing import Callable, Iterable, Protocol, Sequence
 import requests
 
 from .human_augmentation import Condition
-from .jsonio import FormatError, canonical_json, check_keys, parse_document, require_version
+from .jsonio import (
+    FormatError,
+    canonical_json,
+    check_keys,
+    finite_number,
+    parse_document,
+    require_version,
+)
 from .scene_graph import RelationKind, SceneGraph, Violation
 from .trajectory_context import Trajectory, render_context_text
 
@@ -44,9 +51,8 @@ class ResponseFormatError(AssessmentError):
 class ValueOutOfRangeError(AssessmentError):
     """A cost or clearance value violates its lower bound."""
 
-    def __init__(self, object_id: str, field_name: str, value: float) -> None:
-        bound = ">= 1" if field_name == "cost" else ">= 0"
-        super().__init__(f'{field_name} for "{object_id}" is {value!r}, must be {bound}')
+    def __init__(self, object_id: str, field_name: str, value: float, floor: float) -> None:
+        super().__init__(f'{field_name} for "{object_id}" is {value!r}, must be >= {floor:g}')
         self.object_id = object_id
         self.field_name = field_name
         self.value = value
@@ -96,6 +102,27 @@ class CostClearance:
     clearance: float
 
 
+def out_of_range(cost: float, clearance: float) -> list[tuple[str, float, float]]:
+    """(field, value, floor) for each value that breaks the contract every
+    assessment meets: both finite, cost >= 1, clearance >= 0."""
+    return [
+        (name, value, floor)
+        for name, value, floor in (
+            ("cost", cost, COST_FLOOR),
+            ("clearance", clearance, CLEARANCE_FLOOR),
+        )
+        if not math.isfinite(value) or value < floor
+    ]
+
+
+def entries_to_dict(entries: dict[str, CostClearance]) -> dict:
+    """JSON form of an assessment's entries, as reports and fixtures store them."""
+    return {
+        object_id: {"cost": cc.cost, "clearance": cc.clearance}
+        for object_id, cc in sorted(entries.items())
+    }
+
+
 @dataclass(frozen=True)
 class Provenance:
     assessor: str
@@ -130,18 +157,9 @@ def validate_assessment(assessment: Assessment, relevant: Iterable[str]) -> list
     """Range and coverage checks; empty list means the assessment is valid."""
     violations: list[Violation] = []
     for object_id, cc in assessment.entries.items():
-        if not math.isfinite(cc.cost) or cc.cost < COST_FLOOR:
-            violations.append(
-                Violation("cost out of range", (object_id,), f"cost {cc.cost!r} must be >= 1")
-            )
-        if not math.isfinite(cc.clearance) or cc.clearance < CLEARANCE_FLOOR:
-            violations.append(
-                Violation(
-                    "clearance out of range",
-                    (object_id,),
-                    f"clearance {cc.clearance!r} must be >= 0",
-                )
-            )
+        for name, value, floor in out_of_range(cc.cost, cc.clearance):
+            message = f"{name} {value!r} must be >= {floor:g}"
+            violations.append(Violation(f"{name} out of range", (object_id,), message))
     wanted = set(relevant)
     missing = wanted - set(assessment.entries)
     extra = set(assessment.entries) - wanted
@@ -234,16 +252,15 @@ def parse_assessment(response: str, relevant: Iterable[str]) -> Assessment:
             raise ResponseFormatError(f"assessments[{i}].object_id must be a non-empty string")
         if object_id in entries:
             raise ResponseFormatError(f'duplicate object_id "{object_id}"')
-        values = {}
-        for field_name, floor in (("cost", COST_FLOOR), ("clearance", CLEARANCE_FLOOR)):
+        for field_name in ("cost", "clearance"):
             value = item[field_name]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ResponseFormatError(f"assessments[{i}].{field_name} must be a number")
-            value = float(value)
-            if not math.isfinite(value) or value < floor:
-                raise ValueOutOfRangeError(object_id, field_name, value)
-            values[field_name] = value
-        entries[object_id] = CostClearance(values["cost"], values["clearance"])
+        cc = CostClearance(float(item["cost"]), float(item["clearance"]))
+        bad = out_of_range(cc.cost, cc.clearance)
+        if bad:
+            raise ValueOutOfRangeError(object_id, *bad[0])
+        entries[object_id] = cc
     wanted = set(relevant)
     if set(entries) != wanted:
         raise CoverageError(missing=wanted - set(entries), extra=set(entries) - wanted)
@@ -368,8 +385,6 @@ SITTABLE_TAGS = frozenset({"bed", "armchair", "chair", "sofa"})
 SIT_AFFORDANCE = "sit"
 LARGE_FOOTPRINT_AREA_M2 = 1.5
 SEATED_VERB_FRAGMENT = "sit"
-PREFERENCE_KEYWORDS = ("don't disturb", "watching")
-PREFERENCE_FACTOR = 1.0
 
 
 def _sittable(graph: SceneGraph, object_id: str) -> bool:
@@ -398,8 +413,7 @@ def rule_based_assess(
       4. targets of a human spatial relation get (3, 1.5); targets of a human
          activity relation get (2, 1);
       5. while some human is seated, sittable objects unrelated to any human
-         are released back to no impact;
-      6. preference keywords rescale human cost, never below its rule value.
+         are released back to no impact.
     """
     entries = {object_id: NO_IMPACT for object_id in relevant}  # rule 1
 
@@ -444,15 +458,6 @@ def rule_based_assess(
             if _sittable(partial, object_id):
                 entries[object_id] = NO_IMPACT
 
-    preference_text = " ".join(preferences).lower()
-    if any(keyword in preference_text for keyword in PREFERENCE_KEYWORDS):  # rule 6
-        for human_id in human_ids:
-            if human_id in entries:
-                current = entries[human_id]
-                # Preferences keep the human dominant: scale but never lower.
-                cost = max(current.cost * PREFERENCE_FACTOR, current.cost)
-                entries[human_id] = CostClearance(cost, current.clearance)
-
     return Assessment(entries=entries, provenance=Provenance(assessor="rules"))
 
 
@@ -488,12 +493,17 @@ def load_assessment_fixtures(document: bytes | str, *, strict: bool = False) -> 
             check_keys(
                 raw, required=("cost", "clearance"), optional=(), path=entry_path, strict=strict
             )
-            cost = raw["cost"]
-            clearance = raw["clearance"]
-            for field_name, value in (("cost", cost), ("clearance", clearance)):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise FormatError(f"{field_name} must be a number", entry_path)
-            entries[object_id] = CostClearance(float(cost), float(clearance))
+            cc = CostClearance(
+                finite_number(raw["cost"], f"{entry_path}.cost"),
+                finite_number(raw["clearance"], f"{entry_path}.clearance"),
+            )
+            bad = out_of_range(cc.cost, cc.clearance)
+            if bad:
+                field_name, value, floor = bad[0]
+                raise FormatError(
+                    f"{field_name} {value!r} must be >= {floor:g}", f"{entry_path}.{field_name}"
+                )
+            entries[object_id] = cc
         store[key] = entries
     return AssessmentStore(entries=store)
 
@@ -501,13 +511,7 @@ def load_assessment_fixtures(document: bytes | str, *, strict: bool = False) -> 
 def fixtures_to_dict(store: AssessmentStore) -> dict:
     return {
         "schema_version": FIXTURE_SCHEMA_VERSION,
-        "assessments": {
-            key: {
-                object_id: {"cost": cc.cost, "clearance": cc.clearance}
-                for object_id, cc in entries.items()
-            }
-            for key, entries in store.entries.items()
-        },
+        "assessments": {key: entries_to_dict(entries) for key, entries in store.entries.items()},
     }
 
 

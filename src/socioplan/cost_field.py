@@ -3,11 +3,11 @@ pointwise-maximum combination, optional activity corridors, and
 rasterization into a costmap.
 
 The field value at a point is max over contributions of
-``1 + (cost - 1) * falloff(d)`` where ``d`` is the planar distance to the
-contribution's footprint (0 on the object). With the default linear law the
-contribution equals ``cost`` on the footprint and decays to 1 at the
-clearance distance; ``clearance = 0`` means the object only affects points
-on its own footprint. Every field value is therefore >= 1.
+``1 + (cost - 1) * max(0, 1 - d / clearance)`` where ``d`` is the planar
+distance to the contribution's footprint (0 on the object): the contribution
+equals ``cost`` on the footprint and decays linearly to 1 at the clearance
+distance; ``clearance = 0`` means the object only affects points on its own
+footprint. Every field value is therefore >= 1.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .cost_assessment import out_of_range
 from .scene_graph import ObjectNode, RelationKind, SceneGraph
 
 Vec2 = tuple[float, float]
-
-COSTMAP_TEXT_HEADER = "socioplan costmap v1"
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ def footprint_of(node: ObjectNode) -> RectFootprint:
     return RectFootprint((lo[0], lo[1]), (hi[0], hi[1]))
 
 
-# --- falloff laws -------------------------------------------------------------
+# --- falloff law --------------------------------------------------------------
 
 
 def linear_falloff(distance: np.ndarray, cost: float, clearance: float) -> np.ndarray:
@@ -109,20 +108,6 @@ def linear_falloff(distance: np.ndarray, cost: float, clearance: float) -> np.nd
     return np.where(d <= 0.0, cost, 1.0)
 
 
-def gaussian_falloff(distance: np.ndarray, cost: float, clearance: float) -> np.ndarray:
-    """Smooth alternative: exp decay with ~2% residual impact at the clearance."""
-    d = np.asarray(distance, dtype=float)
-    if clearance > 0.0:
-        return 1.0 + (cost - 1.0) * np.exp(-4.0 * (d / clearance) ** 2)
-    return np.where(d <= 0.0, cost, 1.0)
-
-
-FALLOFF_LAWS = {
-    "linear": linear_falloff,
-    "gaussian": gaussian_falloff,
-}
-
-
 @dataclass(frozen=True)
 class Contribution:
     footprint: Footprint
@@ -130,10 +115,10 @@ class Contribution:
     clearance: float
 
     def __post_init__(self) -> None:
-        if self.cost < 1.0:
-            raise ValueError("cost must be >= 1")
-        if self.clearance < 0.0:
-            raise ValueError("clearance must be >= 0")
+        bad = out_of_range(self.cost, self.clearance)
+        if bad:
+            field_name, value, floor = bad[0]
+            raise ValueError(f"{field_name} {value!r} must be >= {floor:g}")
 
 
 @dataclass(frozen=True)
@@ -141,12 +126,9 @@ class FieldSpec:
     """All contributions of a scene; combined by pointwise maximum."""
 
     contributions: tuple[Contribution, ...] = ()
-    falloff: str = "linear"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "contributions", tuple(self.contributions))
-        if self.falloff not in FALLOFF_LAWS:
-            raise ValueError(f'unknown falloff law "{self.falloff}"')
 
 
 @dataclass(frozen=True)
@@ -197,14 +179,13 @@ def make_activity_zones(
 def _evaluate(
     points: np.ndarray, spec: FieldSpec, zones: Sequence[ActivityZone] = ()
 ) -> np.ndarray:
-    law = FALLOFF_LAWS[spec.falloff]
     values = np.ones(len(points), dtype=float)
     contributions = list(spec.contributions) + [
         Contribution(z.corridor, z.cost, z.clearance) for z in zones
     ]
     for contribution in contributions:
         d = contribution.footprint.distance(points)
-        np.maximum(values, law(d, contribution.cost, contribution.clearance), out=values)
+        np.maximum(values, linear_falloff(d, contribution.cost, contribution.clearance), out=values)
     return values
 
 
@@ -213,12 +194,9 @@ def point_cost(
     footprint: Footprint,
     cost: float,
     clearance: float,
-    falloff: str = "linear",
 ) -> float:
     """Field value of a single contribution at one point; always in [1, cost]."""
-    spec = FieldSpec((Contribution(footprint, cost, clearance),), falloff)
-    pts = np.asarray([tuple(float(c) for c in point)], dtype=float)
-    return float(_evaluate(pts, spec)[0])
+    return combined_cost(point, FieldSpec((Contribution(footprint, cost, clearance),)))
 
 
 def combined_cost(point: Iterable[float], spec: FieldSpec) -> float:
@@ -227,13 +205,13 @@ def combined_cost(point: Iterable[float], spec: FieldSpec) -> float:
     return float(_evaluate(pts, spec)[0])
 
 
-def field_spec_from_assessment(graph: SceneGraph, assessment, falloff: str = "linear") -> FieldSpec:
+def field_spec_from_assessment(graph: SceneGraph, assessment) -> FieldSpec:
     """Contributions from assessed objects' footprints, in sorted-id order."""
     contributions = tuple(
         Contribution(footprint_of(graph.node(object_id)), cc.cost, cc.clearance)
         for object_id, cc in sorted(assessment.entries.items())
     )
-    return FieldSpec(contributions, falloff)
+    return FieldSpec(contributions)
 
 
 # --- costmap ------------------------------------------------------------------
@@ -347,37 +325,4 @@ def costmap_from_dict(data: dict) -> Costmap:
         width=int(data["width"]),
         height=int(data["height"]),
         cells=np.asarray(data["cells"], dtype=float),
-    )
-
-
-def costmap_to_text(costmap: Costmap) -> str:
-    """Portable text grid: header lines, then one row of cell values per line."""
-    lines = [
-        COSTMAP_TEXT_HEADER,
-        f"origin {costmap.origin[0]!r} {costmap.origin[1]!r}",
-        f"resolution {costmap.resolution!r}",
-        f"size {costmap.width} {costmap.height}",
-    ]
-    for row in costmap.cells:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def costmap_from_text(text: str) -> Costmap:
-    lines = text.splitlines()
-    if not lines or lines[0] != COSTMAP_TEXT_HEADER:
-        raise ValueError(f'expected header "{COSTMAP_TEXT_HEADER}"')
-    try:
-        _, ox, oy = lines[1].split()
-        _, res = lines[2].split()
-        _, width, height = lines[3].split()
-        rows = [[float(v) for v in line.split()] for line in lines[4 : 4 + int(height)]]
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"malformed costmap text: {exc}") from exc
-    return Costmap(
-        origin=(float(ox), float(oy)),
-        resolution=float(res),
-        width=int(width),
-        height=int(height),
-        cells=np.asarray(rows, dtype=float),
     )

@@ -87,20 +87,6 @@ def insert_human(graph: SceneGraph, spec: HumanSpec) -> SceneGraph:
     return SceneGraph(nodes={**graph.nodes, spec.id: human}, relations=tuple(relations))
 
 
-def attach_relation(graph: SceneGraph, relation: Relation) -> SceneGraph:
-    """Return a graph with ``relation`` added; a duplicate triple is a no-op."""
-    for endpoint in (relation.head_id, relation.tail_id):
-        if endpoint not in graph:
-            raise ValueError(f'relation endpoint "{endpoint}" does not name a node')
-    if relation.head_id == relation.tail_id:
-        raise ValueError("relation endpoints must differ")
-    if relation.kind is RelationKind.ACTIVITY and not graph.node(relation.head_id).is_human:
-        raise ValueError("activity head must be human")
-    if any(r.triple == relation.triple for r in graph.relations):
-        return graph
-    return SceneGraph(nodes=graph.nodes, relations=graph.relations + (relation,))
-
-
 def derive_condition_variant(
     graph: SceneGraph, condition: Condition, *, keep_spatial: bool = False
 ) -> SceneGraph:

@@ -18,12 +18,7 @@ from .cost_field import (
 )
 from .human_augmentation import Condition, derive_condition_variant
 from .scene_graph import SceneGraph
-from .trajectory_context import (
-    DEFAULT_WAYPOINT_SPACING_M,
-    Trajectory,
-    induce_partial_graph,
-    relevant_objects,
-)
+from .trajectory_context import Trajectory, induce_partial_graph, relevant_objects
 
 SQRT2 = math.sqrt(2.0)
 DEFAULT_MAX_ROUNDS = 3
@@ -160,6 +155,18 @@ def plan(request: PlanRequest) -> Path:
     )
 
 
+def relevant_context(
+    variant: SceneGraph, trajectory: Trajectory, radius: float
+) -> tuple[tuple[str, ...], SceneGraph, tuple[str, ...]]:
+    """Relevance extraction for one trajectory: the ids within ``radius``,
+    the partial graph they induce, and the ids handed to the assessor (the
+    relevant ids, then the humans the partial graph pulled in, sorted)."""
+    ids = relevant_objects(variant, trajectory, radius)
+    partial = induce_partial_graph(variant, ids)
+    found = set(ids)
+    return ids, partial, ids + tuple(i for i in sorted(partial.nodes) if i not in found)
+
+
 @dataclass(frozen=True)
 class PlanIteration:
     """Result of the assess-then-plan loop for one condition."""
@@ -169,7 +176,6 @@ class PlanIteration:
     rounds: int
     relevant: tuple[str, ...]
     costmap: Costmap
-    partial: SceneGraph
 
 
 def iterate_plan(
@@ -183,11 +189,9 @@ def iterate_plan(
     bounds: tuple[Vec2, Vec2],
     resolution: float,
     preferences: Sequence[str] = (),
-    falloff: str = "linear",
     activity_zones: dict[str, tuple[float, float]] | None = None,
     keep_spatial: bool = False,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    waypoint_spacing: float = DEFAULT_WAYPOINT_SPACING_M,
 ) -> PlanIteration:
     """Alternate relevance extraction, assessment, and planning to a fixed point.
 
@@ -207,13 +211,11 @@ def iterate_plan(
     outcome: PlanIteration | None = None
     rounds = 0
     while rounds < max_rounds:
-        ids = relevant_objects(variant, trajectory, radius, max_spacing=waypoint_spacing)
+        ids, partial, assessed = relevant_context(variant, trajectory, radius)
         if previous is not None and ids == previous:
             break
-        partial = induce_partial_graph(variant, ids)
-        assessed = ids + tuple(i for i in sorted(partial.nodes) if i not in set(ids))
         assessment = assess(assessor, partial, trajectory, assessed, preferences)
-        spec = field_spec_from_assessment(partial, assessment, falloff)
+        spec = field_spec_from_assessment(partial, assessment)
         zones = make_activity_zones(partial, activity_zones or {})
         costmap = rasterize(spec, zones, bounds, resolution)
         path = plan(PlanRequest(start=start, goal=goal, costmap=costmap))
@@ -226,7 +228,6 @@ def iterate_plan(
             rounds=rounds,
             relevant=assessed,
             costmap=costmap,
-            partial=partial,
         )
     assert outcome is not None
     return outcome

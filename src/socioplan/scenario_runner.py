@@ -21,7 +21,9 @@ from .cost_assessment import (
     ReplayAssessor,
     RetryPolicy,
     RuleAssessor,
+    entries_to_dict,
     load_assessment_fixtures,
+    out_of_range,
 )
 from .cost_field import Costmap, RectFootprint, costmap_from_dict, costmap_to_dict
 from .human_augmentation import Condition, HumanSpec, insert_human
@@ -37,7 +39,6 @@ from .jsonio import (
     vector,
 )
 from .planner import Path, PlanningError, iterate_plan
-from .render import render_svg  # noqa: F401  (part of this module's surface)
 from .scene_graph import SceneGraph, Vec3, load_scene, scene_to_dict
 
 Vec2 = tuple[float, float]
@@ -87,9 +88,6 @@ class Scenario:
         if self.assessor.fixtures is None:
             return None
         return self.base_dir / self.assessor.fixtures
-
-    def zone_config(self) -> dict[str, tuple[float, float]]:
-        return dict(self.activity_zones)
 
 
 def _parse_human(raw: dict, path: str, strict: bool) -> HumanSpec:
@@ -205,13 +203,20 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
             raise FormatError("waypoints must be a non-empty list", "waypoints")
         waypoints = tuple(vector(p, f"waypoints[{i}]", 3) for i, p in enumerate(raw_waypoints))
 
+    raw_zones = data.get("activity_zones", {})
+    if not isinstance(raw_zones, dict):
+        raise FormatError(
+            "expected an object mapping activity verbs to [cost, clearance]", "activity_zones"
+        )
     zones: list[tuple[str, tuple[float, float]]] = []
-    for verb, raw_zone in data.get("activity_zones", {}).items():
+    for verb, raw_zone in raw_zones.items():
         zone_path = f"activity_zones[{verb!r}]"
-        pair = vector(raw_zone, zone_path, 2)
-        if pair[0] < 1 or pair[1] < 0:
-            raise FormatError("zone cost must be >= 1 and clearance >= 0", zone_path)
-        zones.append((verb, (pair[0], pair[1])))
+        cost, clearance = vector(raw_zone, zone_path, 2)
+        bad = out_of_range(cost, clearance)
+        if bad:
+            field_name, value, floor = bad[0]
+            raise FormatError(f"zone {field_name} {value!r} must be >= {floor:g}", zone_path)
+        zones.append((verb, (cost, clearance)))
 
     scenario = Scenario(
         name=string(data["name"], "name"),
@@ -353,6 +358,17 @@ def human_footprint(scenario: Scenario) -> RectFootprint | None:
     return RectFootprint((c[0] - e[0] / 2.0, c[1] - e[1] / 2.0), (c[0] + e[0] / 2.0, c[1] + e[1] / 2.0))
 
 
+def load_base_scene(scenario: Scenario, *, strict: bool = False) -> SceneGraph:
+    """The scenario's scene with its human, if any, inserted."""
+    scene = load_scene(scenario.scene_path().read_bytes(), strict=strict)
+    if scenario.human is None:
+        return scene
+    try:
+        return insert_human(scene, scenario.human)
+    except ValueError as exc:
+        raise FormatError(str(exc), "human") from None
+
+
 def run_scenario(
     scenario: Scenario,
     *,
@@ -366,8 +382,7 @@ def run_scenario(
     Deterministic for the rules and replay assessors. Errors are re-raised as
     ScenarioError annotated with the condition and pipeline stage.
     """
-    scene = load_scene(scenario.scene_path().read_bytes(), strict=strict)
-    base = insert_human(scene, scenario.human) if scenario.human is not None else scene
+    base = load_base_scene(scenario, strict=strict)
     footprint = human_footprint(scenario)
 
     results = []
@@ -385,7 +400,7 @@ def run_scenario(
                 bounds=scenario.bounds,
                 resolution=scenario.resolution,
                 preferences=scenario.preferences,
-                activity_zones=scenario.zone_config(),
+                activity_zones=dict(scenario.activity_zones),
                 keep_spatial=keep_spatial,
             )
         except (ScenarioError, AssessmentError, PlanningError, FormatError, ValueError) as exc:
@@ -439,10 +454,7 @@ def report_to_dict(report: RunReport) -> dict:
                         "attempts": result.assessment.provenance.attempts,
                         "transcript": [list(t) for t in result.assessment.provenance.transcript],
                     },
-                    "entries": {
-                        object_id: {"cost": cc.cost, "clearance": cc.clearance}
-                        for object_id, cc in sorted(result.assessment.entries.items())
-                    },
+                    "entries": entries_to_dict(result.assessment.entries),
                 },
                 "path": {
                     "cells": [list(c) for c in result.path.cells],
@@ -495,11 +507,19 @@ def load_report(document: bytes | str, *, strict: bool = False) -> RunReport:
             condition = Condition(raw["condition"])
         except ValueError:
             raise FormatError(f'unknown condition "{raw["condition"]}"', f"{path}.condition") from None
-        prov = raw["assessment"]["provenance"]
+        raw_assessment = raw["assessment"]
+        check_keys(
+            raw_assessment,
+            required=("provenance", "entries"),
+            optional=(),
+            path=f"{path}.assessment",
+            strict=strict,
+        )
+        prov = raw_assessment["provenance"]
         assessment = Assessment(
             entries={
                 object_id: CostClearance(float(e["cost"]), float(e["clearance"]))
-                for object_id, e in raw["assessment"]["entries"].items()
+                for object_id, e in raw_assessment["entries"].items()
             },
             provenance=Provenance(
                 assessor=prov["assessor"],
@@ -515,6 +535,10 @@ def load_report(document: bytes | str, *, strict: bool = False) -> RunReport:
             total_cost=float(raw_path["total_cost"]),
             length_m=float(raw_path["length_m"]),
         )
+        try:
+            costmap = costmap_from_dict(raw["costmap"])
+        except ValueError as exc:
+            raise FormatError(str(exc), f"{path}.costmap") from None
         raw_stats = raw["stats"]
         stats = PathStats(
             total_cost=float(raw_stats["total_cost"]),
@@ -530,7 +554,7 @@ def load_report(document: bytes | str, *, strict: bool = False) -> RunReport:
                 condition=condition,
                 assessment=assessment,
                 path=plan_path,
-                costmap=costmap_from_dict(raw["costmap"]),
+                costmap=costmap,
                 rounds=int(raw["rounds"]),
                 relevant=tuple(raw["relevant"]),
                 stats=stats,
@@ -562,10 +586,7 @@ def comparison_dict(report: RunReport) -> dict:
             {
                 "condition": r.condition.value,
                 "label": r.condition.label,
-                "entries": {
-                    object_id: {"cost": cc.cost, "clearance": cc.clearance}
-                    for object_id, cc in sorted(r.assessment.entries.items())
-                },
+                "entries": entries_to_dict(r.assessment.entries),
             }
             for r in report.conditions
         ],

@@ -94,6 +94,7 @@ class Violation:
     rule: str
     ids: tuple[str, ...]
     message: str
+    path: str = "$"  # position in the scene document, e.g. "relations[3].head"
 
 
 @dataclass(frozen=True)
@@ -132,23 +133,28 @@ class SceneGraph:
 
 
 def validate_scene(graph: SceneGraph) -> list[Violation]:
-    """Check all scene-graph invariants; empty list means the graph is valid."""
+    """Check all scene-graph invariants; empty list means the graph is valid.
+    Paths count nodes and relations in graph (= document) order."""
     violations: list[Violation] = []
-    for node in graph:
+    for i, node in enumerate(graph):
         if not node.id:
-            violations.append(Violation("empty id", (node.id,), "node id must be non-empty"))
+            violations.append(
+                Violation("empty id", (node.id,), "node id must be non-empty", f"nodes[{i}].id")
+            )
         if min(node.bbox_extent) <= 0:
             violations.append(
                 Violation(
                     "non-positive extent",
                     (node.id,),
                     f'node "{node.id}" has bbox_extent {node.bbox_extent}; every component must be > 0',
+                    f"nodes[{i}].bbox_extent",
                 )
             )
     seen: set[tuple[str, str, str]] = set()
-    for rel in graph.relations:
+    for j, rel in enumerate(graph.relations):
+        path = f"relations[{j}]"
         endpoint_ok = True
-        for endpoint in (rel.head_id, rel.tail_id):
+        for field_name, endpoint in (("head", rel.head_id), ("tail", rel.tail_id)):
             if endpoint not in graph:
                 endpoint_ok = False
                 violations.append(
@@ -156,6 +162,7 @@ def validate_scene(graph: SceneGraph) -> list[Violation]:
                         "dangling endpoint",
                         (endpoint,),
                         f'relation ({rel.name}, {rel.head_id}, {rel.tail_id}) references unknown id "{endpoint}"',
+                        f"{path}.{field_name}",
                     )
                 )
         if rel.head_id == rel.tail_id:
@@ -164,6 +171,7 @@ def validate_scene(graph: SceneGraph) -> list[Violation]:
                     "self loop",
                     (rel.head_id,),
                     f'relation "{rel.name}" must connect two distinct nodes',
+                    path,
                 )
             )
         if rel.triple in seen:
@@ -172,6 +180,7 @@ def validate_scene(graph: SceneGraph) -> list[Violation]:
                     "duplicate relation",
                     (rel.head_id, rel.tail_id),
                     f"duplicate relation triple {rel.triple}",
+                    path,
                 )
             )
         seen.add(rel.triple)
@@ -186,6 +195,7 @@ def validate_scene(graph: SceneGraph) -> list[Violation]:
                     (rel.head_id,),
                     f'activity relation "{rel.name}" originates at "{rel.head_id}" '
                     f'(tag "{graph.node(rel.head_id).tag}"), not at a human node',
+                    f"{path}.head",
                 )
             )
     return violations
@@ -195,8 +205,8 @@ def load_scene(document: bytes | str, *, strict: bool = False) -> SceneGraph:
     """Parse and validate a scene JSON document.
 
     Raises FormatError with a path into the document for syntax errors,
-    missing fields, duplicate ids, dangling endpoints, and invariant
-    violations. Unknown keys are rejected in strict mode, warned otherwise.
+    missing fields, duplicate ids, and the first violation ``validate_scene``
+    finds. Unknown keys are rejected in strict mode, warned otherwise.
     """
     data = parse_document(document, what="scene document")
     check_keys(
@@ -222,16 +232,13 @@ def load_scene(document: bytes | str, *, strict: bool = False) -> SceneGraph:
             strict=strict,
         )
         node_id = string(raw["id"], f"{path}.id")
-        extent = vector(raw["bbox_extent"], f"{path}.bbox_extent", 3)
-        if min(extent) <= 0:
-            raise FormatError("every component must be > 0", f"{path}.bbox_extent")
         if node_id in nodes:
             raise FormatError(f'duplicate node id "{node_id}"', f"{path}.id")
         nodes[node_id] = ObjectNode(
             id=node_id,
             tag=string(raw["tag"], f"{path}.tag"),
             bbox_center=vector(raw["bbox_center"], f"{path}.bbox_center", 3),
-            bbox_extent=extent,
+            bbox_extent=vector(raw["bbox_extent"], f"{path}.bbox_extent", 3),
             affordances=frozenset(string_list(raw.get("affordances", []), f"{path}.affordances")),
             attributes=frozenset(string_list(raw.get("attributes", []), f"{path}.attributes")),
         )
@@ -240,7 +247,6 @@ def load_scene(document: bytes | str, *, strict: bool = False) -> SceneGraph:
     if not isinstance(raw_relations, list):
         raise FormatError("expected a list of relation objects", "relations")
     relations: list[Relation] = []
-    seen: set[tuple[str, str, str]] = set()
     for j, raw in enumerate(raw_relations):
         path = f"relations[{j}]"
         check_keys(
@@ -259,25 +265,13 @@ def load_scene(document: bytes | str, *, strict: bool = False) -> SceneGraph:
         except ValueError:
             valid = ", ".join(k.value for k in RelationKind)
             raise FormatError(f'unknown kind "{kind_value}" (valid: {valid})', f"{path}.kind") from None
-        for field_name, endpoint in (("head", head), ("tail", tail)):
-            if endpoint not in nodes:
-                raise FormatError(
-                    f'relation endpoint "{endpoint}" does not name a node',
-                    f"{path}.{field_name}",
-                )
-        if head == tail:
-            raise FormatError("relation endpoints must differ", path)
-        if (name, head, tail) in seen:
-            raise FormatError(f"duplicate relation triple ({name}, {head}, {tail})", path)
-        seen.add((name, head, tail))
-        if kind is RelationKind.ACTIVITY and not nodes[head].is_human:
-            raise FormatError(
-                f'activity relations must originate at a node tagged "{HUMAN_TAG}"',
-                f"{path}.head",
-            )
         relations.append(Relation(name=name, head_id=head, tail_id=tail, kind=kind))
 
-    return SceneGraph(nodes=nodes, relations=tuple(relations))
+    graph = SceneGraph(nodes=nodes, relations=tuple(relations))
+    violations = validate_scene(graph)
+    if violations:
+        raise FormatError(violations[0].message, violations[0].path)
+    return graph
 
 
 def node_to_dict(node: ObjectNode) -> dict:

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .scene_graph import SceneGraph, Vec3, Violation, objects_within_radius
+from .scene_graph import SceneGraph, Vec3, objects_within_radius
 
 DEFAULT_QUERY_RADIUS_M = 2.0
 # Relevance is sampled at waypoints only; trajectories are densified to this
@@ -31,21 +31,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.waypoints)
-
-
-def validate_trajectory(trajectory: Trajectory) -> list[Violation]:
-    """Flag consecutive duplicate waypoints (permitted, but usually a bug)."""
-    violations = []
-    for i in range(1, len(trajectory.waypoints)):
-        if trajectory.waypoints[i] == trajectory.waypoints[i - 1]:
-            violations.append(
-                Violation(
-                    "duplicate waypoint",
-                    (),
-                    f"waypoints {i - 1} and {i} are identical: {trajectory.waypoints[i]}",
-                )
-            )
-    return violations
 
 
 def resample(trajectory: Trajectory, max_spacing: float = DEFAULT_WAYPOINT_SPACING_M) -> Trajectory:

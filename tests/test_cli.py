@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import shutil
 
+import pytest
+
 from socioplan.cli import main
 
 from conftest import DATA_DIR
@@ -118,3 +120,56 @@ class TestRenderCommand:
     def test_missing_report(self, capsys):
         assert main(["render", "missing.json", "-o", "/tmp/x.svg"]) == 1
         assert "not found" in capsys.readouterr().err
+
+
+def _drop_provenance(files):
+    del files["report"]["conditions"][0]["assessment"]["provenance"]
+
+
+def _costmap_cell_below_one(files):
+    files["report"]["conditions"][0]["costmap"]["cells"][0][0] = 0.5
+
+
+def _zones_as_list(files):
+    files["scenario"]["activity_zones"] = [["watching", 4.0, 0.5]]
+
+
+def _missing_human_target(files):
+    files["scenario"]["human"]["spatial_relations"] = [["sitting on", "ghost"]]
+
+
+def _fixture_cost_below_one(files):
+    files["fixtures"]["assessments"]["bedroom/no_human"]["armchair"]["cost"] = 0.5
+
+
+class TestMalformedInputs:
+    """Each malformed input ends with exit 1 and one "error: <path>: ..." line."""
+
+    @pytest.mark.parametrize(
+        "command, mutate, where",
+        [
+            ("render", _drop_provenance, "conditions[0].assessment"),
+            ("render", _costmap_cell_below_one, "conditions[0].costmap"),
+            ("plan", _zones_as_list, "activity_zones"),
+            ("plan", _missing_human_target, "human"),
+            ("plan", _fixture_cost_below_one, "['bedroom/no_human']['armchair'].cost"),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_one_error_line(self, tmp_path, capsys, command, mutate, where):
+        names = {
+            "scene": "bedroom_scene.json",
+            "fixtures": "bedroom_assessments.json",
+            "scenario": "bedroom_scenario.json",
+            "report": "bedroom_report.json",
+        }
+        files = {k: json.loads((DATA_DIR / name).read_text()) for k, name in names.items()}
+        mutate(files)
+        for key, name in names.items():
+            (tmp_path / name).write_text(json.dumps(files[key]))
+        target = names["report"] if command == "render" else names["scenario"]
+        out = ["-o", str(tmp_path / "out")] if command == "render" else []
+        assert main([command, str(tmp_path / target), *out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"{where}: " in err[0]

@@ -14,8 +14,6 @@ from socioplan import (
     OrientedRectFootprint,
     RectFootprint,
     combined_cost,
-    costmap_from_text,
-    costmap_to_text,
     field_spec_from_assessment,
     footprint_of,
     insert_human,
@@ -24,7 +22,7 @@ from socioplan import (
     rasterize,
 )
 from socioplan.cost_assessment import Provenance
-from socioplan.cost_field import Costmap, gaussian_falloff
+from socioplan.cost_field import Costmap
 
 from conftest import make_seated_human_spec, make_small_scene
 
@@ -72,13 +70,6 @@ class TestPointCost:
         v_lo = point_cost(at_distance(lo), POINT_MASS, cost, clearance)
         v_hi = point_cost(at_distance(hi), POINT_MASS, cost, clearance)
         assert 1.0 <= v_hi <= v_lo <= cost + 1e-12
-
-    def test_gaussian_alternative_is_bounded_and_monotone(self):
-        distances = np.linspace(0.0, 5.0, 50)
-        values = gaussian_falloff(distances, 6.0, 2.0)
-        assert values[0] == 6.0
-        assert np.all(np.diff(values) <= 0)
-        assert np.all(values >= 1.0)
 
 
 class TestCombinedCost:
@@ -245,13 +236,3 @@ class TestCostmap:
         with pytest.raises(ValueError, match=">= 1"):
             Costmap(origin=(0, 0), resolution=1.0, width=2, height=1,
                     cells=np.array([[1.0, 0.5]]))
-
-    def test_text_round_trip(self):
-        spec = FieldSpec((Contribution(RectFootprint((0.2, 0.2), (0.8, 0.8)), 3.5, 1.2),))
-        costmap = rasterize(spec, (), ((0, 0), (2, 1.5)), 0.25)
-        again = costmap_from_text(costmap_to_text(costmap))
-        assert again == costmap
-
-    def test_text_header_checked(self):
-        with pytest.raises(ValueError, match="header"):
-            costmap_from_text("not a costmap\n")

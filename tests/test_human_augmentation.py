@@ -5,9 +5,7 @@ import pytest
 from socioplan import (
     Condition,
     HumanSpec,
-    Relation,
     RelationKind,
-    attach_relation,
     derive_condition_variant,
     insert_human,
     validate_scene,
@@ -60,23 +58,6 @@ class TestInsertHuman:
         assert len(graph.nodes) == len(small_scene.nodes) + 1
         expected_new = len(spec.spatial_relations) + len(spec.activity_relations)
         assert len(graph.relations) == len(small_scene.relations) + expected_new
-
-
-class TestAttachRelation:
-    def test_adds_one_relation(self, scene_with_human):
-        relation = Relation("standing next to", "human_1", "tv", RelationKind.SPATIAL)
-        graph = attach_relation(scene_with_human, relation)
-        assert len(graph.relations) == len(scene_with_human.relations) + 1
-
-    def test_duplicate_triple_is_a_noop(self, scene_with_human):
-        relation = Relation("watching", "human_1", "tv", RelationKind.ACTIVITY)
-        graph = attach_relation(scene_with_human, relation)
-        assert graph is scene_with_human
-
-    def test_activity_head_must_be_human(self, scene_with_human):
-        relation = Relation("reading", "armchair", "bed", RelationKind.ACTIVITY)
-        with pytest.raises(ValueError, match="activity head must be human"):
-            attach_relation(scene_with_human, relation)
 
 
 class TestConditionVariants:

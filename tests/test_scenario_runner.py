@@ -162,6 +162,11 @@ class TestReportSerialization:
         assert report_to_json(loaded) == text
         assert load_report(report_to_json(loaded)) == loaded
 
+    def test_run_reproduces_shipped_report_bytes(self):
+        # Golden check: planning the shipped scenario writes the shipped report.
+        text = report_to_json(run_scenario(load_scenario(DATA_DIR / "bedroom_scenario.json")))
+        assert text.encode("utf-8") == (DATA_DIR / "bedroom_report.json").read_bytes()
+
     def test_shipped_report_fixture_round_trips(self):
         text = (DATA_DIR / "bedroom_report.json").read_text(encoding="utf-8")
         assert report_to_json(load_report(text)) == text

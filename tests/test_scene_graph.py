@@ -77,6 +77,20 @@ class TestLoadScene:
         with pytest.raises(FormatError, match=r"nodes\[0\].bbox_extent"):
             load_scene(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "relation, where",
+        [
+            ({"head": "ghost", "tail": "bed"}, r"^relations\[1\]\.head: .*ghost"),
+            ({"head": "bed", "tail": "bed"}, r"^relations\[1\]: .*distinct"),
+            ({"head": "armchair", "tail": "bed"}, r"^relations\[1\]: duplicate"),
+        ],
+    )
+    def test_relation_violation_reports_its_path(self, relation, where):
+        doc = json.loads(small_scene_document())
+        doc["relations"].append({"name": "next to", "kind": "spatial", **relation})
+        with pytest.raises(FormatError, match=where):
+            load_scene(json.dumps(doc))
+
     def test_activity_head_must_be_human(self):
         doc = json.loads(small_scene_document())
         doc["relations"].append(

@@ -17,7 +17,6 @@ from socioplan import (
     validate_scene,
 )
 from socioplan.scene_graph import ObjectNode, SceneGraph
-from socioplan.trajectory_context import validate_trajectory
 
 from conftest import make_seated_human_spec, make_small_scene
 
@@ -26,12 +25,6 @@ class TestTrajectory:
     def test_needs_at_least_one_waypoint(self):
         with pytest.raises(ValueError, match="at least one"):
             Trajectory(())
-
-    def test_duplicate_waypoints_flagged_not_rejected(self):
-        trajectory = Trajectory(((0, 0, 0), (0, 0, 0), (1, 0, 0)))
-        violations = validate_trajectory(trajectory)
-        assert len(violations) == 1
-        assert violations[0].rule == "duplicate waypoint"
 
     def test_resample_spacing_bound(self):
         trajectory = Trajectory(((0, 0, 0), (1.0, 0, 0)))
