@@ -23,6 +23,9 @@ from .scene_graph import ObjectNode, RelationKind, SceneGraph
 
 Vec2 = tuple[float, float]
 
+# Largest grid rasterize builds; A* keeps four lists of about this many cells.
+MAX_GRID_CELLS = 1_000_000
+
 
 @dataclass(frozen=True)
 class RectFootprint:
@@ -222,7 +225,8 @@ class Costmap:
     """Rasterized planar cost grid.
 
     ``cells[iy, ix]`` holds the cost at the center of the cell whose lower
-    left corner is ``origin + (ix, iy) * resolution``; every cell is >= 1.
+    left corner is ``origin + (ix, iy) * resolution``; every cell is finite
+    and >= 1.
     """
 
     origin: Vec2
@@ -238,8 +242,8 @@ class Costmap:
             raise ValueError(f"cells shape {cells.shape} != (height, width)")
         if self.resolution <= 0 or self.width <= 0 or self.height <= 0:
             raise ValueError("resolution and dimensions must be > 0")
-        if cells.size and cells.min() < 1.0:
-            raise ValueError("every cell must be >= 1")
+        if not ((cells >= 1.0) & (cells < math.inf)).all():  # also False for NaN
+            raise ValueError("every cell must be finite and >= 1")
         object.__setattr__(self, "cells", cells)
 
     def __eq__(self, other: object) -> bool:
@@ -280,6 +284,29 @@ class Costmap:
         return float(self.cells[iy, ix])
 
 
+def grid_shape(bounds: tuple[Vec2, Vec2], resolution: float) -> tuple[int, int]:
+    """(width, height) in cells of the grid that covers ``bounds``.
+
+    Raises ValueError for a non-positive resolution, degenerate bounds, or a
+    grid of more than ``MAX_GRID_CELLS`` cells; it allocates nothing, so a
+    grid too large to build is refused from its size alone.
+    """
+    (xmin, ymin), (xmax, ymax) = bounds
+    if resolution <= 0:
+        raise ValueError("resolution must be > 0")
+    if xmax <= xmin or ymax <= ymin:
+        raise ValueError("bounds must span a non-degenerate rectangle")
+    width = (xmax - xmin) / resolution - 1e-9
+    height = (ymax - ymin) / resolution - 1e-9
+    # A side alone over the cap (it may be inf) is refused before ceil.
+    if max(width, height) > MAX_GRID_CELLS or math.ceil(width) * math.ceil(height) > MAX_GRID_CELLS:
+        raise ValueError(
+            f"resolution {resolution!r} gives a {width:.6g} x {height:.6g} cell grid;"
+            f" at most {MAX_GRID_CELLS:,} cells are allowed"
+        )
+    return math.ceil(width), math.ceil(height)
+
+
 def rasterize(
     spec: FieldSpec,
     zones: Sequence[ActivityZone],
@@ -292,13 +319,8 @@ def rasterize(
     same evaluation kernel runs for both), so there is no interpolation error
     to account for.
     """
-    (xmin, ymin), (xmax, ymax) = bounds
-    if resolution <= 0:
-        raise ValueError("resolution must be > 0")
-    if xmax <= xmin or ymax <= ymin:
-        raise ValueError("bounds must span a non-degenerate rectangle")
-    width = math.ceil((xmax - xmin) / resolution - 1e-9)
-    height = math.ceil((ymax - ymin) / resolution - 1e-9)
+    (xmin, ymin), _ = bounds
+    width, height = grid_shape(bounds, resolution)
     xs = xmin + (np.arange(width, dtype=float) + 0.5) * resolution
     ys = ymin + (np.arange(height, dtype=float) + 0.5) * resolution
     grid_x, grid_y = np.meshgrid(xs, ys)

@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .cost_assessment import Assessment, AssessorPort, assess
 from .cost_field import (
     Costmap,
@@ -83,6 +85,14 @@ def plan(request: PlanRequest) -> Path:
     cell cost (= 1 by the costmap invariant)". Nodes are reopened whenever a
     cheaper route appears, and ties break deterministically on
     (f, h, cell index), so results are exact optima and platform-stable.
+
+    The search runs on flat lists over the grid padded by one border cell of
+    infinite cost: cell ``(ix, iy)`` has index ``(iy + 1) * (width + 2) + ix
+    + 1``. A step onto the border weighs ``inf`` and is never taken, so no
+    step needs a bounds check. The padded index orders cells by ``(iy, ix)``
+    exactly as ``iy * width + ix`` does, and the heuristic and step weights
+    keep the arithmetic of ``path_cost``, so expansion order, tie-breaks and
+    every float are those of a search keyed by ``(ix, iy)``.
     """
     costmap = request.costmap
     try:
@@ -99,50 +109,48 @@ def plan(request: PlanRequest) -> Path:
             length_m=0.0,
         )
 
-    width, height = costmap.width, costmap.height
     resolution = costmap.resolution
+    stride = costmap.width + 2
+    cost = np.pad(costmap.cells, 1, constant_values=math.inf).ravel().tolist()
+    dx = np.arange(-1, costmap.width + 1) - goal[0]
+    dy = np.arange(-1, costmap.height + 1) - goal[1]
+    heuristic = (resolution * np.sqrt(np.add.outer(dy * dy, dx * dx))).ravel().tolist()
+    steps = tuple(
+        (oy * stride + ox, resolution * (SQRT2 if ox and oy else 1.0)) for ox, oy in _NEIGHBORS
+    )
 
-    def heuristic(cell: tuple[int, int]) -> float:
-        dx = cell[0] - goal[0]
-        dy = cell[1] - goal[1]
-        return resolution * math.sqrt(dx * dx + dy * dy)
-
-    def index(cell: tuple[int, int]) -> int:
-        return cell[1] * width + cell[0]
-
-    g: dict[tuple[int, int], float] = {start: 0.0}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    h0 = heuristic(start)
-    frontier: list[tuple[float, float, int, tuple[int, int], float]] = [
-        (h0, h0, index(start), start, 0.0)
-    ]
-    goal_reached = False
+    start_index = (start[1] + 1) * stride + start[0] + 1
+    goal_index = (goal[1] + 1) * stride + goal[0] + 1
+    g = [math.inf] * len(cost)
+    parent = [-1] * len(cost)
+    g[start_index] = 0.0
+    h0 = heuristic[start_index]
+    frontier = [(h0, h0, start_index, 0.0)]
+    push, pop = heapq.heappush, heapq.heappop
     while frontier:
-        _, _, _, cell, g_pushed = heapq.heappop(frontier)
-        if g_pushed > g.get(cell, math.inf):
+        _, _, index, g_pushed = pop(frontier)
+        if g_pushed > g[index]:
             continue  # stale entry
-        if cell == goal:
-            goal_reached = True
+        if index == goal_index:
             break
-        for dx, dy in _NEIGHBORS:
-            nx, ny = cell[0] + dx, cell[1] + dy
-            if not (0 <= nx < width and 0 <= ny < height):
-                continue
-            neighbor = (nx, ny)
-            tentative = g[cell] + _step_weight(costmap, cell, neighbor)
-            if tentative < g.get(neighbor, math.inf):
+        cost_here = cost[index]
+        for offset, length in steps:
+            neighbor = index + offset
+            tentative = g_pushed + length * ((cost_here + cost[neighbor]) / 2.0)
+            if tentative < g[neighbor]:
                 g[neighbor] = tentative
-                parent[neighbor] = cell
-                h = heuristic(neighbor)
-                heapq.heappush(frontier, (tentative + h, h, index(neighbor), neighbor, tentative))
-    if not goal_reached:
-        raise PlanningError("no path from start to goal")  # unreachable on all-finite maps
+                parent[neighbor] = index
+                h = heuristic[neighbor]
+                push(frontier, (tentative + h, h, neighbor, tentative))
+    else:
+        # Every cell is finite, so every cell is reachable; only costs that
+        # overflow to inf (cells near the float maximum) end up here.
+        raise PlanningError("no path from start to goal")
 
-    cells = [goal]
-    while cells[-1] != start:
-        cells.append(parent[cells[-1]])
-    cells.reverse()
-    ordered = tuple(cells)
+    chain = [goal_index]
+    while chain[-1] != start_index:
+        chain.append(parent[chain[-1]])
+    ordered = tuple((i % stride - 1, i // stride - 1) for i in reversed(chain))
     length = sum(
         resolution * (SQRT2 if a[0] != b[0] and a[1] != b[1] else 1.0)
         for a, b in zip(ordered, ordered[1:])

@@ -59,9 +59,8 @@ def render_svg(
     vmax = float(costmap.cells.max())
     cell_px = costmap.resolution * px_per_m
     out.append('<g shape-rendering="crispEdges">')
-    for iy in range(costmap.height):
-        for ix in range(costmap.width):
-            value = costmap.value(ix, iy)
+    for iy, row in enumerate(costmap.cells.tolist()):
+        for ix, value in enumerate(row):
             if value <= 1.0:
                 continue  # white background already covers cost-1 cells
             x = sx(xmin + ix * costmap.resolution)

@@ -25,7 +25,13 @@ from .cost_assessment import (
     load_assessment_fixtures,
     out_of_range,
 )
-from .cost_field import Costmap, RectFootprint, costmap_from_dict, costmap_to_dict
+from .cost_field import (
+    Costmap,
+    RectFootprint,
+    costmap_from_dict,
+    costmap_to_dict,
+    grid_shape,
+)
 from .human_augmentation import Condition, HumanSpec, insert_human
 from .jsonio import (
     FormatError,
@@ -183,8 +189,10 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
     if high[0] <= low[0] or high[1] <= low[1]:
         raise FormatError("bounds must span a non-degenerate rectangle", "map.bounds")
     resolution = finite_number(raw_map["resolution"], "map.resolution")
-    if resolution <= 0:
-        raise FormatError("resolution must be > 0", "map.resolution")
+    try:
+        grid_shape((low, high), resolution)
+    except ValueError as exc:
+        raise FormatError(str(exc), "map.resolution") from None
 
     radius = finite_number(data["query_radius_m"], "query_radius_m")
     if radius <= 0:

@@ -142,6 +142,14 @@ def _fixture_cost_below_one(files):
     files["fixtures"]["assessments"]["bedroom/no_human"]["armchair"]["cost"] = 0.5
 
 
+def _costmap_cell_nan(files):
+    files["report"]["conditions"][0]["costmap"]["cells"][0][0] = float("nan")
+
+
+def _resolution_too_fine(files):
+    files["scenario"]["map"]["resolution"] = 1e-5  # 3e11 cells over 6 x 5 m
+
+
 class TestMalformedInputs:
     """Each malformed input ends with exit 1 and one "error: <path>: ..." line."""
 
@@ -153,6 +161,8 @@ class TestMalformedInputs:
             ("plan", _zones_as_list, "activity_zones"),
             ("plan", _missing_human_target, "human"),
             ("plan", _fixture_cost_below_one, "['bedroom/no_human']['armchair'].cost"),
+            ("render", _costmap_cell_nan, "conditions[0].costmap"),
+            ("plan", _resolution_too_fine, "map.resolution"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )

@@ -22,7 +22,7 @@ from socioplan import (
     rasterize,
 )
 from socioplan.cost_assessment import Provenance
-from socioplan.cost_field import Costmap
+from socioplan.cost_field import MAX_GRID_CELLS, Costmap, grid_shape
 
 from conftest import make_seated_human_spec, make_small_scene
 
@@ -220,6 +220,36 @@ class TestRasterize:
         costmap = rasterize(spec, (), ((0, 0), (2, 2)), 0.05)
         assert float(costmap.cells.min()) >= 1.0
 
+    def test_grid_over_the_cap_rejected_before_sampling(self):
+        # 1001 x 1000 cells: one row over the cap, small enough that a
+        # missing check would only build the grid and fail the assertion.
+        with pytest.raises(ValueError, match="1001 x 1000 cell grid"):
+            rasterize(FieldSpec(()), (), ((0, 0), (1001, 1000)), 1.0)
+
+
+class TestGridShape:
+    def test_cells_cover_the_bounds(self):
+        assert grid_shape(((0.0, 0.0), (6.0, 5.0)), 0.1) == (60, 50)
+        assert grid_shape(((0.0, 0.0), (1.0, 1.0)), 0.3) == (4, 4)
+
+    def test_cap_is_inclusive(self):
+        assert grid_shape(((0, 0), (1000, 1000)), 1.0) == (1000, 1000)
+        assert MAX_GRID_CELLS == 1000 * 1000
+        with pytest.raises(ValueError, match="at most 1,000,000"):
+            grid_shape(((0, 0), (1000, 1000.5)), 1.0)
+
+    @pytest.mark.parametrize("resolution", [1e-5, 1e-300, 5e-324])
+    def test_huge_grids_rejected_from_their_size(self, resolution):
+        # 6 x 5 m at 1e-5 m is 3e11 cells; the smaller steps overflow to inf.
+        with pytest.raises(ValueError, match="cell grid; at most 1,000,000 cells"):
+            grid_shape(((0.0, 0.0), (6.0, 5.0)), resolution)
+
+    def test_invalid_arguments_rejected(self):
+        with pytest.raises(ValueError, match="resolution must be > 0"):
+            grid_shape(((0, 0), (1, 1)), -0.1)
+        with pytest.raises(ValueError, match="non-degenerate"):
+            grid_shape(((0, 1), (1, 1)), 0.1)
+
 
 class TestCostmap:
     def test_cell_at_and_center_round_trip(self):
@@ -236,3 +266,9 @@ class TestCostmap:
         with pytest.raises(ValueError, match=">= 1"):
             Costmap(origin=(0, 0), resolution=1.0, width=2, height=1,
                     cells=np.array([[1.0, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cells_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            Costmap(origin=(0, 0), resolution=1.0, width=2, height=1,
+                    cells=np.array([[1.0, bad]]))

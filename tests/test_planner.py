@@ -115,6 +115,59 @@ class TestPlan:
         request = PlanRequest(start=(0.5, 4.5), goal=(8.5, 4.5), costmap=costmap)
         assert plan(request).cells == plan(request).cells
 
+    @pytest.mark.parametrize(
+        "width, height, start, goal, cells",
+        [
+            (9, 9, (0.5, 4.5), (8.5, 4.5), tuple((ix, 4) for ix in range(9))),
+            # Many equal-cost diagonal routes; ties break on (f, h, iy, ix).
+            (7, 5, (0.5, 0.5), (6.5, 3.5),
+             ((0, 0), (1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3))),
+        ],
+    )
+    def test_tie_break_is_pinned(self, width, height, start, goal, cells):
+        costmap = uniform_costmap(width, height)
+        assert plan(PlanRequest(start=start, goal=goal, costmap=costmap)).cells == cells
+
+    @pytest.mark.parametrize("width, height", [(1, 7), (7, 1), (1, 2), (2, 1)])
+    def test_single_row_and_column_grids(self, width, height):
+        rng = np.random.default_rng(width * 10 + height)
+        costmap = cells_map(rng.uniform(1.0, 10.0, size=(height, width)), resolution=0.5)
+        last = (width - 1, height - 1)
+        for start, goal in (((0, 0), last), (last, (0, 0))):
+            result = plan(
+                PlanRequest(
+                    start=costmap.cell_center(*start),
+                    goal=costmap.cell_center(*goal),
+                    costmap=costmap,
+                )
+            )
+            assert result.total_cost == dijkstra_optimum(costmap, start, goal)
+            assert len(result.cells) == max(width, height)
+
+    def test_border_and_corner_endpoints(self):
+        # Every pair of border cells: paths may run along the padding but
+        # never into it.
+        rng = np.random.default_rng(31)
+        costmap = cells_map(rng.uniform(1.0, 10.0, size=(5, 6)), resolution=0.25)
+        border = [
+            (ix, iy)
+            for iy in range(costmap.height)
+            for ix in range(costmap.width)
+            if ix in (0, costmap.width - 1) or iy in (0, costmap.height - 1)
+        ]
+        for start in border:
+            for goal in border:
+                result = plan(
+                    PlanRequest(
+                        start=costmap.cell_center(*start),
+                        goal=costmap.cell_center(*goal),
+                        costmap=costmap,
+                    )
+                )
+                assert result.cells[0] == start and result.cells[-1] == goal
+                assert result.total_cost == dijkstra_optimum(costmap, start, goal)
+                assert path_cost(result, costmap) == result.total_cost
+
     def test_raising_a_cell_never_helps(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
