@@ -298,13 +298,14 @@ def grid_shape(bounds: tuple[Vec2, Vec2], resolution: float) -> tuple[int, int]:
         raise ValueError("bounds must span a non-degenerate rectangle")
     width = (xmax - xmin) / resolution - 1e-9
     height = (ymax - ymin) / resolution - 1e-9
-    # A side alone over the cap (it may be inf) is refused before ceil.
+    # A side alone over the cap (it may be inf) is refused before ceil; a
+    # side shorter than one cell still gets one.
     if max(width, height) > MAX_GRID_CELLS or math.ceil(width) * math.ceil(height) > MAX_GRID_CELLS:
         raise ValueError(
             f"resolution {resolution!r} gives a {width:.6g} x {height:.6g} cell grid;"
             f" at most {MAX_GRID_CELLS:,} cells are allowed"
         )
-    return math.ceil(width), math.ceil(height)
+    return max(1, math.ceil(width)), max(1, math.ceil(height))
 
 
 def rasterize(

@@ -88,10 +88,10 @@ def vector(value: Any, path: str, length: int) -> tuple[float, ...]:
     return tuple(finite_number(c, f"{path}[{i}]") for i, c in enumerate(value))
 
 
-def string(value: Any, path: str, *, allow_empty: bool = False) -> str:
+def string(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise FormatError(f"expected a string, got {type(value).__name__}", path)
-    if not value and not allow_empty:
+    if not value:
         raise FormatError("must be non-empty", path)
     return value
 

@@ -10,9 +10,10 @@ are immutable after construction; derived graphs are built by copying.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .jsonio import (
     FormatError,
@@ -301,23 +302,46 @@ def serialize_scene(graph: SceneGraph) -> str:
     return canonical_json(scene_to_dict(graph))
 
 
+def box_distances(points: Iterable[Iterable[float]], nodes: Iterable[ObjectNode]) -> np.ndarray:
+    """(P, N) Euclidean distances from each point to the closest point of each
+    node's box; 0 where the point is inside or on the box.
+
+    Per axis the gap is ``max(lo - p, 0, p - hi)`` with ``lo, hi = c -/+ e / 2``;
+    the squared gaps are summed in x, y, z order before the square root. The
+    work runs axis by axis on (P, N) arrays, so no (P, N, 3) block is built.
+    """
+    rows = [tuple(q) for q in points]
+    p = np.array(rows, dtype=float).reshape(len(rows), 3)
+    nodes = tuple(nodes)
+    center = np.array([n.bbox_center for n in nodes], dtype=float).reshape(len(nodes), 3)
+    half = np.array([n.bbox_extent for n in nodes], dtype=float).reshape(len(nodes), 3) / 2.0
+    lo, hi = center - half, center + half
+    total = np.zeros((len(p), len(nodes)))
+    gap = np.empty_like(total)
+    beyond = np.empty_like(total)
+    for axis in range(3):
+        coord = p[:, axis, None]
+        np.subtract(lo[:, axis], coord, out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        np.subtract(coord, hi[:, axis], out=beyond)
+        np.maximum(gap, beyond, out=gap)
+        gap *= gap
+        total += gap
+    return np.sqrt(total, out=total)
+
+
 def distance_to_object(point: Iterable[float], node: ObjectNode) -> float:
     """Euclidean distance from ``point`` to the closest point of the node's box.
 
     0 if the point is inside or on the box.
     """
-    p = tuple(float(c) for c in point)
-    lo, hi = node.bbox_min, node.bbox_max
-    total = 0.0
-    for c, a, b in zip(p, lo, hi):
-        gap = max(a - c, 0.0, c - b)
-        total += gap * gap
-    return math.sqrt(total)
+    return float(box_distances([point], [node])[0, 0])
 
 
 def objects_within_radius(graph: SceneGraph, point: Iterable[float], radius: float) -> set[str]:
     """Ids of all nodes whose box lies within ``radius`` meters of ``point``."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    p = tuple(float(c) for c in point)
-    return {node.id for node in graph if distance_to_object(p, node) <= radius}
+    nodes = tuple(graph)
+    distances = box_distances([point], nodes)[0]
+    return {node.id for node, d in zip(nodes, distances.tolist()) if d <= radius}

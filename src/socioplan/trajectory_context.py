@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .scene_graph import SceneGraph, Vec3, objects_within_radius
+from .scene_graph import SceneGraph, Vec3, box_distances
 
 DEFAULT_QUERY_RADIUS_M = 2.0
 # Relevance is sampled at waypoints only; trajectories are densified to this
@@ -58,20 +58,18 @@ def relevant_objects(
 ) -> tuple[str, ...]:
     """Ids of objects within ``radius`` of any (densified) waypoint.
 
-    Ordered by first waypoint index of appearance, ties broken by id, so the
-    result is deterministic.
+    All (waypoint, object) box distances are computed in one pass. Ids are
+    ordered by the index of the first waypoint within ``radius`` of the
+    object, ties broken by id, so the result is deterministic.
     """
     if radius <= 0:
         raise ValueError("query radius must be > 0")
     dense = resample(trajectory, max_spacing)
-    ordered: list[str] = []
-    seen: set[str] = set()
-    for point in dense.waypoints:
-        hits = objects_within_radius(graph, point, radius) - seen
-        for node_id in sorted(hits):
-            ordered.append(node_id)
-            seen.add(node_id)
-    return tuple(ordered)
+    nodes = tuple(graph)
+    hits = box_distances(dense.waypoints, nodes) <= radius
+    first, any_hit = hits.argmax(axis=0).tolist(), hits.any(axis=0).tolist()
+    found = sorted((i, node.id) for i, node, hit in zip(first, nodes, any_hit) if hit)
+    return tuple(node_id for _, node_id in found)
 
 
 def attached_humans(graph: SceneGraph, ids: Iterable[str]) -> tuple[str, ...]:

@@ -244,6 +244,10 @@ class TestGridShape:
         with pytest.raises(ValueError, match="cell grid; at most 1,000,000 cells"):
             grid_shape(((0.0, 0.0), (6.0, 5.0)), resolution)
 
+    @pytest.mark.parametrize("resolution", [7.0, 1e10, 1e300])
+    def test_coarse_resolution_gives_one_cell_per_side(self, resolution):
+        assert grid_shape(((0.0, 0.0), (6.0, 5.0)), resolution) == (1, 1)
+
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError, match="resolution must be > 0"):
             grid_shape(((0, 0), (1, 1)), -0.1)

@@ -19,6 +19,7 @@ from socioplan import (
     validate_scene,
 )
 from socioplan.jsonio import UnknownKeyWarning
+from socioplan.scene_graph import box_distances
 
 from conftest import make_small_scene
 
@@ -186,6 +187,33 @@ class TestDistance:
         box = ObjectNode("box", "box", (0, 0, 0), (2, 3, 1))
         inside = all(lo <= c <= hi for c, lo, hi in zip(p, box.bbox_min, box.bbox_max))
         assert (distance_to_object(p, box) == 0.0) == inside
+
+    def test_box_distances_match_single_pairs_bit_for_bit(self, small_scene):
+        box = ObjectNode("box", "box", (0.5, -0.25, 1.0), (2.0, 1.0, 0.5))
+        nodes = [box, *small_scene]
+        points = [
+            (0.5, -0.25, 1.0),  # inside
+            (1.5, 0.0, 1.1),  # on a face
+            (1.5, 0.25, 1.1),  # on an edge
+            (-0.5, -0.75, 0.75),  # on a corner
+            (0.1, 0.3, 0.7),  # near, oblique
+            (1e6, -3e5, 42.0),  # far away
+        ]
+        distances = box_distances(points, nodes)
+        assert distances.shape == (len(points), len(nodes))
+        for i, point in enumerate(points):
+            for j, node in enumerate(nodes):
+                # Reference arithmetic: per-axis gaps, squares summed x, y, z.
+                total = 0.0
+                for p, c, e in zip(point, node.bbox_center, node.bbox_extent):
+                    gap = max(c - e / 2.0 - p, 0.0, p - (c + e / 2.0))
+                    total += gap * gap
+                assert distance_to_object(point, node) == distances[i, j] == math.sqrt(total)
+        assert distances[:4, 0].tolist() == [0.0, 0.0, 0.0, 0.0]
+
+    def test_box_distances_of_no_points_or_no_nodes(self, small_scene):
+        assert box_distances([], list(small_scene)).shape == (0, 3)
+        assert box_distances([(0.0, 0.0, 0.0)], []).shape == (1, 0)
 
 
 class TestRadiusQuery:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from socioplan import (
     Trajectory,
@@ -33,6 +33,42 @@ class TestTrajectory:
         assert all(g <= 0.25 + 1e-12 for g in gaps)
         assert dense.waypoints[0] == (0, 0, 0)
         assert dense.waypoints[-1] == (1.0, 0, 0)
+
+
+def _loop_relevant_objects(graph, trajectory, radius):
+    """Reference: per densified waypoint, the hits not yet seen, sorted by id."""
+    ordered, seen = [], set()
+    for point in resample(trajectory).waypoints:
+        hits = {n.id for n in graph if distance_to_object(point, n) <= radius} - seen
+        ordered += sorted(hits)
+        seen |= hits
+    return tuple(ordered)
+
+
+_coord = st.floats(-1.0, 7.0)
+_point = st.tuples(_coord, _coord, st.floats(0.0, 2.0))
+_box = st.tuples(_point, st.tuples(*[st.floats(0.05, 3.0)] * 3))
+
+
+@st.composite
+def _scenes_with_trajectories(draw):
+    """0-40 boxes whose ids sort apart from their order, 1-6 waypoints (some at
+    exactly ``radius`` beyond a box face) and a radius of 0.05-4 m."""
+    boxes = draw(st.lists(_box, max_size=40))
+    names = draw(st.permutations(range(len(boxes))))
+    nodes = [ObjectNode(f"box{k}", "box", c, e) for k, (c, e) in zip(names, boxes)]
+    radius = draw(st.floats(0.05, 4.0))
+    waypoints = draw(st.lists(_point, min_size=1, max_size=6))
+    if nodes:
+        for node in draw(st.lists(st.sampled_from(nodes), max_size=3)):
+            axis = draw(st.integers(0, 2))
+            point = list(node.bbox_center)
+            if draw(st.booleans()):
+                point[axis] = node.bbox_max[axis] + radius
+            else:
+                point[axis] = node.bbox_min[axis] - radius
+            waypoints[draw(st.integers(0, len(waypoints) - 1))] = tuple(point)
+    return SceneGraph(nodes=nodes), Trajectory(tuple(waypoints)), radius
 
 
 class TestRelevantObjects:
@@ -90,6 +126,18 @@ class TestRelevantObjects:
     def test_non_positive_radius_rejected(self, small_scene):
         with pytest.raises(ValueError, match="> 0"):
             relevant_objects(small_scene, Trajectory(((0, 0, 0),)), 0.0)
+
+    def test_empty_scene_has_no_relevant_objects(self):
+        trajectory = Trajectory(((0, 0, 0), (3.0, 4.0, 0.0)))
+        assert relevant_objects(SceneGraph(nodes={}), trajectory, 4.0) == ()
+
+    @settings(deadline=None)
+    @given(case=_scenes_with_trajectories())
+    def test_matches_per_waypoint_loop(self, case):
+        graph, trajectory, radius = case
+        assert relevant_objects(graph, trajectory, radius) == _loop_relevant_objects(
+            graph, trajectory, radius
+        )
 
 
 class TestInducePartialGraph:
