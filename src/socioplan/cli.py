@@ -198,8 +198,6 @@ def _cmd_render(args: argparse.Namespace) -> int:
         report = load_report(args.report.read_bytes(), strict=args.strict)
     except FileNotFoundError:
         raise FormatError(f"report file not found: {args.report}") from None
-    if not report.conditions:
-        raise ScenarioError("report contains no conditions")
     # Overlay every condition's path on the last condition's costmap (the
     # richest field when conditions are ordered none -> full).
     svg = render_svg(

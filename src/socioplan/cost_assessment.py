@@ -123,6 +123,32 @@ def entries_to_dict(entries: dict[str, CostClearance]) -> dict:
     }
 
 
+def entries_from_dict(
+    raw_entries: object, path: str, *, strict: bool = False
+) -> dict[str, CostClearance]:
+    """Read entries written by ``entries_to_dict``; each must pass ``out_of_range``."""
+    if not isinstance(raw_entries, dict):
+        raise FormatError("expected an object keyed by object id", path)
+    entries = {}
+    for object_id, raw in raw_entries.items():
+        entry_path = f"{path}[{object_id!r}]"
+        check_keys(
+            raw, required=("cost", "clearance"), optional=(), path=entry_path, strict=strict
+        )
+        cc = CostClearance(
+            finite_number(raw["cost"], f"{entry_path}.cost"),
+            finite_number(raw["clearance"], f"{entry_path}.clearance"),
+        )
+        bad = out_of_range(cc.cost, cc.clearance)
+        if bad:
+            field_name, value, floor = bad[0]
+            raise FormatError(
+                f"{field_name} {value!r} must be >= {floor:g}", f"{entry_path}.{field_name}"
+            )
+        entries[object_id] = cc
+    return entries
+
+
 @dataclass(frozen=True)
 class Provenance:
     assessor: str
@@ -482,29 +508,10 @@ def load_assessment_fixtures(document: bytes | str, *, strict: bool = False) -> 
     require_version(data, "$", FIXTURE_SCHEMA_VERSION)
     if not isinstance(data["assessments"], dict):
         raise FormatError("expected an object keyed by scenario/condition", "assessments")
-    store: dict[str, dict[str, CostClearance]] = {}
-    for key, raw_entries in data["assessments"].items():
-        path = f"assessments[{key!r}]"
-        if not isinstance(raw_entries, dict):
-            raise FormatError("expected an object keyed by object id", path)
-        entries = {}
-        for object_id, raw in raw_entries.items():
-            entry_path = f"{path}[{object_id!r}]"
-            check_keys(
-                raw, required=("cost", "clearance"), optional=(), path=entry_path, strict=strict
-            )
-            cc = CostClearance(
-                finite_number(raw["cost"], f"{entry_path}.cost"),
-                finite_number(raw["clearance"], f"{entry_path}.clearance"),
-            )
-            bad = out_of_range(cc.cost, cc.clearance)
-            if bad:
-                field_name, value, floor = bad[0]
-                raise FormatError(
-                    f"{field_name} {value!r} must be >= {floor:g}", f"{entry_path}.{field_name}"
-                )
-            entries[object_id] = cc
-        store[key] = entries
+    store = {
+        key: entries_from_dict(raw_entries, f"assessments[{key!r}]", strict=strict)
+        for key, raw_entries in data["assessments"].items()
+    }
     return AssessmentStore(entries=store)
 
 

@@ -236,11 +236,14 @@ class Costmap:
     cells: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "origin", tuple(float(c) for c in self.origin))
+        origin = tuple(float(c) for c in self.origin)
+        if len(origin) != 2 or not all(map(math.isfinite, origin)):
+            raise ValueError(f"origin {list(origin)} must be two finite numbers")
+        object.__setattr__(self, "origin", origin)
         cells = np.asarray(self.cells, dtype=float)
         if cells.shape != (self.height, self.width):
             raise ValueError(f"cells shape {cells.shape} != (height, width)")
-        if self.resolution <= 0 or self.width <= 0 or self.height <= 0:
+        if not 0 < self.resolution < math.inf or self.width <= 0 or self.height <= 0:
             raise ValueError("resolution and dimensions must be > 0")
         if not ((cells >= 1.0) & (cells < math.inf)).all():  # also False for NaN
             raise ValueError("every cell must be finite and >= 1")
@@ -337,7 +340,7 @@ def costmap_to_dict(costmap: Costmap) -> dict:
         "resolution": costmap.resolution,
         "width": costmap.width,
         "height": costmap.height,
-        "cells": [[float(v) for v in row] for row in costmap.cells],
+        "cells": costmap.cells.tolist(),
     }
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from typing import Any, Iterable
+from itertools import chain
+from typing import Any, Callable, Iterable
 
 
 class FormatError(ValueError):
@@ -25,9 +26,63 @@ class UnknownKeyWarning(UserWarning):
     """Unknown key accepted outside strict mode."""
 
 
+# With ``indent`` set, ``json.dumps`` runs the pure-Python encoder, one
+# generator step per value. The canonical layout is written here instead, and
+# every scalar, and every list of plain numbers, goes through the C encoder.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def canonical_json(value: Any) -> str:
-    """Serialize with sorted keys and fixed layout; byte-stable for equal values."""
-    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """Serialize with sorted keys and fixed layout; byte-stable for equal values.
+
+    The text is exactly ``json.dumps(value, indent=2, sort_keys=True,
+    ensure_ascii=False) + "\\n"``.
+    """
+    chunks: list[str] = []
+    _write(value, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write(value: Any, newline: str, emit: Callable[[str], None]) -> None:
+    """Emit ``value`` laid out as the stdlib's ``indent=2`` encoder does;
+    ``newline`` is the line break plus the indentation of ``value``'s own line."""
+    if isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                # As in the stdlib: a scalar key is written as its JSON text.
+                if key is not None and not isinstance(key, (int, float)):
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                    )
+                key = _encode(key)
+            emit(separator + _encode(key) + ": ")
+            _write(item, inner, emit)
+            separator = "," + inner
+        emit(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, value)) <= _NUMBER_TYPES:
+            # A number's text holds no ", ", so every ", " is a separator.
+            emit("[" + inner + _encode(value)[1:-1].replace(", ", "," + inner) + newline + "]")
+            return
+        separator = "[" + inner
+        for item in value:
+            emit(separator)
+            _write(item, inner, emit)
+            separator = "," + inner
+        emit(newline + "]")
+    else:
+        emit(_encode(value))
 
 
 def parse_document(document: bytes | str, *, what: str) -> Any:
@@ -38,7 +93,7 @@ def parse_document(document: bytes | str, *, what: str) -> Any:
             raise FormatError(f"{what} is not valid UTF-8: {exc}") from exc
     try:
         return json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise FormatError(f"{what} is not valid JSON: {exc}") from exc
 
 
@@ -76,16 +131,56 @@ def require_version(obj: dict, path: str, expected: int) -> None:
 def finite_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"expected a number, got {type(value).__name__}", path)
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
     if not math.isfinite(number):
         raise FormatError("number must be finite", path)
     return number
+
+
+def integer(value: Any, path: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"expected an integer, got {type(value).__name__}", path)
+    if value < minimum:
+        raise FormatError(f"must be >= {minimum}", path)
+    return value
 
 
 def vector(value: Any, path: str, length: int) -> tuple[float, ...]:
     if not isinstance(value, list) or len(value) != length:
         raise FormatError(f"expected a list of {length} numbers", path)
     return tuple(finite_number(c, f"{path}[{i}]") for i, c in enumerate(value))
+
+
+def _row_items(value: Any, length: int) -> list | None:
+    """The items of a list of ``length``-item lists, in order; None for any
+    other value."""
+    if not isinstance(value, list) or not set(map(type, value)) <= {list}:
+        return None
+    if not set(map(len, value)) <= {length}:
+        return None
+    return list(chain.from_iterable(value))
+
+
+def vectors(value: Any, path: str, length: int) -> tuple[tuple[float, ...], ...]:
+    """A list of ``vector``s. Rows of finite floats are checked in bulk; only
+    when that fails does each row go through ``vector`` with its own path."""
+    items = _row_items(value, length)
+    if items is not None and set(map(type, items)) <= {float} and all(map(math.isfinite, items)):
+        return tuple(map(tuple, value))
+    if not isinstance(value, list):
+        raise FormatError(f"expected a list of {length}-number lists", path)
+    return tuple(vector(row, f"{path}[{i}]", length) for i, row in enumerate(value))
+
+
+def index_vectors(value: Any, path: str, length: int) -> tuple[tuple[int, ...], ...]:
+    """A list of ``length``-integer lists with every integer >= 0, checked in bulk."""
+    items = _row_items(value, length)
+    if items is None or not set(map(type, items)) <= {int} or min(items, default=0) < 0:
+        raise FormatError(f"expected a list of {length}-integer lists, integers >= 0", path)
+    return tuple(map(tuple, value))
 
 
 def string(value: Any, path: str) -> str:

@@ -14,13 +14,13 @@ from .cost_assessment import (
     Assessment,
     AssessmentError,
     AssessorPort,
-    CostClearance,
     HttpChatTransport,
     LlmAssessor,
     Provenance,
     ReplayAssessor,
     RetryPolicy,
     RuleAssessor,
+    entries_from_dict,
     entries_to_dict,
     load_assessment_fixtures,
     out_of_range,
@@ -38,14 +38,17 @@ from .jsonio import (
     canonical_json,
     check_keys,
     finite_number,
+    index_vectors,
+    integer,
     parse_document,
     require_version,
     string,
     string_list,
     vector,
+    vectors,
 )
 from .planner import Path, PlanningError, iterate_plan
-from .scene_graph import SceneGraph, Vec3, load_scene, scene_to_dict
+from .scene_graph import SceneGraph, Vec3, load_scene, scene_from_dict, scene_to_dict
 
 Vec2 = tuple[float, float]
 
@@ -209,7 +212,7 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
         raw_waypoints = data["waypoints"]
         if not isinstance(raw_waypoints, list) or not raw_waypoints:
             raise FormatError("waypoints must be a non-empty list", "waypoints")
-        waypoints = tuple(vector(p, f"waypoints[{i}]", 3) for i, p in enumerate(raw_waypoints))
+        waypoints = vectors(raw_waypoints, "waypoints", 3)
 
     raw_zones = data.get("activity_zones", {})
     if not isinstance(raw_zones, dict):
@@ -490,7 +493,94 @@ def report_to_json(report: RunReport) -> str:
     return canonical_json(report_to_dict(report))
 
 
+def _is_message(value: object) -> bool:
+    return type(value) is list and len(value) == 2 and all(isinstance(s, str) for s in value)
+
+
+def _condition_from_dict(raw: object, path: str, strict: bool) -> ConditionResult:
+    """One entry of a report's ``conditions``. Path cells, polyline points
+    and transcript messages are checked in bulk, not with a path each."""
+
+    def fields(value: object, where: str, *required: str) -> dict:
+        check_keys(value, required=required, optional=(), path=where, strict=strict)
+        return value
+
+    raw = fields(
+        raw, path, "condition", "rounds", "relevant", "assessment", "path", "stats", "costmap"
+    )
+    try:
+        condition = Condition(raw["condition"])
+    except ValueError:
+        raise FormatError(f'unknown condition "{raw["condition"]}"', f"{path}.condition") from None
+
+    raw_assessment = fields(raw["assessment"], f"{path}.assessment", "provenance", "entries")
+    where = f"{path}.assessment.provenance"
+    prov = fields(
+        raw_assessment["provenance"], where, "assessor", "parameters", "attempts", "transcript"
+    )
+    if not isinstance(prov["parameters"], dict):
+        raise FormatError("expected an object", f"{where}.parameters")
+    transcript = prov["transcript"]
+    if not isinstance(transcript, list) or not all(map(_is_message, transcript)):
+        raise FormatError("expected a list of [role, text] string pairs", f"{where}.transcript")
+    assessment = Assessment(
+        entries=entries_from_dict(
+            raw_assessment["entries"], f"{path}.assessment.entries", strict=strict
+        ),
+        provenance=Provenance(
+            assessor=string(prov["assessor"], f"{where}.assessor"),
+            parameters=dict(prov["parameters"]),
+            attempts=integer(prov["attempts"], f"{where}.attempts", 1),
+            transcript=tuple((role, text) for role, text in transcript),
+        ),
+    )
+
+    where = f"{path}.path"
+    raw_path = fields(raw["path"], where, "cells", "polyline", "total_cost", "length_m")
+    plan_path = Path(
+        cells=index_vectors(raw_path["cells"], f"{where}.cells", 2),
+        polyline=vectors(raw_path["polyline"], f"{where}.polyline", 2),
+        total_cost=finite_number(raw_path["total_cost"], f"{where}.total_cost"),
+        length_m=finite_number(raw_path["length_m"], f"{where}.length_m"),
+    )
+
+    where = f"{path}.stats"
+    raw_stats = fields(raw["stats"], where, "total_cost", "length_m", "min_distance_to_human_m")
+    min_distance = raw_stats["min_distance_to_human_m"]
+    stats = PathStats(
+        total_cost=finite_number(raw_stats["total_cost"], f"{where}.total_cost"),
+        length_m=finite_number(raw_stats["length_m"], f"{where}.length_m"),
+        min_distance_to_human_m=(
+            None
+            if min_distance is None
+            else finite_number(min_distance, f"{where}.min_distance_to_human_m")
+        ),
+    )
+
+    where = f"{path}.costmap"
+    raw_costmap = fields(raw["costmap"], where, "origin", "resolution", "width", "height", "cells")
+    try:
+        costmap = costmap_from_dict(raw_costmap)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(str(exc), where) from None
+
+    return ConditionResult(
+        condition=condition,
+        assessment=assessment,
+        path=plan_path,
+        costmap=costmap,
+        rounds=integer(raw["rounds"], f"{path}.rounds", 1),
+        relevant=tuple(string_list(raw["relevant"], f"{path}.relevant")),
+        stats=stats,
+    )
+
+
 def load_report(document: bytes | str, *, strict: bool = False) -> RunReport:
+    """Parse a report written by ``report_to_json``.
+
+    Raises FormatError with a path into the document for a missing field, a
+    value of the wrong type, and counts, costs or cells out of range.
+    """
     data = parse_document(document, what="report document")
     check_keys(
         data,
@@ -500,76 +590,16 @@ def load_report(document: bytes | str, *, strict: bool = False) -> RunReport:
         strict=strict,
     )
     require_version(data, "$", REPORT_SCHEMA_VERSION)
-    scene = load_scene(canonical_json(data["scene"]), strict=strict)
-    conditions = []
-    for i, raw in enumerate(data["conditions"]):
-        path = f"conditions[{i}]"
-        check_keys(
-            raw,
-            required=("condition", "rounds", "relevant", "assessment", "path", "stats", "costmap"),
-            optional=(),
-            path=path,
-            strict=strict,
-        )
-        try:
-            condition = Condition(raw["condition"])
-        except ValueError:
-            raise FormatError(f'unknown condition "{raw["condition"]}"', f"{path}.condition") from None
-        raw_assessment = raw["assessment"]
-        check_keys(
-            raw_assessment,
-            required=("provenance", "entries"),
-            optional=(),
-            path=f"{path}.assessment",
-            strict=strict,
-        )
-        prov = raw_assessment["provenance"]
-        assessment = Assessment(
-            entries={
-                object_id: CostClearance(float(e["cost"]), float(e["clearance"]))
-                for object_id, e in raw_assessment["entries"].items()
-            },
-            provenance=Provenance(
-                assessor=prov["assessor"],
-                parameters=dict(prov["parameters"]),
-                attempts=int(prov["attempts"]),
-                transcript=tuple((role, text) for role, text in prov["transcript"]),
-            ),
-        )
-        raw_path = raw["path"]
-        plan_path = Path(
-            cells=tuple((int(c[0]), int(c[1])) for c in raw_path["cells"]),
-            polyline=tuple((float(p[0]), float(p[1])) for p in raw_path["polyline"]),
-            total_cost=float(raw_path["total_cost"]),
-            length_m=float(raw_path["length_m"]),
-        )
-        try:
-            costmap = costmap_from_dict(raw["costmap"])
-        except ValueError as exc:
-            raise FormatError(str(exc), f"{path}.costmap") from None
-        raw_stats = raw["stats"]
-        stats = PathStats(
-            total_cost=float(raw_stats["total_cost"]),
-            length_m=float(raw_stats["length_m"]),
-            min_distance_to_human_m=(
-                None
-                if raw_stats["min_distance_to_human_m"] is None
-                else float(raw_stats["min_distance_to_human_m"])
-            ),
-        )
-        conditions.append(
-            ConditionResult(
-                condition=condition,
-                assessment=assessment,
-                path=plan_path,
-                costmap=costmap,
-                rounds=int(raw["rounds"]),
-                relevant=tuple(raw["relevant"]),
-                stats=stats,
-            )
-        )
+    raw_conditions = data["conditions"]
+    if not isinstance(raw_conditions, list) or not raw_conditions:
+        raise FormatError("conditions must be a non-empty list", "conditions")
     return RunReport(
-        scenario_name=data["scenario"], scene=scene, conditions=tuple(conditions)
+        scenario_name=string(data["scenario"], "scenario"),
+        scene=scene_from_dict(data["scene"], strict=strict),
+        conditions=tuple(
+            _condition_from_dict(raw, f"conditions[{i}]", strict)
+            for i, raw in enumerate(raw_conditions)
+        ),
     )
 
 

@@ -203,13 +203,17 @@ def validate_scene(graph: SceneGraph) -> list[Violation]:
 
 
 def load_scene(document: bytes | str, *, strict: bool = False) -> SceneGraph:
-    """Parse and validate a scene JSON document.
+    """Parse and validate a scene JSON document (see ``scene_from_dict``)."""
+    return scene_from_dict(parse_document(document, what="scene document"), strict=strict)
 
-    Raises FormatError with a path into the document for syntax errors,
-    missing fields, duplicate ids, and the first violation ``validate_scene``
+
+def scene_from_dict(data: object, *, strict: bool = False) -> SceneGraph:
+    """Validate a parsed scene document and build the graph.
+
+    Raises FormatError with a path into the document for missing fields,
+    wrong types, duplicate ids, and the first violation ``validate_scene``
     finds. Unknown keys are rejected in strict mode, warned otherwise.
     """
-    data = parse_document(document, what="scene document")
     check_keys(
         data,
         required=("nodes",),

@@ -150,6 +150,34 @@ def _resolution_too_fine(files):
     files["scenario"]["map"]["resolution"] = 1e-5  # 3e11 cells over 6 x 5 m
 
 
+def _entry_cost_text(files):
+    files["report"]["conditions"][0]["assessment"]["entries"]["bed"]["cost"] = "x"
+
+
+def _path_cell_too_short(files):
+    files["report"]["conditions"][0]["path"]["cells"] = [[1]]
+
+
+def _rounds_text(files):
+    files["report"]["conditions"][0]["rounds"] = "a"
+
+
+def _stats_as_list(files):
+    files["report"]["conditions"][0]["stats"] = []
+
+
+def _conditions_as_object(files):
+    files["report"]["conditions"] = {}
+
+
+def _costmap_origin_of_three(files):
+    files["report"]["conditions"][0]["costmap"]["origin"] = [0.0, 0.0, 7.0]
+
+
+def _costmap_resolution_nan(files):
+    files["report"]["conditions"][0]["costmap"]["resolution"] = float("nan")
+
+
 class TestMalformedInputs:
     """Each malformed input ends with exit 1 and one "error: <path>: ..." line."""
 
@@ -163,6 +191,13 @@ class TestMalformedInputs:
             ("plan", _fixture_cost_below_one, "['bedroom/no_human']['armchair'].cost"),
             ("render", _costmap_cell_nan, "conditions[0].costmap"),
             ("plan", _resolution_too_fine, "map.resolution"),
+            ("render", _entry_cost_text, "conditions[0].assessment.entries['bed'].cost"),
+            ("render", _path_cell_too_short, "conditions[0].path.cells"),
+            ("render", _rounds_text, "conditions[0].rounds"),
+            ("render", _stats_as_list, "conditions[0].stats"),
+            ("render", _conditions_as_object, "conditions"),
+            ("render", _costmap_origin_of_three, "conditions[0].costmap"),
+            ("render", _costmap_resolution_nan, "conditions[0].costmap"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )

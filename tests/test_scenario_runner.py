@@ -4,6 +4,7 @@ import json
 import shutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from socioplan import (
     Condition,
@@ -250,3 +251,45 @@ class TestRenderSvg:
                 replay_report.scene,
                 labels=["just one"],
             )
+
+
+def _locations(value, where=()):
+    """Every key path of ``value``; only the first and last item of each list."""
+    yield where
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _locations(item, where + (key,))
+    elif isinstance(value, list) and value:
+        for index in sorted({0, len(value) - 1}):
+            yield from _locations(value[index], where + (index,))
+
+
+_SHIPPED_REPORT = (DATA_DIR / "bedroom_report.json").read_text(encoding="utf-8")
+_REPORT_LOCATIONS = list(_locations(json.loads(_SHIPPED_REPORT)))[1:]
+_MUTATIONS = st.sampled_from([("delete",), ("wrap",)]) | st.tuples(
+    st.just("replace"),
+    st.sampled_from(
+        [None, True, 0, -1, -0.5, 1.5, 10**400, float("nan"), float("inf"), "x", "", [], {}]
+    ),
+)
+
+
+class TestLoadReportMutations:
+    @settings(max_examples=150, deadline=None)
+    @given(where=st.sampled_from(_REPORT_LOCATIONS), mutation=_MUTATIONS)
+    def test_returns_or_raises_format_error(self, where, mutation):
+        data = json.loads(_SHIPPED_REPORT)
+        parent = data
+        for key in where[:-1]:
+            parent = parent[key]
+        key = where[-1]
+        if mutation[0] == "delete":
+            del parent[key]
+        elif mutation[0] == "wrap":
+            parent[key] = [parent[key]]
+        else:
+            parent[key] = mutation[1]
+        try:
+            load_report(json.dumps(data))
+        except FormatError:
+            pass
