@@ -26,10 +26,10 @@ report = run_scenario(scenario)
 
 print(compare_conditions(report))
 for result in report.conditions:
-    stats = result.stats
     print(
-        f"{result.condition.label:22s} cost {stats.total_cost:6.3f}  "
-        f"length {stats.length_m:5.3f} m  min dist to human {stats.min_distance_to_human_m:.3f} m"
+        f"{result.condition.label:22s} cost {result.path.total_cost:6.3f}  "
+        f"length {result.path.length_m:5.3f} m  "
+        f"min dist to human {result.min_distance_to_human_m:.3f} m"
     )
 
 (OUT / "bedroom_report.json").write_text(report_to_json(report), encoding="utf-8")

@@ -169,15 +169,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         print(text, end="")
     else:
         for result in report.conditions:
-            stats = result.stats
-            human = (
-                f", min dist to human {stats.min_distance_to_human_m:.3f} m"
-                if stats.min_distance_to_human_m is not None
-                else ""
-            )
+            distance = result.min_distance_to_human_m
+            human = f", min dist to human {distance:.3f} m" if distance is not None else ""
             print(
-                f"{result.condition.value}: total cost {stats.total_cost:.3f}, "
-                f"length {stats.length_m:.3f} m, rounds {result.rounds}{human}"
+                f"{result.condition.value}: total cost {result.path.total_cost:.3f}, "
+                f"length {result.path.length_m:.3f} m, rounds {result.rounds}{human}"
             )
         if args.out:
             print(f"report written to {args.out}")

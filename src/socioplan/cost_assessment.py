@@ -16,8 +16,6 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Protocol, Sequence
 
-import requests
-
 from .human_augmentation import Condition
 from .jsonio import (
     FormatError,
@@ -123,6 +121,17 @@ def entries_to_dict(entries: dict[str, CostClearance]) -> dict:
     }
 
 
+def cost_clearance(raw: dict, path: str) -> CostClearance:
+    """The ``cost`` and ``clearance`` of a read object; FormatError at the
+    first one that ``out_of_range`` flags."""
+    cost, clearance = (finite_number(raw[k], f"{path}.{k}") for k in ("cost", "clearance"))
+    bad = out_of_range(cost, clearance)
+    if bad:
+        field_name, value, floor = bad[0]
+        raise FormatError(f"{field_name} {value!r} must be >= {floor:g}", f"{path}.{field_name}")
+    return CostClearance(cost, clearance)
+
+
 def entries_from_dict(
     raw_entries: object, path: str, *, strict: bool = False
 ) -> dict[str, CostClearance]:
@@ -135,17 +144,7 @@ def entries_from_dict(
         check_keys(
             raw, required=("cost", "clearance"), optional=(), path=entry_path, strict=strict
         )
-        cc = CostClearance(
-            finite_number(raw["cost"], f"{entry_path}.cost"),
-            finite_number(raw["clearance"], f"{entry_path}.clearance"),
-        )
-        bad = out_of_range(cc.cost, cc.clearance)
-        if bad:
-            field_name, value, floor = bad[0]
-            raise FormatError(
-                f"{field_name} {value!r} must be >= {floor:g}", f"{entry_path}.{field_name}"
-            )
-        entries[object_id] = cc
+        entries[object_id] = cost_clearance(raw, entry_path)
     return entries
 
 
@@ -321,6 +320,9 @@ class HttpChatTransport:
     timeout_s: float = 60.0
 
     def __call__(self, messages: list[dict]) -> str:
+        import http.client
+        import urllib.request
+
         url = self.url or os.environ.get(LLM_URL_ENV)
         if not url:
             raise TransportError(f"no LLM endpoint configured; set {LLM_URL_ENV}")
@@ -328,18 +330,17 @@ class HttpChatTransport:
         headers = {"Content-Type": "application/json"}
         if key:
             headers["Authorization"] = f"Bearer {key}"
+        body = json.dumps({"model": self.model, "messages": list(messages)}).encode("utf-8")
+        # URLError, HTTPError (an error status) and timeouts are OSErrors; a URL
+        # without a scheme is a ValueError.
         try:
-            response = requests.post(
-                url,
-                json={"model": self.model, "messages": list(messages)},
-                headers=headers,
-                timeout=self.timeout_s,
-            )
-            response.raise_for_status()
-            body = response.json()
-            return body["choices"][0]["message"]["content"]
-        except requests.RequestException as exc:
+            request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+            with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
+                reply = response.read()
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             raise TransportError(str(exc)) from exc
+        try:
+            return json.loads(reply)["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed completion response: {exc!r}") from exc
 

@@ -136,43 +136,49 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class ActivityZone:
-    """Corridor between a human and the target of one of their activities."""
+    """Corridor of the activity relation (human, verb, target)."""
 
-    corridor: OrientedRectFootprint
+    human: str
     verb: str
+    target: str
     cost: float
     clearance: float
+    corridor: OrientedRectFootprint
+
+
+def corridor_between(head: RectFootprint, tail: RectFootprint) -> OrientedRectFootprint | None:
+    """The corridor between two footprint centers; its width is the larger
+    planar side of the wider endpoint. None for coincident centers."""
+    hx, hy = head.center
+    tx, ty = tail.center
+    length = math.hypot(tx - hx, ty - hy)
+    if length == 0.0:
+        return None
+    return OrientedRectFootprint(
+        center=((hx + tx) / 2.0, (hy + ty) / 2.0),
+        axis=(tx - hx, ty - hy),
+        half_length=length / 2.0,
+        half_width=max(max(head.sides), max(tail.sides)) / 2.0,
+    )
 
 
 def make_activity_zones(
     partial: SceneGraph, config: Mapping[str, tuple[float, float]]
 ) -> list[ActivityZone]:
-    """One corridor per activity relation whose verb appears in ``config``.
-
-    The corridor runs between the two footprint centers; its width is the
-    larger planar side of the wider endpoint. An empty config disables the
-    feature (the default: costs attach to objects only, not to regions).
+    """One corridor per activity relation whose verb appears in ``config``;
+    coincident footprints leave none. An empty config disables the feature
+    (the default: costs attach to objects only, not to regions).
     """
     zones: list[ActivityZone] = []
     for rel in partial.relations:
         if rel.kind is not RelationKind.ACTIVITY or rel.name not in config:
             continue
-        cost, clearance = config[rel.name]
-        head = footprint_of(partial.node(rel.head_id))
-        tail = footprint_of(partial.node(rel.tail_id))
-        hx, hy = head.center
-        tx, ty = tail.center
-        length = math.hypot(tx - hx, ty - hy)
-        if length == 0.0:
-            continue  # coincident footprints leave no corridor
-        width = max(max(head.sides), max(tail.sides))
-        corridor = OrientedRectFootprint(
-            center=((hx + tx) / 2.0, (hy + ty) / 2.0),
-            axis=(tx - hx, ty - hy),
-            half_length=length / 2.0,
-            half_width=width / 2.0,
+        corridor = corridor_between(
+            footprint_of(partial.node(rel.head_id)), footprint_of(partial.node(rel.tail_id))
         )
-        zones.append(ActivityZone(corridor=corridor, verb=rel.name, cost=cost, clearance=clearance))
+        if corridor is not None:
+            cost, clearance = config[rel.name]
+            zones.append(ActivityZone(rel.head_id, rel.name, rel.tail_id, cost, clearance, corridor))
     return zones
 
 
@@ -187,6 +193,8 @@ def _evaluate(
         Contribution(z.corridor, z.cost, z.clearance) for z in zones
     ]
     for contribution in contributions:
+        if contribution.cost == 1.0:
+            continue  # 1 + 0 * falloff is exactly 1 everywhere, so it never raises the maximum
         d = contribution.footprint.distance(points)
         np.maximum(values, linear_falloff(d, contribution.cost, contribution.clearance), out=values)
     return values
@@ -333,22 +341,3 @@ def rasterize(
     return Costmap(origin=(float(xmin), float(ymin)), resolution=float(resolution),
                    width=width, height=height, cells=values)
 
-
-def costmap_to_dict(costmap: Costmap) -> dict:
-    return {
-        "origin": list(costmap.origin),
-        "resolution": costmap.resolution,
-        "width": costmap.width,
-        "height": costmap.height,
-        "cells": costmap.cells.tolist(),
-    }
-
-
-def costmap_from_dict(data: dict) -> Costmap:
-    return Costmap(
-        origin=tuple(data["origin"]),
-        resolution=float(data["resolution"]),
-        width=int(data["width"]),
-        height=int(data["height"]),
-        cells=np.asarray(data["cells"], dtype=float),
-    )

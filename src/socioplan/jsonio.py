@@ -154,32 +154,12 @@ def vector(value: Any, path: str, length: int) -> tuple[float, ...]:
     return tuple(finite_number(c, f"{path}[{i}]") for i, c in enumerate(value))
 
 
-def _row_items(value: Any, length: int) -> list | None:
-    """The items of a list of ``length``-item lists, in order; None for any
-    other value."""
-    if not isinstance(value, list) or not set(map(type, value)) <= {list}:
-        return None
-    if not set(map(len, value)) <= {length}:
-        return None
-    return list(chain.from_iterable(value))
-
-
-def vectors(value: Any, path: str, length: int) -> tuple[tuple[float, ...], ...]:
-    """A list of ``vector``s. Rows of finite floats are checked in bulk; only
-    when that fails does each row go through ``vector`` with its own path."""
-    items = _row_items(value, length)
-    if items is not None and set(map(type, items)) <= {float} and all(map(math.isfinite, items)):
-        return tuple(map(tuple, value))
-    if not isinstance(value, list):
-        raise FormatError(f"expected a list of {length}-number lists", path)
-    return tuple(vector(row, f"{path}[{i}]", length) for i, row in enumerate(value))
-
-
 def index_vectors(value: Any, path: str, length: int) -> tuple[tuple[int, ...], ...]:
-    """A list of ``length``-integer lists with every integer >= 0, checked in bulk."""
-    items = _row_items(value, length)
-    if items is None or not set(map(type, items)) <= {int} or min(items, default=0) < 0:
-        raise FormatError(f"expected a list of {length}-integer lists, integers >= 0", path)
+    """A non-empty list of ``length``-integer lists, integers >= 0; checked in bulk."""
+    rows = value if isinstance(value, list) and set(map(type, value)) <= {list} else []
+    items = list(chain.from_iterable(rows)) if set(map(len, rows)) <= {length} else []
+    if not items or not set(map(type, items)) <= {int} or min(items) < 0:
+        raise FormatError(f"expected a non-empty list of {length}-integer lists >= 0", path)
     return tuple(map(tuple, value))
 
 

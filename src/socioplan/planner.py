@@ -12,6 +12,7 @@ import numpy as np
 
 from .cost_assessment import Assessment, AssessorPort, assess
 from .cost_field import (
+    ActivityZone,
     Costmap,
     Vec2,
     field_spec_from_assessment,
@@ -78,6 +79,18 @@ def path_cost(path: "Path | Sequence[tuple[int, int]]", costmap: Costmap) -> flo
     return total
 
 
+def path_from_cells(cells: tuple[tuple[int, int], ...], costmap: Costmap) -> Path:
+    """The path through ``cells`` on ``costmap``; PlanningError as in ``path_cost``."""
+    total_cost = path_cost(cells, costmap)  # checks the cells before anything uses them
+    steps = (SQRT2 if a[0] != b[0] and a[1] != b[1] else 1.0 for a, b in zip(cells, cells[1:]))
+    return Path(
+        cells=cells,
+        polyline=tuple(costmap.cell_center(*c) for c in cells),
+        total_cost=total_cost,
+        length_m=sum((costmap.resolution * step for step in steps), 0.0),
+    )
+
+
 def plan(request: PlanRequest) -> Path:
     """Minimum-total-cost 8-connected path from start to goal.
 
@@ -102,12 +115,7 @@ def plan(request: PlanRequest) -> Path:
         raise PlanningError(str(exc)) from exc
 
     if start == goal:
-        return Path(
-            cells=(start,),
-            polyline=(costmap.cell_center(*start),),
-            total_cost=0.0,
-            length_m=0.0,
-        )
+        return path_from_cells((start,), costmap)
 
     resolution = costmap.resolution
     stride = costmap.width + 2
@@ -150,16 +158,8 @@ def plan(request: PlanRequest) -> Path:
     chain = [goal_index]
     while chain[-1] != start_index:
         chain.append(parent[chain[-1]])
-    ordered = tuple((i % stride - 1, i // stride - 1) for i in reversed(chain))
-    length = sum(
-        resolution * (SQRT2 if a[0] != b[0] and a[1] != b[1] else 1.0)
-        for a, b in zip(ordered, ordered[1:])
-    )
-    return Path(
-        cells=ordered,
-        polyline=tuple(costmap.cell_center(*c) for c in ordered),
-        total_cost=path_cost(ordered, costmap),
-        length_m=length,
+    return path_from_cells(
+        tuple((i % stride - 1, i // stride - 1) for i in reversed(chain)), costmap
     )
 
 
@@ -177,13 +177,16 @@ def relevant_context(
 
 @dataclass(frozen=True)
 class PlanIteration:
-    """Result of the assess-then-plan loop for one condition."""
+    """Result of the assess-then-plan loop for one condition. ``stop`` is
+    "converged" when the relevant set repeated, "max_rounds" otherwise."""
 
     path: Path
     assessment: Assessment
     rounds: int
     relevant: tuple[str, ...]
     costmap: Costmap
+    zones: tuple[ActivityZone, ...]
+    stop: str
 
 
 def iterate_plan(
@@ -216,26 +219,20 @@ def iterate_plan(
         ((start[0], start[1], 0.0), (goal[0], goal[1], 0.0))
     )
     previous: tuple[str, ...] | None = None
-    outcome: PlanIteration | None = None
     rounds = 0
+    stop = "max_rounds"
     while rounds < max_rounds:
         ids, partial, assessed = relevant_context(variant, trajectory, radius)
-        if previous is not None and ids == previous:
+        if ids == previous:
+            stop = "converged"
             break
         assessment = assess(assessor, partial, trajectory, assessed, preferences)
         spec = field_spec_from_assessment(partial, assessment)
-        zones = make_activity_zones(partial, activity_zones or {})
+        zones = tuple(make_activity_zones(partial, activity_zones or {}))
         costmap = rasterize(spec, zones, bounds, resolution)
         path = plan(PlanRequest(start=start, goal=goal, costmap=costmap))
         trajectory = Trajectory(tuple((x, y, 0.0) for x, y in path.polyline))
         rounds += 1
         previous = ids
-        outcome = PlanIteration(
-            path=path,
-            assessment=assessment,
-            rounds=rounds,
-            relevant=assessed,
-            costmap=costmap,
-        )
-    assert outcome is not None
-    return outcome
+        relevant = assessed
+    return PlanIteration(path, assessment, rounds, relevant, costmap, zones, stop)

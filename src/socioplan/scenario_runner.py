@@ -3,7 +3,6 @@ deterministic run reports, and the condition comparison table."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path as FilePath
 from typing import Sequence
@@ -20,17 +19,21 @@ from .cost_assessment import (
     ReplayAssessor,
     RetryPolicy,
     RuleAssessor,
+    cost_clearance,
     entries_from_dict,
     entries_to_dict,
     load_assessment_fixtures,
     out_of_range,
 )
 from .cost_field import (
+    ActivityZone,
     Costmap,
     RectFootprint,
-    costmap_from_dict,
-    costmap_to_dict,
+    corridor_between,
+    field_spec_from_assessment,
+    footprint_of,
     grid_shape,
+    rasterize,
 )
 from .human_augmentation import Condition, HumanSpec, insert_human
 from .jsonio import (
@@ -45,15 +48,14 @@ from .jsonio import (
     string,
     string_list,
     vector,
-    vectors,
 )
-from .planner import Path, PlanningError, iterate_plan
-from .scene_graph import SceneGraph, Vec3, load_scene, scene_from_dict, scene_to_dict
+from .planner import Path, PlanningError, iterate_plan, path_from_cells
+from .scene_graph import RelationKind, SceneGraph, Vec3, load_scene, scene_from_dict, scene_to_dict
 
 Vec2 = tuple[float, float]
 
 SCENARIO_SCHEMA_VERSION = 1
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 ASSESSOR_KINDS = ("rules", "llm", "replay")
 
@@ -151,6 +153,26 @@ def _parse_assessor(raw: dict, path: str, strict: bool) -> AssessorConfig:
     )
 
 
+def _parse_map(raw: object, strict: bool) -> tuple[tuple[Vec2, Vec2], float]:
+    """The ``map`` block of a scenario or a report: bounds and resolution."""
+    check_keys(raw, required=("bounds", "resolution"), optional=(), path="map", strict=strict)
+    raw_bounds = raw["bounds"]
+    if not isinstance(raw_bounds, list) or len(raw_bounds) != 2:
+        raise FormatError("expected [[xmin, ymin], [xmax, ymax]]", "map.bounds")
+    low = vector(raw_bounds[0], "map.bounds[0]", 2)
+    high = vector(raw_bounds[1], "map.bounds[1]", 2)
+    if high[0] <= low[0] or high[1] <= low[1]:
+        raise FormatError("bounds must span a non-degenerate rectangle", "map.bounds")
+    resolution = finite_number(raw["resolution"], "map.resolution")
+    try:
+        grid_shape((low, high), resolution)
+    except ValueError as exc:
+        raise FormatError(str(exc), "map.resolution") from None
+    if resolution > min(high[0] - low[0], high[1] - low[1]):  # a cell center off the map
+        raise FormatError(f"resolution {resolution!r} is coarser than the map", "map.resolution")
+    return (low, high), resolution
+
+
 def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = False) -> Scenario:
     data = parse_document(document, what="scenario document")
     check_keys(
@@ -182,20 +204,7 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
             valid = ", ".join(c.value for c in Condition)
             raise FormatError(f'unknown condition "{value}" (valid: {valid})', f"conditions[{i}]") from None
 
-    raw_map = data["map"]
-    check_keys(raw_map, required=("bounds", "resolution"), optional=(), path="map", strict=strict)
-    raw_bounds = raw_map["bounds"]
-    if not isinstance(raw_bounds, list) or len(raw_bounds) != 2:
-        raise FormatError("expected [[xmin, ymin], [xmax, ymax]]", "map.bounds")
-    low = vector(raw_bounds[0], "map.bounds[0]", 2)
-    high = vector(raw_bounds[1], "map.bounds[1]", 2)
-    if high[0] <= low[0] or high[1] <= low[1]:
-        raise FormatError("bounds must span a non-degenerate rectangle", "map.bounds")
-    resolution = finite_number(raw_map["resolution"], "map.resolution")
-    try:
-        grid_shape((low, high), resolution)
-    except ValueError as exc:
-        raise FormatError(str(exc), "map.resolution") from None
+    (low, high), resolution = _parse_map(data["map"], strict)
 
     radius = finite_number(data["query_radius_m"], "query_radius_m")
     if radius <= 0:
@@ -212,7 +221,7 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
         raw_waypoints = data["waypoints"]
         if not isinstance(raw_waypoints, list) or not raw_waypoints:
             raise FormatError("waypoints must be a non-empty list", "waypoints")
-        waypoints = vectors(raw_waypoints, "waypoints", 3)
+        waypoints = tuple(vector(p, f"waypoints[{i}]", 3) for i, p in enumerate(raw_waypoints))
 
     raw_zones = data.get("activity_zones", {})
     if not isinstance(raw_zones, dict):
@@ -236,7 +245,7 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
         start=(start[0], start[1]),
         goal=(goal[0], goal[1]),
         query_radius_m=radius,
-        bounds=((low[0], low[1]), (high[0], high[1])),
+        bounds=(low, high),
         resolution=resolution,
         assessor=_parse_assessor(data["assessor"], "assessor", strict),
         human=_parse_human(data["human"], "human", strict) if "human" in data else None,
@@ -269,8 +278,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "start": list(scenario.start),
         "goal": list(scenario.goal),
         "query_radius_m": scenario.query_radius_m,
-        "map": {"bounds": [list(scenario.bounds[0]), list(scenario.bounds[1])],
-                "resolution": scenario.resolution},
+        "map": {"bounds": [list(p) for p in scenario.bounds], "resolution": scenario.resolution},
         "assessor": {"kind": scenario.assessor.kind},
     }
     if scenario.assessor.fixtures is not None:
@@ -328,32 +336,28 @@ def build_assessor(
 
 
 @dataclass(frozen=True)
-class PathStats:
-    total_cost: float
-    length_m: float
-    min_distance_to_human_m: float | None
-
-
-@dataclass(frozen=True)
 class ConditionResult:
     condition: Condition
     assessment: Assessment
     path: Path
     costmap: Costmap
     rounds: int
+    stop: str  # "converged" or "max_rounds"
     relevant: tuple[str, ...]
-    stats: PathStats
-    timing_s: float | None = field(default=None, compare=False)
+    zones: tuple[ActivityZone, ...]
+    min_distance_to_human_m: float | None
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """Per-condition results; serialization is deterministic (timing stays
-    in memory only so repeated runs serialize byte-identically)."""
+    """Per-condition results; serialization is deterministic. A report stores
+    what made each costmap (map, scene, entries and zones), not its cells."""
 
     scenario_name: str
     scene: SceneGraph
     conditions: tuple[ConditionResult, ...]
+    bounds: tuple[Vec2, Vec2]
+    resolution: float
 
 
 def min_distance_to_footprint(polyline: Sequence[Vec2], footprint: RectFootprint) -> float:
@@ -398,7 +402,6 @@ def run_scenario(
 
     results = []
     for condition in scenario.conditions:
-        started = time.perf_counter()
         try:
             port = build_assessor(scenario, condition, assessor_kind)
             iteration = iterate_plan(
@@ -426,11 +429,6 @@ def run_scenario(
             raise ScenarioError(
                 f'condition "{condition.value}", stage "{stage}": {exc}'
             ) from exc
-        min_distance = (
-            min_distance_to_footprint(iteration.path.polyline, footprint)
-            if footprint is not None
-            else None
-        )
         results.append(
             ConditionResult(
                 condition=condition,
@@ -438,16 +436,17 @@ def run_scenario(
                 path=iteration.path,
                 costmap=iteration.costmap,
                 rounds=iteration.rounds,
+                stop=iteration.stop,
                 relevant=iteration.relevant,
-                stats=PathStats(
-                    total_cost=iteration.path.total_cost,
-                    length_m=iteration.path.length_m,
-                    min_distance_to_human_m=min_distance,
+                zones=iteration.zones,
+                min_distance_to_human_m=(
+                    min_distance_to_footprint(iteration.path.polyline, footprint)
+                    if footprint is not None
+                    else None
                 ),
-                timing_s=time.perf_counter() - started,
             )
         )
-    return RunReport(scenario_name=scenario.name, scene=base, conditions=tuple(results))
+    return RunReport(scenario.name, base, tuple(results), scenario.bounds, scenario.resolution)
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -457,6 +456,7 @@ def report_to_dict(report: RunReport) -> dict:
             {
                 "condition": result.condition.value,
                 "rounds": result.rounds,
+                "stop": result.stop,
                 "relevant": list(result.relevant),
                 "assessment": {
                     "provenance": {
@@ -467,23 +467,23 @@ def report_to_dict(report: RunReport) -> dict:
                     },
                     "entries": entries_to_dict(result.assessment.entries),
                 },
+                "zones": [
+                    {"human": z.human, "verb": z.verb, "target": z.target,
+                     "cost": z.cost, "clearance": z.clearance}
+                    for z in result.zones
+                ],
                 "path": {
                     "cells": [list(c) for c in result.path.cells],
-                    "polyline": [list(p) for p in result.path.polyline],
                     "total_cost": result.path.total_cost,
                     "length_m": result.path.length_m,
                 },
-                "stats": {
-                    "total_cost": result.stats.total_cost,
-                    "length_m": result.stats.length_m,
-                    "min_distance_to_human_m": result.stats.min_distance_to_human_m,
-                },
-                "costmap": costmap_to_dict(result.costmap),
+                "stats": {"min_distance_to_human_m": result.min_distance_to_human_m},
             }
         )
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "scenario": report.scenario_name,
+        "map": {"bounds": [list(p) for p in report.bounds], "resolution": report.resolution},
         "scene": scene_to_dict(report.scene),
         "conditions": conditions,
     }
@@ -497,21 +497,41 @@ def _is_message(value: object) -> bool:
     return type(value) is list and len(value) == 2 and all(isinstance(s, str) for s in value)
 
 
-def _condition_from_dict(raw: object, path: str, strict: bool) -> ConditionResult:
-    """One entry of a report's ``conditions``. Path cells, polyline points
-    and transcript messages are checked in bulk, not with a path each."""
+def _zone_from_dict(raw: object, path: str, scene: SceneGraph, strict: bool) -> ActivityZone:
+    """One stored zone; its corridor is rebuilt from the scene's footprints."""
+    relation = ("verb", "human", "target")
+    check_keys(raw, required=relation + ("cost", "clearance"), optional=(), path=path, strict=strict)
+    verb, human, target = (string(raw[k], f"{path}.{k}") for k in relation)
+    cc = cost_clearance(raw, path)
+    activities = {r.triple for r in scene.relations if r.kind is RelationKind.ACTIVITY}
+    if (verb, human, target) not in activities:
+        raise FormatError(f'the scene has no activity "{verb}" from "{human}" to "{target}"', path)
+    corridor = corridor_between(footprint_of(scene.node(human)), footprint_of(scene.node(target)))
+    if corridor is None:
+        raise FormatError("human and target footprints share a center", path)
+    return ActivityZone(human, verb, target, cc.cost, cc.clearance, corridor)
+
+
+def _condition_from_dict(
+    raw: object, path: str, scene: SceneGraph, grid: tuple[tuple[Vec2, Vec2], float], strict: bool
+) -> ConditionResult:
+    """One entry of a report's ``conditions``. Its costmap is rebuilt from
+    the scene, its entries and zones on the report's map; its path's stored
+    ``total_cost`` and ``length_m`` must equal those of its cells on it."""
 
     def fields(value: object, where: str, *required: str) -> dict:
         check_keys(value, required=required, optional=(), path=where, strict=strict)
         return value
 
     raw = fields(
-        raw, path, "condition", "rounds", "relevant", "assessment", "path", "stats", "costmap"
+        raw, path, "condition", "rounds", "stop", "relevant", "assessment", "zones", "path", "stats"
     )
     try:
         condition = Condition(raw["condition"])
     except ValueError:
         raise FormatError(f'unknown condition "{raw["condition"]}"', f"{path}.condition") from None
+    if raw["stop"] not in ("converged", "max_rounds"):
+        raise FormatError('expected "converged" or "max_rounds"', f"{path}.stop")
 
     raw_assessment = fields(raw["assessment"], f"{path}.assessment", "provenance", "entries")
     where = f"{path}.assessment.provenance"
@@ -534,72 +554,81 @@ def _condition_from_dict(raw: object, path: str, strict: bool) -> ConditionResul
             transcript=tuple((role, text) for role, text in transcript),
         ),
     )
+    try:
+        spec = field_spec_from_assessment(scene, assessment)
+    except ValueError as exc:  # an entry names an object the scene lacks
+        raise FormatError(str(exc), f"{path}.assessment.entries") from None
+
+    raw_zones = raw["zones"]
+    if not isinstance(raw_zones, list):
+        raise FormatError("expected a list of zone objects", f"{path}.zones")
+    zones = tuple(
+        _zone_from_dict(z, f"{path}.zones[{j}]", scene, strict) for j, z in enumerate(raw_zones)
+    )
+    costmap = rasterize(spec, zones, *grid)
 
     where = f"{path}.path"
-    raw_path = fields(raw["path"], where, "cells", "polyline", "total_cost", "length_m")
-    plan_path = Path(
-        cells=index_vectors(raw_path["cells"], f"{where}.cells", 2),
-        polyline=vectors(raw_path["polyline"], f"{where}.polyline", 2),
-        total_cost=finite_number(raw_path["total_cost"], f"{where}.total_cost"),
-        length_m=finite_number(raw_path["length_m"], f"{where}.length_m"),
-    )
-
-    where = f"{path}.stats"
-    raw_stats = fields(raw["stats"], where, "total_cost", "length_m", "min_distance_to_human_m")
-    min_distance = raw_stats["min_distance_to_human_m"]
-    stats = PathStats(
-        total_cost=finite_number(raw_stats["total_cost"], f"{where}.total_cost"),
-        length_m=finite_number(raw_stats["length_m"], f"{where}.length_m"),
-        min_distance_to_human_m=(
-            None
-            if min_distance is None
-            else finite_number(min_distance, f"{where}.min_distance_to_human_m")
-        ),
-    )
-
-    where = f"{path}.costmap"
-    raw_costmap = fields(raw["costmap"], where, "origin", "resolution", "width", "height", "cells")
+    raw_path = fields(raw["path"], where, "cells", "total_cost", "length_m")
+    cells = index_vectors(raw_path["cells"], f"{where}.cells", 2)
     try:
-        costmap = costmap_from_dict(raw_costmap)
-    except (OverflowError, TypeError, ValueError) as exc:
+        plan_path = path_from_cells(cells, costmap)
+    except PlanningError as exc:  # a cell off the map, or a step between cells that do not touch
         raise FormatError(str(exc), where) from None
+    for key in ("total_cost", "length_m"):
+        rebuilt = getattr(plan_path, key)
+        if finite_number(raw_path[key], f"{where}.{key}") != rebuilt:
+            raise FormatError(f"differs from the {key} of its cells, {rebuilt!r}", f"{where}.{key}")
 
+    raw_stats = fields(raw["stats"], f"{path}.stats", "min_distance_to_human_m")
+    min_distance = raw_stats["min_distance_to_human_m"]
     return ConditionResult(
         condition=condition,
         assessment=assessment,
         path=plan_path,
         costmap=costmap,
         rounds=integer(raw["rounds"], f"{path}.rounds", 1),
+        stop=raw["stop"],
         relevant=tuple(string_list(raw["relevant"], f"{path}.relevant")),
-        stats=stats,
+        zones=zones,
+        min_distance_to_human_m=(
+            None
+            if min_distance is None
+            else finite_number(min_distance, f"{path}.stats.min_distance_to_human_m")
+        ),
     )
 
 
 def load_report(document: bytes | str, *, strict: bool = False) -> RunReport:
-    """Parse a report written by ``report_to_json``.
+    """Parse a report written by ``report_to_json`` and rebuild its costmaps.
 
     Raises FormatError with a path into the document for a missing field, a
-    value of the wrong type, and counts, costs or cells out of range.
+    value of the wrong type, counts, costs or cells out of range, and a path
+    whose ``total_cost`` or ``length_m`` differs from that of its cells.
     """
     data = parse_document(document, what="report document")
+    if isinstance(data, dict):  # an older report fails on its version, not its fields
+        require_version(data, "$", REPORT_SCHEMA_VERSION)
     check_keys(
         data,
-        required=("scenario", "scene", "conditions"),
+        required=("scenario", "map", "scene", "conditions"),
         optional=("schema_version",),
         path="$",
         strict=strict,
     )
-    require_version(data, "$", REPORT_SCHEMA_VERSION)
+    grid = _parse_map(data["map"], strict)
+    scene = scene_from_dict(data["scene"], strict=strict)
     raw_conditions = data["conditions"]
     if not isinstance(raw_conditions, list) or not raw_conditions:
         raise FormatError("conditions must be a non-empty list", "conditions")
     return RunReport(
         scenario_name=string(data["scenario"], "scenario"),
-        scene=scene_from_dict(data["scene"], strict=strict),
+        scene=scene,
         conditions=tuple(
-            _condition_from_dict(raw, f"conditions[{i}]", strict)
+            _condition_from_dict(raw, f"conditions[{i}]", scene, grid, strict)
             for i, raw in enumerate(raw_conditions)
         ),
+        bounds=grid[0],
+        resolution=grid[1],
     )
 
 

@@ -126,8 +126,8 @@ def _drop_provenance(files):
     del files["report"]["conditions"][0]["assessment"]["provenance"]
 
 
-def _costmap_cell_below_one(files):
-    files["report"]["conditions"][0]["costmap"]["cells"][0][0] = 0.5
+def _total_cost_off_its_cells(files):
+    files["report"]["conditions"][0]["path"]["total_cost"] *= 0.5
 
 
 def _zones_as_list(files):
@@ -142,8 +142,8 @@ def _fixture_cost_below_one(files):
     files["fixtures"]["assessments"]["bedroom/no_human"]["armchair"]["cost"] = 0.5
 
 
-def _costmap_cell_nan(files):
-    files["report"]["conditions"][0]["costmap"]["cells"][0][0] = float("nan")
+def _path_cell_off_the_map(files):
+    files["report"]["conditions"][0]["path"]["cells"][-1] = [60, 2]  # the map is 60 x 50 cells
 
 
 def _resolution_too_fine(files):
@@ -170,12 +170,20 @@ def _conditions_as_object(files):
     files["report"]["conditions"] = {}
 
 
-def _costmap_origin_of_three(files):
-    files["report"]["conditions"][0]["costmap"]["origin"] = [0.0, 0.0, 7.0]
+def _map_bounds_of_three(files):
+    files["report"]["map"]["bounds"] = [[0.0, 0.0, 7.0], [6.0, 5.0]]
 
 
-def _costmap_resolution_nan(files):
-    files["report"]["conditions"][0]["costmap"]["resolution"] = float("nan")
+def _map_resolution_nan(files):
+    files["report"]["map"]["resolution"] = float("nan")
+
+
+def _resolution_coarser_than_map(files):
+    files["scenario"]["map"]["resolution"] = 1e10
+
+
+def _report_resolution_coarser_than_map(files):
+    files["report"]["map"]["resolution"] = 7.0  # the map is 6 x 5 m
 
 
 class TestMalformedInputs:
@@ -185,19 +193,21 @@ class TestMalformedInputs:
         "command, mutate, where",
         [
             ("render", _drop_provenance, "conditions[0].assessment"),
-            ("render", _costmap_cell_below_one, "conditions[0].costmap"),
+            ("render", _total_cost_off_its_cells, "conditions[0].path.total_cost"),
             ("plan", _zones_as_list, "activity_zones"),
             ("plan", _missing_human_target, "human"),
             ("plan", _fixture_cost_below_one, "['bedroom/no_human']['armchair'].cost"),
-            ("render", _costmap_cell_nan, "conditions[0].costmap"),
+            ("render", _path_cell_off_the_map, "conditions[0].path"),
             ("plan", _resolution_too_fine, "map.resolution"),
             ("render", _entry_cost_text, "conditions[0].assessment.entries['bed'].cost"),
             ("render", _path_cell_too_short, "conditions[0].path.cells"),
             ("render", _rounds_text, "conditions[0].rounds"),
             ("render", _stats_as_list, "conditions[0].stats"),
             ("render", _conditions_as_object, "conditions"),
-            ("render", _costmap_origin_of_three, "conditions[0].costmap"),
-            ("render", _costmap_resolution_nan, "conditions[0].costmap"),
+            ("render", _map_bounds_of_three, "map.bounds[0]"),
+            ("render", _map_resolution_nan, "map.resolution"),
+            ("plan", _resolution_coarser_than_map, "map.resolution"),
+            ("render", _report_resolution_coarser_than_map, "map.resolution"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )

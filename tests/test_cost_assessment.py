@@ -388,3 +388,76 @@ class TestAssessPort:
         partial, trajectory = partial_and_trajectory
         with pytest.raises(ValueError, match="ghost"):
             assess(RuleAssessor(), partial, trajectory, ("ghost",), [])
+
+
+class _Reply:
+    """What ``urlopen`` returns: a context manager with ``read``."""
+
+    def __init__(self, body: bytes) -> None:
+        self.body = body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def read(self) -> bytes:
+        return self.body
+
+
+class TestHttpChatTransport:
+    URL = "http://llm.invalid/v1/chat/completions"
+
+    def transport(self, monkeypatch, urlopen):
+        import urllib.request
+
+        from socioplan import HttpChatTransport
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        return HttpChatTransport(model="m", url=self.URL, api_key="k", timeout_s=5.0)
+
+    def test_good_reply_returns_the_content(self, monkeypatch):
+        seen = {}
+
+        def urlopen(request, timeout):
+            seen.update(request=request, timeout=timeout)
+            return _Reply(json.dumps({"choices": [{"message": {"content": "hi"}}]}).encode())
+
+        transport = self.transport(monkeypatch, urlopen)
+        assert transport([{"role": "user", "content": "q"}]) == "hi"
+        request = seen["request"]
+        assert request.full_url == self.URL and request.get_method() == "POST"
+        assert request.get_header("Authorization") == "Bearer k"
+        assert json.loads(request.data) == {
+            "model": "m", "messages": [{"role": "user", "content": "q"}]
+        }
+        assert seen["timeout"] == 5.0
+
+    def test_http_error_status_is_a_transport_error(self, monkeypatch):
+        import urllib.error
+
+        def urlopen(request, timeout):
+            raise urllib.error.HTTPError(request.full_url, 503, "Service Unavailable", {}, None)
+
+        with pytest.raises(TransportError, match="503"):
+            self.transport(monkeypatch, urlopen)([])
+
+    def test_timeout_is_a_transport_error(self, monkeypatch):
+        def urlopen(request, timeout):
+            raise TimeoutError("timed out")
+
+        with pytest.raises(TransportError, match="timed out"):
+            self.transport(monkeypatch, urlopen)([])
+
+    def test_url_without_a_scheme_is_a_transport_error(self):
+        from socioplan import HttpChatTransport
+
+        with pytest.raises(TransportError, match="unknown url type"):
+            HttpChatTransport(model="m", url="llm.invalid/v1")([])
+
+    @pytest.mark.parametrize("body", [b'{"choices": []}', b"<html>", b'{"choices": [{}]}'])
+    def test_malformed_body_is_a_transport_error(self, monkeypatch, body):
+        transport = self.transport(monkeypatch, lambda request, timeout: _Reply(body))
+        with pytest.raises(TransportError, match="malformed completion response"):
+            transport([])

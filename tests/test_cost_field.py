@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from socioplan import (
     Assessment,
@@ -22,7 +22,14 @@ from socioplan import (
     rasterize,
 )
 from socioplan.cost_assessment import Provenance
-from socioplan.cost_field import MAX_GRID_CELLS, Costmap, grid_shape
+from socioplan.cost_field import (
+    MAX_GRID_CELLS,
+    ActivityZone,
+    Costmap,
+    corridor_between,
+    grid_shape,
+    linear_falloff,
+)
 
 from conftest import make_seated_human_spec, make_small_scene
 
@@ -118,7 +125,8 @@ class TestActivityZones:
         zones = make_activity_zones(self.graph(), {"watching": (4.0, 0.5)})
         assert len(zones) == 1
         zone = zones[0]
-        assert zone.verb == "watching"
+        assert (zone.human, zone.verb, zone.target) == ("human_1", "watching", "tv")
+        assert (zone.cost, zone.clearance) == (4.0, 0.5)
         human = footprint_of(self.graph().node("human_1"))
         tv = footprint_of(self.graph().node("tv"))
         expected_center = (
@@ -135,6 +143,12 @@ class TestActivityZones:
         mid = zone.corridor.center
         raster = rasterize(FieldSpec(()), zones, ((0, 0), (6, 5)), 0.1)
         assert raster.value(*raster.cell_at(mid)) > 1.0
+
+    def test_corridor_between_coincident_centers_is_none(self):
+        box = RectFootprint((1.0, 1.0), (2.0, 3.0))
+        assert corridor_between(box, RectFootprint((1.25, 1.5), (1.75, 2.5))) is None
+        corridor = corridor_between(box, RectFootprint((4.0, 2.0), (4.0, 2.0)))
+        assert corridor.axis == (1.0, 0.0) and corridor.half_width == 1.0
 
     def test_empty_config_disables_zones(self):
         assert make_activity_zones(self.graph(), {}) == []
@@ -225,6 +239,73 @@ class TestRasterize:
         # missing check would only build the grid and fail the assertion.
         with pytest.raises(ValueError, match="1001 x 1000 cell grid"):
             rasterize(FieldSpec(()), (), ((0, 0), (1001, 1000)), 1.0)
+
+
+def full_grid_cells(spec, zones, bounds, resolution):
+    """Reference kernel: every contribution, cost 1 included, on every cell."""
+    (xmin, ymin), _ = bounds
+    width, height = grid_shape(bounds, resolution)
+    xs = xmin + (np.arange(width, dtype=float) + 0.5) * resolution
+    ys = ymin + (np.arange(height, dtype=float) + 0.5) * resolution
+    grid_x, grid_y = np.meshgrid(xs, ys)
+    points = np.column_stack([grid_x.ravel(), grid_y.ravel()])
+    values = np.ones(len(points))
+    contributions = list(spec.contributions) + [
+        Contribution(z.corridor, z.cost, z.clearance) for z in zones
+    ]
+    for c in contributions:
+        np.maximum(values, linear_falloff(c.footprint.distance(points), c.cost, c.clearance), out=values)
+    return values.reshape(height, width)
+
+
+_coord = st.floats(-1.0, 5.0, allow_nan=False)
+_cost = st.just(1.0) | st.floats(1.0, 10.0)
+_clearance = st.sampled_from([0.0, 5e-324, 1e-310, 1e-300]) | st.floats(0.0, 3.0)
+
+
+@st.composite
+def _rect(draw):
+    x0, x1 = sorted((draw(_coord), draw(_coord)))
+    y0, y1 = sorted((draw(_coord), draw(_coord)))
+    return RectFootprint((x0, y0), (x1, y1))
+
+
+@st.composite
+def _zone(draw):
+    angle = draw(st.floats(0.0, 2 * math.pi))
+    corridor = OrientedRectFootprint(
+        center=(draw(_coord), draw(_coord)),
+        axis=(math.cos(angle), math.sin(angle)),
+        half_length=draw(st.floats(0.0, 2.0)),
+        half_width=draw(st.floats(0.0, 1.0)),
+    )
+    return ActivityZone("human", "watching", "tv", draw(_cost), draw(_clearance), corridor)
+
+
+class TestRasterizeAgainstFullGrid:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        contributions=st.lists(st.builds(Contribution, _rect(), _cost, _clearance), max_size=6),
+        zones=st.lists(_zone(), max_size=3),
+        resolution=st.sampled_from([0.1, 0.25, 0.3, 1.0]),
+    )
+    def test_cells_equal_the_reference(self, contributions, zones, resolution):
+        spec = FieldSpec(tuple(contributions))
+        bounds = ((0.0, 0.0), (4.0, 3.0))
+        costmap = rasterize(spec, zones, bounds, resolution)
+        assert np.array_equal(costmap.cells, full_grid_cells(spec, zones, bounds, resolution))
+
+    def test_cost_one_contributions_leave_ones(self):
+        spec = FieldSpec(
+            (
+                Contribution(RectFootprint((1.0, 1.0), (2.0, 2.0)), 1.0, 0.0),
+                Contribution(RectFootprint((1.0, 1.0), (2.0, 2.0)), 1.0, 5e-324),
+                Contribution(RectFootprint((0.0, 0.0), (0.5, 0.5)), 1.0, 2.0),
+            )
+        )
+        costmap = rasterize(spec, (), ((0.0, 0.0), (3.0, 3.0)), 0.1)
+        assert np.array_equal(costmap.cells, np.ones((30, 30)))
+        assert np.array_equal(costmap.cells, full_grid_cells(spec, (), ((0, 0), (3, 3)), 0.1))
 
 
 class TestGridShape:

@@ -296,6 +296,33 @@ class TestIteratePlan:
             )
             assert 1 <= outcome.rounds <= max_rounds
 
+    def test_stop_says_why_the_loop_ended(self):
+        # The detour scene needs a second round, so a cap of 1 cuts it short.
+        graph = insert_human(
+            SceneGraph(nodes=[ObjectNode("plant", "plant", (1.8, 4.6, 0.5), (0.4, 0.4, 1.0))]),
+            HumanSpec(id="human_1", bbox_center=(1.2, 2.0, 0.9), bbox_extent=(0.5, 0.5, 1.8)),
+        )
+        for max_rounds in (1, 2, 3, 5):
+            outcome = iterate_plan(
+                graph,
+                Condition.HUMAN_NO_RELATIONS,
+                (0.5, 2.0),
+                (5.5, 2.0),
+                0.9,
+                RuleAssessor(),
+                bounds=self.BOUNDS,
+                resolution=0.1,
+                max_rounds=max_rounds,
+            )
+            expected = "max_rounds" if outcome.rounds == max_rounds else "converged"
+            assert outcome.stop == expected
+        assert outcome.stop == "converged"  # five rounds are enough to settle
+        empty = iterate_plan(
+            SceneGraph(nodes={}), Condition.NO_HUMAN, (0.5, 0.5), (5.5, 4.5), 1.5,
+            RuleAssessor(), bounds=self.BOUNDS, resolution=0.1, max_rounds=1,
+        )
+        assert empty.stop == "max_rounds"
+
     def test_invalid_max_rounds(self):
         with pytest.raises(ValueError, match="max_rounds"):
             iterate_plan(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 
@@ -135,7 +136,7 @@ class TestRunScenario:
     def test_min_distance_stat_present_with_human(self, scenario, replay_report):
         footprint = human_footprint(scenario)
         for result in replay_report.conditions:
-            stat = result.stats.min_distance_to_human_m
+            stat = result.min_distance_to_human_m
             assert stat == pytest.approx(
                 min_distance_to_footprint(result.path.polyline, footprint)
             )
@@ -175,7 +176,73 @@ class TestReportSerialization:
     def test_timing_is_not_serialized(self, replay_report):
         data = json.loads(report_to_json(replay_report))
         assert "timing" not in json.dumps(data)
-        assert all(r.timing_s is not None for r in replay_report.conditions)
+
+    def test_no_derived_copies_are_stored(self, replay_report):
+        data = json.loads(report_to_json(replay_report))
+        assert data["schema_version"] == 2
+        assert data["map"] == {"bounds": [[0.0, 0.0], [6.0, 5.0]], "resolution": 0.1}
+        for condition in data["conditions"]:
+            assert "costmap" not in condition
+            assert set(condition["path"]) == {"cells", "total_cost", "length_m"}
+            assert set(condition["stats"]) == {"min_distance_to_human_m"}
+            assert condition["stop"] == "converged"
+
+    def test_load_rebuilds_the_planned_costmaps_and_polylines(self, replay_report):
+        loaded = load_report(report_to_json(replay_report))
+        for ran, read in zip(replay_report.conditions, loaded.conditions):
+            assert read.costmap == ran.costmap
+            assert read.path == ran.path
+
+    def test_zones_round_trip_and_rebuild_their_corridors(self, tmp_path):
+        for name in ("bedroom_scene.json", "bedroom_assessments.json"):
+            shutil.copy(DATA_DIR / name, tmp_path)
+        document = json.loads((DATA_DIR / "bedroom_scenario.json").read_text())
+        document["activity_zones"] = {"watching": [4.0, 0.5]}
+        document["assessor"] = {"kind": "rules"}
+        document["query_radius_m"] = 10.0  # the tv too, so its corridor is built
+        (tmp_path / "scenario.json").write_text(json.dumps(document))
+        report = run_scenario(load_scenario(tmp_path / "scenario.json"))
+        with_relations = report.conditions[-1]
+        assert [(z.human, z.verb, z.target) for z in with_relations.zones] == [
+            ("human", "watching", "tv")
+        ]
+        text = report_to_json(report)
+        stored = json.loads(text)["conditions"][-1]["zones"]
+        assert stored == [
+            {"human": "human", "verb": "watching", "target": "tv", "cost": 4.0, "clearance": 0.5}
+        ]
+        loaded = load_report(text)
+        assert loaded == report
+        assert loaded.conditions[-1].zones[0].corridor == with_relations.zones[0].corridor
+
+    def test_version_1_report_rejected(self):
+        data = json.loads(_SHIPPED_REPORT)
+        data["schema_version"] = 1
+        with pytest.raises(FormatError, match="unsupported schema_version 1"):
+            load_report(json.dumps(data))
+
+    @pytest.mark.parametrize("key", ["total_cost", "length_m"])
+    def test_path_figures_must_equal_those_of_its_cells(self, key):
+        data = json.loads(_SHIPPED_REPORT)
+        data["conditions"][0]["path"][key] += 1e-12
+        with pytest.raises(FormatError, match=rf"conditions\[0\]\.path\.{key}: differs"):
+            load_report(json.dumps(data))
+
+    def test_moved_object_breaks_the_cost_tie(self):
+        # The costmap is rebuilt from the scene, so moving an assessed object
+        # changes what the stored path costs.
+        data = json.loads(_SHIPPED_REPORT)
+        for node in data["scene"]["nodes"]:
+            if node["id"] == "armchair":
+                node["bbox_center"][0] -= 0.5
+        with pytest.raises(FormatError, match="total_cost"):
+            load_report(json.dumps(data))
+
+    def test_entry_for_an_object_missing_from_the_scene_rejected(self):
+        data = json.loads(_SHIPPED_REPORT)
+        data["conditions"][0]["assessment"]["entries"]["ghost"] = {"cost": 2.0, "clearance": 1.0}
+        with pytest.raises(FormatError, match=r"conditions\[0\]\.assessment\.entries: .*ghost"):
+            load_report(json.dumps(data))
 
 
 class TestCompareConditions:
@@ -191,11 +258,7 @@ class TestCompareConditions:
         assert rows["Human w/ relations"] == ["1 (0)", "3 (1.5)", "5 (2)"]
 
     def test_single_condition_rejected(self, replay_report):
-        single = type(replay_report)(
-            scenario_name=replay_report.scenario_name,
-            scene=replay_report.scene,
-            conditions=replay_report.conditions[:1],
-        )
+        single = dataclasses.replace(replay_report, conditions=replay_report.conditions[:1])
         with pytest.raises(ValueError, match=">= 2"):
             compare_conditions(single)
 
