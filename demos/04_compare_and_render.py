@@ -12,6 +12,7 @@ from pathlib import Path
 from socioplan import (
     compare_conditions,
     load_scenario,
+    min_distance_to_human,
     render_svg,
     report_to_json,
     run_scenario,
@@ -29,7 +30,7 @@ for result in report.conditions:
     print(
         f"{result.condition.label:22s} cost {result.path.total_cost:6.3f}  "
         f"length {result.path.length_m:5.3f} m  "
-        f"min dist to human {result.min_distance_to_human_m:.3f} m"
+        f"min dist to human {min_distance_to_human(report.scene, result.path.polyline):.3f} m"
     )
 
 (OUT / "bedroom_report.json").write_text(report_to_json(report), encoding="utf-8")

@@ -65,6 +65,7 @@ from .scenario_runner import (
     comparison_dict,
     load_report,
     load_scenario,
+    min_distance_to_human,
     report_to_json,
     run_scenario,
 )

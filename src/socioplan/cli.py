@@ -21,6 +21,7 @@ from .scenario_runner import (
     load_base_scene,
     load_report,
     load_scenario,
+    min_distance_to_human,
     report_to_json,
     run_scenario,
 )
@@ -39,11 +40,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "--assessor",
         choices=("rules", "llm", "replay"),
         help="override the scenario's assessor",
-    )
-    parser.add_argument(
-        "--keep-spatial",
-        action="store_true",
-        help="keep human spatial relations in the human_no_relations condition",
     )
 
 
@@ -124,7 +120,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
 
     output = []
     for condition in conditions:
-        variant = derive_condition_variant(base, condition, keep_spatial=args.keep_spatial)
+        variant = derive_condition_variant(base, condition)
         _, partial, assessed = relevant_context(variant, trajectory, scenario.query_radius_m)
         port = build_assessor(scenario, condition, args.assessor)
         assessment = assess(port, partial, trajectory, assessed, scenario.preferences)
@@ -155,7 +151,6 @@ def _run(args: argparse.Namespace) -> RunReport:
     return run_scenario(
         load_scenario(args.scenario, strict=args.strict),
         assessor_kind=args.assessor,
-        keep_spatial=args.keep_spatial,
         strict=args.strict,
     )
 
@@ -169,7 +164,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         print(text, end="")
     else:
         for result in report.conditions:
-            distance = result.min_distance_to_human_m
+            distance = min_distance_to_human(report.scene, result.path.polyline)
             human = f", min dist to human {distance:.3f} m" if distance is not None else ""
             print(
                 f"{result.condition.value}: total cost {result.path.total_cost:.3f}, "

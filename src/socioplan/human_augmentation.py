@@ -87,31 +87,20 @@ def insert_human(graph: SceneGraph, spec: HumanSpec) -> SceneGraph:
     return SceneGraph(nodes={**graph.nodes, spec.id: human}, relations=tuple(relations))
 
 
-def derive_condition_variant(
-    graph: SceneGraph, condition: Condition, *, keep_spatial: bool = False
-) -> SceneGraph:
+def derive_condition_variant(graph: SceneGraph, condition: Condition) -> SceneGraph:
     """Project the graph onto an experimental condition.
 
-    NO_HUMAN drops human nodes and every relation touching them.
-    HUMAN_NO_RELATIONS keeps human nodes but strips their relations; with
-    ``keep_spatial`` only activity relations are stripped.
-    HUMAN_WITH_RELATIONS returns the graph unchanged.
+    NO_HUMAN and HUMAN_NO_RELATIONS drop every relation touching a human;
+    NO_HUMAN also drops the human nodes. HUMAN_WITH_RELATIONS returns the
+    graph unchanged.
     """
     if condition is Condition.HUMAN_WITH_RELATIONS:
         return graph
     human_ids = set(graph.human_ids())
+    relations = tuple(
+        r for r in graph.relations if r.head_id not in human_ids and r.tail_id not in human_ids
+    )
+    nodes = graph.nodes
     if condition is Condition.NO_HUMAN:
-        nodes = {i: n for i, n in graph.nodes.items() if i not in human_ids}
-        relations = tuple(
-            r
-            for r in graph.relations
-            if r.head_id not in human_ids and r.tail_id not in human_ids
-        )
-        return SceneGraph(nodes=nodes, relations=relations)
-
-    def keep(r: Relation) -> bool:
-        if r.head_id not in human_ids and r.tail_id not in human_ids:
-            return True
-        return keep_spatial and r.kind is not RelationKind.ACTIVITY
-
-    return SceneGraph(nodes=graph.nodes, relations=tuple(r for r in graph.relations if keep(r)))
+        nodes = {i: n for i, n in nodes.items() if i not in human_ids}
+    return SceneGraph(nodes=nodes, relations=relations)

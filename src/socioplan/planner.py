@@ -177,9 +177,11 @@ def relevant_context(
 
 @dataclass(frozen=True)
 class PlanIteration:
-    """Result of the assess-then-plan loop for one condition. ``stop`` is
-    "converged" when the relevant set repeated, "max_rounds" otherwise."""
+    """Result of the assess-then-plan loop for one condition, as a report
+    stores it. ``stop`` is "converged" when the relevant set repeated,
+    "max_rounds" otherwise."""
 
+    condition: Condition
     path: Path
     assessment: Assessment
     rounds: int
@@ -201,7 +203,6 @@ def iterate_plan(
     resolution: float,
     preferences: Sequence[str] = (),
     activity_zones: dict[str, tuple[float, float]] | None = None,
-    keep_spatial: bool = False,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> PlanIteration:
     """Alternate relevance extraction, assessment, and planning to a fixed point.
@@ -214,7 +215,7 @@ def iterate_plan(
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    variant = derive_condition_variant(graph, condition, keep_spatial=keep_spatial)
+    variant = derive_condition_variant(graph, condition)
     trajectory = Trajectory(
         ((start[0], start[1], 0.0), (goal[0], goal[1], 0.0))
     )
@@ -235,4 +236,4 @@ def iterate_plan(
         rounds += 1
         previous = ids
         relevant = assessed
-    return PlanIteration(path, assessment, rounds, relevant, costmap, zones, stop)
+    return PlanIteration(condition, path, assessment, rounds, relevant, costmap, zones, stop)

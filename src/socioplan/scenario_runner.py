@@ -27,7 +27,6 @@ from .cost_assessment import (
 )
 from .cost_field import (
     ActivityZone,
-    Costmap,
     RectFootprint,
     corridor_between,
     field_spec_from_assessment,
@@ -49,8 +48,16 @@ from .jsonio import (
     string_list,
     vector,
 )
-from .planner import Path, PlanningError, iterate_plan, path_from_cells
-from .scene_graph import RelationKind, SceneGraph, Vec3, load_scene, scene_from_dict, scene_to_dict
+from .planner import PlanIteration, PlanningError, iterate_plan, path_from_cells
+from .scene_graph import (
+    RelationKind,
+    SceneGraph,
+    Vec3,
+    load_scene,
+    scene_from_dict,
+    scene_to_dict,
+    validate_scene,
+)
 
 Vec2 = tuple[float, float]
 
@@ -111,8 +118,11 @@ def _parse_human(raw: dict, path: str, strict: bool) -> HumanSpec:
     )
 
     def pairs(key: str) -> tuple[tuple[str, str], ...]:
+        items = raw.get(key, [])
+        if not isinstance(items, list):
+            raise FormatError("expected a list of [verb, target id] pairs", f"{path}.{key}")
         out = []
-        for i, item in enumerate(raw.get(key, [])):
+        for i, item in enumerate(items):
             item_path = f"{path}.{key}[{i}]"
             if not isinstance(item, list) or len(item) != 2:
                 raise FormatError("expected a [verb, target id] pair", item_path)
@@ -139,9 +149,6 @@ def _parse_assessor(raw: dict, path: str, strict: bool) -> AssessorConfig:
     kind = string(raw["kind"], f"{path}.kind")
     if kind not in ASSESSOR_KINDS:
         raise FormatError(f'unknown assessor kind "{kind}" (valid: {", ".join(ASSESSOR_KINDS)})', f"{path}.kind")
-    max_attempts = raw.get("max_attempts", 3)
-    if not isinstance(max_attempts, int) or max_attempts < 1:
-        raise FormatError("max_attempts must be an integer >= 1", f"{path}.max_attempts")
     return AssessorConfig(
         kind=kind,
         fixtures=string(raw["fixtures"], f"{path}.fixtures") if "fixtures" in raw else None,
@@ -149,7 +156,7 @@ def _parse_assessor(raw: dict, path: str, strict: bool) -> AssessorConfig:
         if "scenario_key" in raw
         else None,
         model=string(raw["model"], f"{path}.model") if "model" in raw else None,
-        max_attempts=max_attempts,
+        max_attempts=integer(raw.get("max_attempts", 3), f"{path}.max_attempts", 1),
     )
 
 
@@ -336,26 +343,13 @@ def build_assessor(
 
 
 @dataclass(frozen=True)
-class ConditionResult:
-    condition: Condition
-    assessment: Assessment
-    path: Path
-    costmap: Costmap
-    rounds: int
-    stop: str  # "converged" or "max_rounds"
-    relevant: tuple[str, ...]
-    zones: tuple[ActivityZone, ...]
-    min_distance_to_human_m: float | None
-
-
-@dataclass(frozen=True)
 class RunReport:
     """Per-condition results; serialization is deterministic. A report stores
     what made each costmap (map, scene, entries and zones), not its cells."""
 
     scenario_name: str
     scene: SceneGraph
-    conditions: tuple[ConditionResult, ...]
+    conditions: tuple[PlanIteration, ...]
     bounds: tuple[Vec2, Vec2]
     resolution: float
 
@@ -366,6 +360,15 @@ def min_distance_to_footprint(polyline: Sequence[Vec2], footprint: RectFootprint
     return float(footprint.distance(points).min())
 
 
+def min_distance_to_human(scene: SceneGraph, polyline: Sequence[Vec2]) -> float | None:
+    """Smallest planar distance from any polyline vertex to the footprint of
+    any human of ``scene``; None when the scene has no human."""
+    return min(
+        (min_distance_to_footprint(polyline, footprint_of(n)) for n in scene if n.is_human),
+        default=None,
+    )
+
+
 def human_footprint(scenario: Scenario) -> RectFootprint | None:
     if scenario.human is None:
         return None
@@ -374,48 +377,51 @@ def human_footprint(scenario: Scenario) -> RectFootprint | None:
 
 
 def load_base_scene(scenario: Scenario, *, strict: bool = False) -> SceneGraph:
-    """The scenario's scene with its human, if any, inserted."""
+    """The scenario's scene with its human, if any, inserted. The result
+    holds every scene rule; a broken one is a FormatError at ``human``."""
     scene = load_scene(scenario.scene_path().read_bytes(), strict=strict)
     if scenario.human is None:
         return scene
     try:
-        return insert_human(scene, scenario.human)
+        scene = insert_human(scene, scenario.human)
     except ValueError as exc:
         raise FormatError(str(exc), "human") from None
+    violations = validate_scene(scene)
+    if violations:
+        raise FormatError(violations[0].message, "human")
+    return scene
 
 
 def run_scenario(
     scenario: Scenario,
     *,
     assessor_kind: str | None = None,
-    keep_spatial: bool = False,
     strict: bool = False,
 ) -> RunReport:
-    """Run every requested condition: derive the graph variant, iterate
-    assess-and-plan, and collect path statistics.
+    """Run every requested condition: derive the graph variant and iterate
+    assess-and-plan.
 
     Deterministic for the rules and replay assessors. Errors are re-raised as
     ScenarioError annotated with the condition and pipeline stage.
     """
     base = load_base_scene(scenario, strict=strict)
-    footprint = human_footprint(scenario)
-
     results = []
     for condition in scenario.conditions:
         try:
             port = build_assessor(scenario, condition, assessor_kind)
-            iteration = iterate_plan(
-                base,
-                condition,
-                scenario.start,
-                scenario.goal,
-                scenario.query_radius_m,
-                port,
-                bounds=scenario.bounds,
-                resolution=scenario.resolution,
-                preferences=scenario.preferences,
-                activity_zones=dict(scenario.activity_zones),
-                keep_spatial=keep_spatial,
+            results.append(
+                iterate_plan(
+                    base,
+                    condition,
+                    scenario.start,
+                    scenario.goal,
+                    scenario.query_radius_m,
+                    port,
+                    bounds=scenario.bounds,
+                    resolution=scenario.resolution,
+                    preferences=scenario.preferences,
+                    activity_zones=dict(scenario.activity_zones),
+                )
             )
         except (ScenarioError, AssessmentError, PlanningError, FormatError, ValueError) as exc:
             if isinstance(exc, AssessmentError):
@@ -429,23 +435,6 @@ def run_scenario(
             raise ScenarioError(
                 f'condition "{condition.value}", stage "{stage}": {exc}'
             ) from exc
-        results.append(
-            ConditionResult(
-                condition=condition,
-                assessment=iteration.assessment,
-                path=iteration.path,
-                costmap=iteration.costmap,
-                rounds=iteration.rounds,
-                stop=iteration.stop,
-                relevant=iteration.relevant,
-                zones=iteration.zones,
-                min_distance_to_human_m=(
-                    min_distance_to_footprint(iteration.path.polyline, footprint)
-                    if footprint is not None
-                    else None
-                ),
-            )
-        )
     return RunReport(scenario.name, base, tuple(results), scenario.bounds, scenario.resolution)
 
 
@@ -477,7 +466,11 @@ def report_to_dict(report: RunReport) -> dict:
                     "total_cost": result.path.total_cost,
                     "length_m": result.path.length_m,
                 },
-                "stats": {"min_distance_to_human_m": result.min_distance_to_human_m},
+                "stats": {
+                    "min_distance_to_human_m": min_distance_to_human(
+                        report.scene, result.path.polyline
+                    )
+                },
             }
         )
     return {
@@ -514,10 +507,11 @@ def _zone_from_dict(raw: object, path: str, scene: SceneGraph, strict: bool) -> 
 
 def _condition_from_dict(
     raw: object, path: str, scene: SceneGraph, grid: tuple[tuple[Vec2, Vec2], float], strict: bool
-) -> ConditionResult:
+) -> PlanIteration:
     """One entry of a report's ``conditions``. Its costmap is rebuilt from
     the scene, its entries and zones on the report's map; its path's stored
-    ``total_cost`` and ``length_m`` must equal those of its cells on it."""
+    ``total_cost`` and ``length_m`` must equal those of its cells on it, and
+    ``stats.min_distance_to_human_m`` that of its polyline in the scene."""
 
     def fields(value: object, where: str, *required: str) -> dict:
         check_keys(value, required=required, optional=(), path=where, strict=strict)
@@ -580,21 +574,19 @@ def _condition_from_dict(
             raise FormatError(f"differs from the {key} of its cells, {rebuilt!r}", f"{where}.{key}")
 
     raw_stats = fields(raw["stats"], f"{path}.stats", "min_distance_to_human_m")
-    min_distance = raw_stats["min_distance_to_human_m"]
-    return ConditionResult(
+    stored, where = raw_stats["min_distance_to_human_m"], f"{path}.stats.min_distance_to_human_m"
+    distance = min_distance_to_human(scene, plan_path.polyline)
+    if (None if stored is None else finite_number(stored, where)) != distance:
+        raise FormatError(f"differs from its path's distance to a human, {distance!r}", where)
+    return PlanIteration(
         condition=condition,
-        assessment=assessment,
         path=plan_path,
-        costmap=costmap,
+        assessment=assessment,
         rounds=integer(raw["rounds"], f"{path}.rounds", 1),
-        stop=raw["stop"],
         relevant=tuple(string_list(raw["relevant"], f"{path}.relevant")),
+        costmap=costmap,
         zones=zones,
-        min_distance_to_human_m=(
-            None
-            if min_distance is None
-            else finite_number(min_distance, f"{path}.stats.min_distance_to_human_m")
-        ),
+        stop=raw["stop"],
     )
 
 
@@ -602,8 +594,9 @@ def load_report(document: bytes | str, *, strict: bool = False) -> RunReport:
     """Parse a report written by ``report_to_json`` and rebuild its costmaps.
 
     Raises FormatError with a path into the document for a missing field, a
-    value of the wrong type, counts, costs or cells out of range, and a path
-    whose ``total_cost`` or ``length_m`` differs from that of its cells.
+    value of the wrong type, counts, costs or cells out of range, a path
+    whose ``total_cost`` or ``length_m`` differs from that of its cells, and a
+    ``stats.min_distance_to_human_m`` that differs from that of its polyline.
     """
     data = parse_document(document, what="report document")
     if isinstance(data, dict):  # an older report fails on its version, not its fields

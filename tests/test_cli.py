@@ -186,6 +186,26 @@ def _report_resolution_coarser_than_map(files):
     files["report"]["map"]["resolution"] = 7.0  # the map is 6 x 5 m
 
 
+def _spatial_relations_as_number(files):
+    files["scenario"]["human"]["spatial_relations"] = 5
+
+
+def _activity_relations_null(files):
+    files["scenario"]["human"]["activity_relations"] = None
+
+
+def _max_attempts_true(files):
+    files["scenario"]["assessor"]["max_attempts"] = True
+
+
+def _human_extent_zero(files):
+    files["scenario"]["human"]["bbox_extent"] = [0.5, 0.0, 0.9]
+
+
+def _distance_to_human_edited(files):
+    files["report"]["conditions"][0]["stats"]["min_distance_to_human_m"] = 99.0
+
+
 class TestMalformedInputs:
     """Each malformed input ends with exit 1 and one "error: <path>: ..." line."""
 
@@ -208,6 +228,12 @@ class TestMalformedInputs:
             ("render", _map_resolution_nan, "map.resolution"),
             ("plan", _resolution_coarser_than_map, "map.resolution"),
             ("render", _report_resolution_coarser_than_map, "map.resolution"),
+            ("plan", _spatial_relations_as_number, "human.spatial_relations"),
+            ("assess", _activity_relations_null, "human.activity_relations"),
+            ("compare", _spatial_relations_as_number, "human.spatial_relations"),
+            ("plan", _max_attempts_true, "assessor.max_attempts"),
+            ("plan", _human_extent_zero, "human"),
+            ("render", _distance_to_human_edited, "conditions[0].stats.min_distance_to_human_m"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )

@@ -76,13 +76,11 @@ class TestConditionVariants:
         # static relations survive
         assert any(r.triple == ("next to", "armchair", "bed") for r in variant.relations)
 
-    def test_keep_spatial_strips_activity_only(self, scene_with_human):
-        variant = derive_condition_variant(
-            scene_with_human, Condition.HUMAN_NO_RELATIONS, keep_spatial=True
-        )
-        triples = {r.triple for r in variant.relations}
-        assert ("sitting on", "human_1", "bed") in triples
-        assert ("watching", "human_1", "tv") not in triples
+    def test_no_human_and_no_relations_drop_the_same_relations(self, scene_with_human):
+        no_human = derive_condition_variant(scene_with_human, Condition.NO_HUMAN)
+        no_relations = derive_condition_variant(scene_with_human, Condition.HUMAN_NO_RELATIONS)
+        assert no_relations.relations == no_human.relations
+        assert no_relations.nodes == scene_with_human.nodes
 
     def test_with_relations_is_identity(self, scene_with_human):
         assert derive_condition_variant(scene_with_human, Condition.HUMAN_WITH_RELATIONS) is scene_with_human

@@ -12,6 +12,7 @@ from socioplan import (
     CostClearance,
     compare_conditions,
     comparison_dict,
+    derive_condition_variant,
     load_report,
     load_scene,
     load_scenario,
@@ -24,7 +25,9 @@ from socioplan.jsonio import FormatError
 from socioplan.scenario_runner import (
     ScenarioError,
     human_footprint,
+    load_base_scene,
     min_distance_to_footprint,
+    min_distance_to_human,
     serialize_scenario,
 )
 
@@ -135,11 +138,30 @@ class TestRunScenario:
 
     def test_min_distance_stat_present_with_human(self, scenario, replay_report):
         footprint = human_footprint(scenario)
-        for result in replay_report.conditions:
-            stat = result.min_distance_to_human_m
-            assert stat == pytest.approx(
-                min_distance_to_footprint(result.path.polyline, footprint)
-            )
+        stats = json.loads(report_to_json(replay_report))["conditions"]
+        for result, stored in zip(replay_report.conditions, stats):
+            stat = stored["stats"]["min_distance_to_human_m"]
+            assert stat == min_distance_to_footprint(result.path.polyline, footprint)
+            assert stat == min_distance_to_human(replay_report.scene, result.path.polyline)
+
+    def test_min_distance_is_to_the_nearest_human_of_the_scene(self, replay_report):
+        scene = replay_report.scene
+        polyline = replay_report.conditions[0].path.polyline
+        nearest = min(
+            min_distance_to_footprint(polyline, footprint_of(scene.node(i)))
+            for i in ("bed", "armchair")
+        )
+        as_humans = dataclasses.replace(
+            scene,
+            nodes={
+                i: dataclasses.replace(n, tag="human") if i in ("bed", "armchair") else n
+                for i, n in scene.nodes.items()
+                if i != "human"
+            },
+        )
+        assert min_distance_to_human(as_humans, polyline) == nearest
+        without = derive_condition_variant(scene, Condition.NO_HUMAN)
+        assert min_distance_to_human(without, polyline) is None
 
     def test_replay_with_missing_row_is_annotated(self, tmp_path):
         for name in ("bedroom_scene.json", "bedroom_scenario.json"):
@@ -236,6 +258,14 @@ class TestReportSerialization:
             if node["id"] == "armchair":
                 node["bbox_center"][0] -= 0.5
         with pytest.raises(FormatError, match="total_cost"):
+            load_report(json.dumps(data))
+
+    @pytest.mark.parametrize("value", [None, True])
+    def test_distance_to_human_must_equal_that_of_its_polyline(self, value):
+        data = json.loads(_SHIPPED_REPORT)
+        data["conditions"][1]["stats"]["min_distance_to_human_m"] = value
+        where = r"conditions\[1\]\.stats\.min_distance_to_human_m"
+        with pytest.raises(FormatError, match=where):
             load_report(json.dumps(data))
 
     def test_entry_for_an_object_missing_from_the_scene_rejected(self):
@@ -337,22 +367,52 @@ _MUTATIONS = st.sampled_from([("delete",), ("wrap",)]) | st.tuples(
 )
 
 
+def _mutated(document: str, where: tuple, mutation: tuple) -> object:
+    """The parsed ``document`` with ``mutation`` applied at key path ``where``."""
+    data = json.loads(document)
+    parent = data
+    for key in where[:-1]:
+        parent = parent[key]
+    key = where[-1]
+    if mutation[0] == "delete":
+        del parent[key]
+    elif mutation[0] == "wrap":
+        parent[key] = [parent[key]]
+    else:
+        parent[key] = mutation[1]
+    return data
+
+
 class TestLoadReportMutations:
     @settings(max_examples=150, deadline=None)
     @given(where=st.sampled_from(_REPORT_LOCATIONS), mutation=_MUTATIONS)
     def test_returns_or_raises_format_error(self, where, mutation):
-        data = json.loads(_SHIPPED_REPORT)
-        parent = data
-        for key in where[:-1]:
-            parent = parent[key]
-        key = where[-1]
-        if mutation[0] == "delete":
-            del parent[key]
-        elif mutation[0] == "wrap":
-            parent[key] = [parent[key]]
-        else:
-            parent[key] = mutation[1]
         try:
-            load_report(json.dumps(data))
+            load_report(json.dumps(_mutated(_SHIPPED_REPORT, where, mutation)))
+        except FormatError:
+            pass
+
+
+_SHIPPED_SCENARIO = (DATA_DIR / "bedroom_scenario.json").read_text(encoding="utf-8")
+_SCENARIO_LOCATIONS = list(_locations(json.loads(_SHIPPED_SCENARIO)))[1:]
+
+
+@pytest.fixture(scope="module")
+def scenario_dir(tmp_path_factory):
+    """A copy of the shipped scene and fixtures, beside which mutated scenarios are written."""
+    directory = tmp_path_factory.mktemp("scenario")
+    for name in ("bedroom_scene.json", "bedroom_assessments.json"):
+        shutil.copy(DATA_DIR / name, directory)
+    return directory
+
+
+class TestLoadScenarioMutations:
+    @settings(max_examples=150, deadline=None)
+    @given(where=st.sampled_from(_SCENARIO_LOCATIONS), mutation=_MUTATIONS)
+    def test_returns_or_raises_format_error(self, scenario_dir, where, mutation):
+        path = scenario_dir / "scenario.json"
+        path.write_text(json.dumps(_mutated(_SHIPPED_SCENARIO, where, mutation)), encoding="utf-8")
+        try:
+            load_base_scene(load_scenario(path))
         except FormatError:
             pass
