@@ -8,6 +8,11 @@ distance to the contribution's footprint (0 on the object): the contribution
 equals ``cost`` on the footprint and decays linearly to 1 at the clearance
 distance; ``clearance = 0`` means the object only affects points on its own
 footprint. Every field value is therefore >= 1.
+
+A contribution is exactly 1, and cannot raise the maximum, wherever
+``d >= clearance`` (``d > 0`` when ``clearance`` is 0) and everywhere when its
+cost is 1; so ``rasterize`` evaluates each one only inside its window and
+every cell keeps the value a full-grid evaluation gives it.
 """
 
 from __future__ import annotations
@@ -51,6 +56,11 @@ class RectFootprint:
     def sides(self) -> Vec2:
         return (self.max_xy[0] - self.min_xy[0], self.max_xy[1] - self.min_xy[1])
 
+    @property
+    def box(self) -> tuple[Vec2, Vec2]:
+        """Axis-aligned (min, max) corners."""
+        return (self.min_xy, self.max_xy)
+
     def distance(self, points: np.ndarray) -> np.ndarray:
         """Planar distance from each (N, 2) point to the rectangle; 0 inside."""
         pts = np.asarray(points, dtype=float)
@@ -77,6 +87,15 @@ class OrientedRectFootprint:
         object.__setattr__(self, "axis", (ax / norm, ay / norm))
         if self.half_length < 0 or self.half_width < 0:
             raise ValueError("half sizes must be >= 0")
+
+    @property
+    def box(self) -> tuple[Vec2, Vec2]:
+        """Axis-aligned (min, max) corners of the rotated rectangle."""
+        ux, uy = self.axis
+        ex = abs(ux) * self.half_length + abs(uy) * self.half_width
+        ey = abs(uy) * self.half_length + abs(ux) * self.half_width
+        cx, cy = self.center
+        return ((cx - ex, cy - ey), (cx + ex, cy + ey))
 
     def distance(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -185,16 +204,19 @@ def make_activity_zones(
 # --- evaluation ---------------------------------------------------------------
 
 
-def _evaluate(
-    points: np.ndarray, spec: FieldSpec, zones: Sequence[ActivityZone] = ()
-) -> np.ndarray:
-    values = np.ones(len(points), dtype=float)
+def _raising(spec: FieldSpec, zones: Sequence[ActivityZone] = ()) -> list[Contribution]:
+    """The object contributions, then the corridors, that can raise the
+    field: 1 + 0 * falloff is exactly 1 everywhere, so a cost of exactly 1
+    never raises the maximum."""
     contributions = list(spec.contributions) + [
         Contribution(z.corridor, z.cost, z.clearance) for z in zones
     ]
-    for contribution in contributions:
-        if contribution.cost == 1.0:
-            continue  # 1 + 0 * falloff is exactly 1 everywhere, so it never raises the maximum
+    return [c for c in contributions if c.cost != 1.0]
+
+
+def _evaluate(points: np.ndarray, spec: FieldSpec) -> np.ndarray:
+    values = np.ones(len(points), dtype=float)
+    for contribution in _raising(spec):
         d = contribution.footprint.distance(points)
         np.maximum(values, linear_falloff(d, contribution.cost, contribution.clearance), out=values)
     return values
@@ -319,6 +341,15 @@ def grid_shape(bounds: tuple[Vec2, Vec2], resolution: float) -> tuple[int, int]:
     return max(1, math.ceil(width)), max(1, math.ceil(height))
 
 
+def _cell_span(lo: float, hi: float, origin: float, resolution: float, count: int) -> tuple[int, int]:
+    """[first, stop) of the cells, clipped to ``count``, whose centers
+    ``origin + (i + 0.5) * resolution`` lie in [lo, hi]; centers up to half a
+    cell beyond either end may be kept too. An infinite end clips to the grid."""
+    first = min(max((lo - origin) / resolution, 0.0), count)
+    stop = min(max((hi - origin) / resolution + 1.0, 0.0), count)
+    return math.floor(first), math.floor(stop)
+
+
 def rasterize(
     spec: FieldSpec,
     zones: Sequence[ActivityZone],
@@ -327,17 +358,35 @@ def rasterize(
 ) -> Costmap:
     """Sample the combined field at every cell center over ``bounds``.
 
-    Cell values equal ``combined_cost`` at the exact center coordinates (the
-    same evaluation kernel runs for both), so there is no interpolation error
-    to account for.
+    Each contribution is evaluated only on the cells of its window: its
+    footprint's box grown by its clearance plus one cell, clipped to the
+    grid. A cell center outside the window lies at least a cell beyond the
+    clearance, so even after rounding its distance is at least the clearance:
+    the contribution is exactly 1 there and the pointwise maximum does not
+    change. Inside, the points are slices of the same center coordinates and
+    run through the same elementwise operations as ``combined_cost``, so cell
+    values equal ``combined_cost`` at the exact center coordinates and there
+    is no interpolation error to account for.
     """
     (xmin, ymin), _ = bounds
     width, height = grid_shape(bounds, resolution)
     xs = xmin + (np.arange(width, dtype=float) + 0.5) * resolution
     ys = ymin + (np.arange(height, dtype=float) + 0.5) * resolution
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    points = np.column_stack([grid_x.ravel(), grid_y.ravel()])
-    values = _evaluate(points, spec, zones).reshape(height, width)
+    values = np.ones((height, width), dtype=float)
+    for contribution in _raising(spec, zones):
+        (x0, y0), (x1, y1) = contribution.footprint.box
+        margin = contribution.clearance + resolution
+        i0, i1 = _cell_span(x0 - margin, x1 + margin, xmin, resolution, width)
+        j0, j1 = _cell_span(y0 - margin, y1 + margin, ymin, resolution, height)
+        if i0 >= i1 or j0 >= j1:
+            continue
+        points = np.empty((j1 - j0, i1 - i0, 2))
+        points[..., 0] = xs[i0:i1]
+        points[..., 1] = ys[j0:j1, None]
+        d = contribution.footprint.distance(points.reshape(-1, 2))
+        window = values[j0:j1, i0:i1]
+        falloff = linear_falloff(d, contribution.cost, contribution.clearance)
+        np.maximum(window, falloff.reshape(window.shape), out=window)
     return Costmap(origin=(float(xmin), float(ymin)), resolution=float(resolution),
                    width=width, height=height, cells=values)
 

@@ -212,6 +212,11 @@ def iterate_plan(
     stops when the relevant set repeats or ``max_rounds`` is reached. The set
     handed to the assessor is the partial graph's node set (radius hits plus
     attached humans), so human context is never dropped.
+
+    A round whose costmap equals the previous round's keeps the previous
+    path instead of running A* again: ``plan`` depends only on start, goal
+    and costmap. That happens when the relevant set grows only by objects
+    that leave the field as it was, such as ones assessed at cost 1.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -220,6 +225,7 @@ def iterate_plan(
         ((start[0], start[1], 0.0), (goal[0], goal[1], 0.0))
     )
     previous: tuple[str, ...] | None = None
+    costmap: Costmap | None = None
     rounds = 0
     stop = "max_rounds"
     while rounds < max_rounds:
@@ -230,8 +236,9 @@ def iterate_plan(
         assessment = assess(assessor, partial, trajectory, assessed, preferences)
         spec = field_spec_from_assessment(partial, assessment)
         zones = tuple(make_activity_zones(partial, activity_zones or {}))
-        costmap = rasterize(spec, zones, bounds, resolution)
-        path = plan(PlanRequest(start=start, goal=goal, costmap=costmap))
+        previous_costmap, costmap = costmap, rasterize(spec, zones, bounds, resolution)
+        if costmap != previous_costmap:
+            path = plan(PlanRequest(start=start, goal=goal, costmap=costmap))
         trajectory = Trajectory(tuple((x, y, 0.0) for x, y in path.polyline))
         rounds += 1
         previous = ids

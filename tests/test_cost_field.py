@@ -258,23 +258,30 @@ def full_grid_cells(spec, zones, bounds, resolution):
     return values.reshape(height, width)
 
 
-_coord = st.floats(-1.0, 5.0, allow_nan=False)
+# Offsets from the map origin: mostly on or around the 4 x 3 m map, so
+# windows are often cut by its edge, sometimes 50 m off it.
+_offset = st.floats(-1.0, 5.0, allow_nan=False) | st.sampled_from([-50.0, 50.0])
 _cost = st.just(1.0) | st.floats(1.0, 10.0)
-_clearance = st.sampled_from([0.0, 5e-324, 1e-310, 1e-300]) | st.floats(0.0, 3.0)
+_clearance = st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 60.0]) | st.floats(0.0, 3.0)
+# Origins with no exact binary form, negative ones and ones far from (0, 0).
+_origin = st.sampled_from([(0.0, 0.0), (-2.5, -1.3), (-50.3, 7.1), (3.3, -0.7)]) | st.tuples(
+    st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)
+)
+_resolution = st.sampled_from([0.05, 0.07, 0.1, 0.25, 0.3, 1.0])
 
 
 @st.composite
-def _rect(draw):
-    x0, x1 = sorted((draw(_coord), draw(_coord)))
-    y0, y1 = sorted((draw(_coord), draw(_coord)))
+def _rect(draw, origin=(0.0, 0.0)):
+    x0, x1 = sorted((origin[0] + draw(_offset), origin[0] + draw(_offset)))
+    y0, y1 = sorted((origin[1] + draw(_offset), origin[1] + draw(_offset)))
     return RectFootprint((x0, y0), (x1, y1))
 
 
 @st.composite
-def _zone(draw):
+def _zone(draw, origin=(0.0, 0.0)):
     angle = draw(st.floats(0.0, 2 * math.pi))
     corridor = OrientedRectFootprint(
-        center=(draw(_coord), draw(_coord)),
+        center=(origin[0] + draw(_offset), origin[1] + draw(_offset)),
         axis=(math.cos(angle), math.sin(angle)),
         half_length=draw(st.floats(0.0, 2.0)),
         half_width=draw(st.floats(0.0, 1.0)),
@@ -282,16 +289,80 @@ def _zone(draw):
     return ActivityZone("human", "watching", "tv", draw(_cost), draw(_clearance), corridor)
 
 
+def _map_bounds(origin):
+    return (origin, (origin[0] + 4.0, origin[1] + 3.0))
+
+
+def _corridor(center, angle, half_length, half_width, cost=3.0, clearance=0.4):
+    axis = (math.cos(angle), math.sin(angle))
+    corridor = OrientedRectFootprint(center, axis, half_length, half_width)
+    return ActivityZone("human", "watching", "tv", cost, clearance, corridor)
+
+
 class TestRasterizeAgainstFullGrid:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        contributions=st.lists(st.builds(Contribution, _rect(), _cost, _clearance), max_size=6),
-        zones=st.lists(_zone(), max_size=3),
-        resolution=st.sampled_from([0.1, 0.25, 0.3, 1.0]),
-    )
-    def test_cells_equal_the_reference(self, contributions, zones, resolution):
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), origin=_origin, resolution=_resolution)
+    def test_cells_equal_the_reference(self, data, origin, resolution):
+        contributions = data.draw(
+            st.lists(st.builds(Contribution, _rect(origin), _cost, _clearance), max_size=6)
+        )
+        zones = data.draw(st.lists(_zone(origin), max_size=3))
         spec = FieldSpec(tuple(contributions))
-        bounds = ((0.0, 0.0), (4.0, 3.0))
+        bounds = _map_bounds(origin)
+        costmap = rasterize(spec, zones, bounds, resolution)
+        assert np.array_equal(costmap.cells, full_grid_cells(spec, zones, bounds, resolution))
+
+    @pytest.mark.parametrize("origin", [(0.0, 0.0), (-2.5, -1.3), (-50.3, 7.1)])
+    @pytest.mark.parametrize("resolution", [0.05, 0.07, 0.3])
+    @pytest.mark.parametrize(
+        "contributions, zones",
+        [
+            pytest.param(  # cut by the left and bottom edges
+                [Contribution(RectFootprint((-0.6, -0.4), (0.3, 0.9)), 4.0, 0.7)], [],
+                id="rect-cut-by-edge",
+            ),
+            pytest.param(  # reaches in from outside through its clearance only
+                [Contribution(RectFootprint((4.2, 1.0), (5.0, 2.0)), 2.5, 0.5)], [],
+                id="rect-outside-clearance-inside",
+            ),
+            pytest.param(
+                [Contribution(RectFootprint((50.0, 50.0), (51.0, 52.0)), 9.0, 3.0),
+                 Contribution(RectFootprint((-51.0, -50.0), (-50.0, -49.0)), 9.0, 0.0)], [],
+                id="rects-far-outside",
+            ),
+            pytest.param(
+                [], [_corridor((3.9, 2.9), 0.6, 1.2, 0.3), _corridor((0.1, 1.5), 2.0, 0.8, 0.2, 2.0, 0.0)],
+                id="corridors-cut-by-edge",
+            ),
+            pytest.param(
+                [], [_corridor((50.0, -50.0), 0.3, 2.0, 1.0), _corridor((-50.0, 50.0), 1.1, 2.0, 1.0)],
+                id="corridors-far-outside",
+            ),
+            pytest.param(
+                [Contribution(RectFootprint((1.0, 1.0), (1.5, 1.5)), 1.0, 2.0),
+                 Contribution(RectFootprint((2.0, 0.5), (2.0, 0.5)), 6.0, 5e-324),
+                 Contribution(RectFootprint((0.5, 2.0), (0.9, 2.4)), 3.0, 0.0)],
+                [_corridor((2.0, 1.5), 0.0, 1.0, 0.1, 1.0, 1.0)],
+                id="cost-one-subnormal-and-zero-clearance",
+            ),
+        ],
+    )
+    def test_guard_cases_equal_the_reference(self, origin, resolution, contributions, zones):
+        def moved(footprint):
+            if isinstance(footprint, RectFootprint):
+                return RectFootprint(
+                    (footprint.min_xy[0] + origin[0], footprint.min_xy[1] + origin[1]),
+                    (footprint.max_xy[0] + origin[0], footprint.max_xy[1] + origin[1]),
+                )
+            center = (footprint.center[0] + origin[0], footprint.center[1] + origin[1])
+            return OrientedRectFootprint(center, footprint.axis, footprint.half_length, footprint.half_width)
+
+        spec = FieldSpec(tuple(Contribution(moved(c.footprint), c.cost, c.clearance) for c in contributions))
+        zones = [
+            ActivityZone(z.human, z.verb, z.target, z.cost, z.clearance, moved(z.corridor))
+            for z in zones
+        ]
+        bounds = _map_bounds(origin)
         costmap = rasterize(spec, zones, bounds, resolution)
         assert np.array_equal(costmap.cells, full_grid_cells(spec, zones, bounds, resolution))
 

@@ -14,8 +14,9 @@ from socioplan import (
     iterate_plan,
     path_cost,
     plan,
+    planner,
 )
-from socioplan.cost_assessment import RuleAssessor
+from socioplan.cost_assessment import CostClearance, RuleAssessor
 from socioplan.cost_field import Costmap
 from socioplan.scene_graph import ObjectNode, SceneGraph
 
@@ -336,3 +337,64 @@ class TestIteratePlan:
                 resolution=0.1,
                 max_rounds=0,
             )
+
+
+class TestIteratePlanReusesPath:
+    """A round whose costmap repeats keeps the last path; A* runs once per
+    distinct costmap, and the outcome is that of a loop that always replans."""
+
+    BOUNDS = ((0.0, 0.0), (6.0, 5.0))
+
+    def run(self, tag):
+        # The straight seed meets only the human; the detour around them
+        # pulls in the object, which the rules score (1, 0) as a plant and
+        # (3, 1) as a chair beside an unexplained human.
+        graph = insert_human(
+            SceneGraph(nodes=[ObjectNode("object", tag, (1.8, 4.6, 0.5), (0.4, 0.4, 1.0))]),
+            HumanSpec(id="human_1", bbox_center=(1.2, 2.0, 0.9), bbox_extent=(0.5, 0.5, 1.8)),
+        )
+        return iterate_plan(
+            graph, Condition.HUMAN_NO_RELATIONS, (0.5, 2.0), (5.5, 2.0), 0.9,
+            RuleAssessor(), bounds=self.BOUNDS, resolution=0.1,
+        )
+
+    def reused_and_replanned(self, monkeypatch, tag):
+        costmaps = []
+
+        def counting_plan(request):
+            costmaps.append(request.costmap)
+            return plan(request)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(planner, "plan", counting_plan)
+            reused = self.run(tag)
+            reused_costmaps = list(costmaps)
+            costmaps.clear()
+            patch.setattr(Costmap, "__eq__", lambda self, other: False)
+            replanned = self.run(tag)
+        assert len(costmaps) == replanned.rounds
+        return reused, reused_costmaps, replanned
+
+    def assert_same_iteration(self, reused, replanned):
+        assert reused.path.cells == replanned.path.cells
+        assert reused.path.total_cost == replanned.path.total_cost
+        assert (reused.rounds, reused.relevant, reused.stop) == (
+            replanned.rounds, replanned.relevant, replanned.stop,
+        )
+        assert reused.costmap == replanned.costmap
+        assert reused == replanned
+
+    def test_cost_one_object_reuses_the_path(self, monkeypatch):
+        reused, costmaps, replanned = self.reused_and_replanned(monkeypatch, "plant")
+        assert reused.rounds == 2 and reused.stop == "converged"
+        assert reused.assessment.entries["object"] == CostClearance(1.0, 0.0)
+        assert len(costmaps) == 1  # round 2 rasterized the same costmap
+        self.assert_same_iteration(reused, replanned)
+
+    def test_changed_costmap_runs_a_star_again(self, monkeypatch):
+        reused, costmaps, replanned = self.reused_and_replanned(monkeypatch, "chair")
+        assert reused.rounds == 2 and reused.stop == "converged"
+        assert reused.assessment.entries["object"] == CostClearance(3.0, 1.0)
+        assert len(costmaps) == 2 and costmaps[0] != costmaps[1]
+        assert costmaps[1] == reused.costmap
+        self.assert_same_iteration(reused, replanned)

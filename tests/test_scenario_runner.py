@@ -20,6 +20,7 @@ from socioplan import (
     report_to_json,
     run_scenario,
 )
+from socioplan.cost_assessment import load_assessment_fixtures
 from socioplan.cost_field import footprint_of
 from socioplan.jsonio import FormatError
 from socioplan.scenario_runner import (
@@ -414,5 +415,33 @@ class TestLoadScenarioMutations:
         path.write_text(json.dumps(_mutated(_SHIPPED_SCENARIO, where, mutation)), encoding="utf-8")
         try:
             load_base_scene(load_scenario(path))
+        except FormatError:
+            pass
+
+
+_SHIPPED_SCENE = (DATA_DIR / "bedroom_scene.json").read_text(encoding="utf-8")
+_SCENE_LOCATIONS = list(_locations(json.loads(_SHIPPED_SCENE)))[1:]
+
+
+class TestLoadSceneMutations:
+    @settings(max_examples=150, deadline=None)
+    @given(where=st.sampled_from(_SCENE_LOCATIONS), mutation=_MUTATIONS)
+    def test_returns_or_raises_format_error(self, where, mutation):
+        try:
+            load_scene(json.dumps(_mutated(_SHIPPED_SCENE, where, mutation)))
+        except FormatError:
+            pass
+
+
+_SHIPPED_FIXTURES = (DATA_DIR / "bedroom_assessments.json").read_text(encoding="utf-8")
+_FIXTURE_LOCATIONS = list(_locations(json.loads(_SHIPPED_FIXTURES)))[1:]
+
+
+class TestLoadFixturesMutations:
+    @settings(max_examples=150, deadline=None)
+    @given(where=st.sampled_from(_FIXTURE_LOCATIONS), mutation=_MUTATIONS)
+    def test_returns_or_raises_format_error(self, where, mutation):
+        try:
+            load_assessment_fixtures(json.dumps(_mutated(_SHIPPED_FIXTURES, where, mutation)))
         except FormatError:
             pass
