@@ -13,14 +13,13 @@ from socioplan import (
     Condition,
     HumanSpec,
     derive_condition_variant,
-    induce_partial_graph,
     insert_human,
     load_scene,
-    relevant_objects,
     render_context_text,
     rule_based_assess,
     Trajectory,
 )
+from socioplan.planner import relevant_context
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -43,9 +42,7 @@ preferences = ["Don't disturb anyone watching a football match"]
 
 for condition in Condition:
     variant = derive_condition_variant(graph, condition)
-    ids = relevant_objects(variant, trajectory, radius=1.5)
-    partial = induce_partial_graph(variant, ids)
-    assessed = ids + tuple(i for i in sorted(partial.nodes) if i not in set(ids))
+    _, partial, assessed = relevant_context(variant, trajectory, radius=1.5)
     assessment = rule_based_assess(partial, trajectory, assessed, preferences)
     print(f"\n{condition.label}: relevant = {list(assessed)}")
     for object_id, cc in sorted(assessment.entries.items()):
@@ -53,6 +50,6 @@ for condition in Condition:
 
 # The canonical text block fed to assessors (and to the LLM prompt):
 variant = derive_condition_variant(graph, Condition.HUMAN_WITH_RELATIONS)
-ids = relevant_objects(variant, trajectory, radius=1.5)
+_, partial, _ = relevant_context(variant, trajectory, radius=1.5)
 print("\ncontext text for the with-relations partial graph:\n")
-print(render_context_text(induce_partial_graph(variant, ids), trajectory, preferences))
+print(render_context_text(partial, trajectory, preferences))

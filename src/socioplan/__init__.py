@@ -24,7 +24,6 @@ from .cost_assessment import (
     parse_assessment,
     replay_assess,
     rule_based_assess,
-    validate_assessment,
 )
 from .cost_field import (
     ActivityZone,
@@ -82,9 +81,7 @@ from .scene_graph import (
     validate_scene,
 )
 from .trajectory_context import (
-    ObjectDescription,
     Trajectory,
-    describe_object,
     induce_partial_graph,
     relevant_objects,
     render_context_text,

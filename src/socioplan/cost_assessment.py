@@ -25,7 +25,7 @@ from .jsonio import (
     parse_document,
     require_version,
 )
-from .scene_graph import RelationKind, SceneGraph, Violation
+from .scene_graph import RelationKind, SceneGraph
 from .trajectory_context import Trajectory, render_context_text
 
 FIXTURE_SCHEMA_VERSION = 1
@@ -178,25 +178,17 @@ class AssessorPort(Protocol):
     ) -> Assessment: ...
 
 
-def validate_assessment(assessment: Assessment, relevant: Iterable[str]) -> list[Violation]:
-    """Range and coverage checks; empty list means the assessment is valid."""
-    violations: list[Violation] = []
-    for object_id, cc in assessment.entries.items():
-        for name, value, floor in out_of_range(cc.cost, cc.clearance):
-            message = f"{name} {value!r} must be >= {floor:g}"
-            violations.append(Violation(f"{name} out of range", (object_id,), message))
+def check_entries(entries: dict[str, CostClearance], relevant: Iterable[str]) -> None:
+    """The contract every assessment meets: ValueOutOfRangeError at the first
+    value that ``out_of_range`` flags, CoverageError unless the ids are
+    exactly ``relevant``."""
+    for object_id, cc in entries.items():
+        bad = out_of_range(cc.cost, cc.clearance)
+        if bad:
+            raise ValueOutOfRangeError(object_id, *bad[0])
     wanted = set(relevant)
-    missing = wanted - set(assessment.entries)
-    extra = set(assessment.entries) - wanted
-    if missing:
-        violations.append(
-            Violation("missing ids", tuple(sorted(missing)), f"no entry for {sorted(missing)}")
-        )
-    if extra:
-        violations.append(
-            Violation("extra ids", tuple(sorted(extra)), f"unrequested entry for {sorted(extra)}")
-        )
-    return violations
+    if set(entries) != wanted:
+        raise CoverageError(missing=wanted - set(entries), extra=set(entries) - wanted)
 
 
 def assess(
@@ -213,12 +205,9 @@ def assess(
     name = getattr(port, "name", type(port).__name__)
     try:
         assessment = port(partial, trajectory, relevant, preferences)
+        check_entries(assessment.entries, relevant)
     except AssessmentError as exc:
         raise AssessorFailure(name, exc) from exc
-    violations = validate_assessment(assessment, relevant)
-    if violations:
-        details = "; ".join(v.message for v in violations)
-        raise AssessorFailure(name, f"invalid assessment: {details}")
     return assessment
 
 
@@ -252,7 +241,8 @@ def build_prompt(
 
 
 def parse_assessment(response: str, relevant: Iterable[str]) -> Assessment:
-    """Parse the strict response JSON and enforce ranges and exact coverage.
+    """Parse the strict response JSON, then enforce ranges and exact
+    coverage with ``check_entries``.
 
     Raises ResponseFormatError, ValueOutOfRangeError, or CoverageError; each
     is distinct so retry policies can react to the specific failure.
@@ -281,14 +271,8 @@ def parse_assessment(response: str, relevant: Iterable[str]) -> Assessment:
             value = item[field_name]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ResponseFormatError(f"assessments[{i}].{field_name} must be a number")
-        cc = CostClearance(float(item["cost"]), float(item["clearance"]))
-        bad = out_of_range(cc.cost, cc.clearance)
-        if bad:
-            raise ValueOutOfRangeError(object_id, *bad[0])
-        entries[object_id] = cc
-    wanted = set(relevant)
-    if set(entries) != wanted:
-        raise CoverageError(missing=wanted - set(entries), extra=set(entries) - wanted)
+        entries[object_id] = CostClearance(float(item["cost"]), float(item["clearance"]))
+    check_entries(entries, relevant)
     return Assessment(entries=entries, provenance=Provenance(assessor="parse"))
 
 

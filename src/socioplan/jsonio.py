@@ -95,6 +95,8 @@ def parse_document(document: bytes | str, *, what: str) -> Any:
         return json.loads(document)
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise FormatError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise FormatError(f"{what} is nested too deeply to parse") from None
 
 
 def check_keys(

@@ -553,6 +553,13 @@ def _condition_from_dict(
     except ValueError as exc:  # an entry names an object the scene lacks
         raise FormatError(str(exc), f"{path}.assessment.entries") from None
 
+    where = f"{path}.relevant"
+    relevant = tuple(string_list(raw["relevant"], where))
+    if len(set(relevant)) != len(relevant):
+        raise FormatError("an id repeats", where)
+    if set(relevant) != set(assessment.entries):
+        raise FormatError("ids differ from those of assessment.entries", where)
+
     raw_zones = raw["zones"]
     if not isinstance(raw_zones, list):
         raise FormatError("expected a list of zone objects", f"{path}.zones")
@@ -583,7 +590,7 @@ def _condition_from_dict(
         path=plan_path,
         assessment=assessment,
         rounds=integer(raw["rounds"], f"{path}.rounds", 1),
-        relevant=tuple(string_list(raw["relevant"], f"{path}.relevant")),
+        relevant=relevant,
         costmap=costmap,
         zones=zones,
         stop=raw["stop"],
@@ -594,9 +601,11 @@ def load_report(document: bytes | str, *, strict: bool = False) -> RunReport:
     """Parse a report written by ``report_to_json`` and rebuild its costmaps.
 
     Raises FormatError with a path into the document for a missing field, a
-    value of the wrong type, counts, costs or cells out of range, a path
-    whose ``total_cost`` or ``length_m`` differs from that of its cells, and a
-    ``stats.min_distance_to_human_m`` that differs from that of its polyline.
+    value of the wrong type, counts, costs or cells out of range, a
+    ``relevant`` list that repeats an id or names other ids than its entries,
+    a path whose ``total_cost`` or ``length_m`` differs from that of its
+    cells, and a ``stats.min_distance_to_human_m`` that differs from that of
+    its polyline.
     """
     data = parse_document(document, what="report document")
     if isinstance(data, dict):  # an older report fails on its version, not its fields

@@ -4,6 +4,7 @@ and the canonical per-object description text fed to assessors."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -72,19 +73,6 @@ def relevant_objects(
     return tuple(node_id for _, node_id in found)
 
 
-def attached_humans(graph: SceneGraph, ids: Iterable[str]) -> tuple[str, ...]:
-    """Human node ids related (either direction) to any of ``ids``, minus ids."""
-    wanted = set(ids)
-    extras: set[str] = set()
-    for rel in graph.relations:
-        for human_end, other_end in ((rel.head_id, rel.tail_id), (rel.tail_id, rel.head_id)):
-            if human_end in wanted or human_end not in graph:
-                continue
-            if graph.node(human_end).is_human and other_end in wanted:
-                extras.add(human_end)
-    return tuple(sorted(extras))
-
-
 def induce_partial_graph(graph: SceneGraph, ids: Iterable[str]) -> SceneGraph:
     """Subgraph of ``ids`` plus any humans related to them.
 
@@ -96,7 +84,13 @@ def induce_partial_graph(graph: SceneGraph, ids: Iterable[str]) -> SceneGraph:
     for node_id in wanted:
         if node_id not in graph:
             raise ValueError(f'unknown object id "{node_id}"')
-    extras = set(attached_humans(graph, wanted))
+    extras: set[str] = set()
+    for rel in graph.relations:
+        for human_end, other_end in ((rel.head_id, rel.tail_id), (rel.tail_id, rel.head_id)):
+            if human_end in wanted or human_end not in graph:
+                continue
+            if graph.node(human_end).is_human and other_end in wanted:
+                extras.add(human_end)
     keep = wanted | extras
 
     def keep_relation(head: str, tail: str) -> bool:
@@ -110,49 +104,6 @@ def induce_partial_graph(graph: SceneGraph, ids: Iterable[str]) -> SceneGraph:
     return SceneGraph(nodes=nodes, relations=relations)
 
 
-@dataclass(frozen=True)
-class ObjectDescription:
-    """Assessor-facing record for one object.
-
-    ``relations`` holds (verb, other entity label, inverted) tuples: edges
-    where the object is head, plus inverted-flagged edges where it is tail.
-    Labels are tags, with the id appended on tag collisions.
-    """
-
-    object_id: str
-    object_tag: str
-    bbox_center: Vec3
-    bbox_extent: Vec3
-    affordances: frozenset[str]
-    attributes: frozenset[str]
-    relations: frozenset[tuple[str, str, bool]]
-
-
-def _entity_label(graph: SceneGraph, node_id: str) -> str:
-    tag = graph.node(node_id).tag
-    collisions = sum(1 for n in graph if n.tag == tag)
-    return f"{tag}[{node_id}]" if collisions > 1 else tag
-
-
-def describe_object(graph: SceneGraph, object_id: str) -> ObjectDescription:
-    node = graph.node(object_id)
-    relations = set()
-    for rel in graph.relations:
-        if rel.head_id == object_id:
-            relations.add((rel.name, _entity_label(graph, rel.tail_id), False))
-        elif rel.tail_id == object_id:
-            relations.add((rel.name, _entity_label(graph, rel.head_id), True))
-    return ObjectDescription(
-        object_id=node.id,
-        object_tag=node.tag,
-        bbox_center=node.bbox_center,
-        bbox_extent=node.bbox_extent,
-        affordances=node.affordances,
-        attributes=node.attributes,
-        relations=frozenset(relations),
-    )
-
-
 def _vec(values: Sequence[float]) -> str:
     return "[" + ", ".join(f"{v:.3f}" for v in values) + "]"
 
@@ -161,33 +112,43 @@ def _names(values: Iterable[str]) -> str:
     return "[" + ", ".join(sorted(values)) + "]"
 
 
-def _relation_text(entry: tuple[str, str, bool]) -> str:
-    name, other, inverted = entry
-    return f"({name}, {other}, inverted)" if inverted else f"({name}, {other})"
-
-
 def render_context_text(
     partial: SceneGraph, trajectory: Trajectory, preferences: Sequence[str]
 ) -> str:
     """Canonical text block describing the partial graph, trajectory, and
     preferences. Identical inputs always produce byte-identical text."""
+    tag_counts = Counter(node.tag for node in partial)
+
+    def label(node_id: str) -> str:
+        tag = partial.node(node_id).tag
+        return f"{tag}[{node_id}]" if tag_counts[tag] > 1 else tag
+
     lines = ["OBJECTS"]
     node_ids = sorted(partial.nodes)
     if not node_ids:
         lines.append("(none)")
     for node_id in node_ids:
-        d = describe_object(partial, node_id)
-        rel_text = "[" + ", ".join(
-            _relation_text(r) for r in sorted(d.relations)
-        ) + "]"
+        node = partial.node(node_id)
+        # (verb, other entity, inverted): edges where the node is the head,
+        # plus inverted-flagged edges where it is the tail.
+        relations = set()
+        for rel in partial.relations:
+            if rel.head_id == node_id:
+                relations.add((rel.name, label(rel.tail_id), False))
+            elif rel.tail_id == node_id:
+                relations.add((rel.name, label(rel.head_id), True))
+        rel_text = ", ".join(
+            f"({verb}, {other}, inverted)" if inverted else f"({verb}, {other})"
+            for verb, other, inverted in sorted(relations)
+        )
         lines += [
-            f"- object_id: {d.object_id}",
-            f"  object_tag: {d.object_tag}",
-            f"  bbox_center: {_vec(d.bbox_center)}",
-            f"  bbox_extent: {_vec(d.bbox_extent)}",
-            f"  affordances: {_names(d.affordances)}",
-            f"  attributes: {_names(d.attributes)}",
-            f"  relations: {rel_text}",
+            f"- object_id: {node.id}",
+            f"  object_tag: {node.tag}",
+            f"  bbox_center: {_vec(node.bbox_center)}",
+            f"  bbox_extent: {_vec(node.bbox_extent)}",
+            f"  affordances: {_names(node.affordances)}",
+            f"  attributes: {_names(node.attributes)}",
+            f"  relations: [{rel_text}]",
         ]
     lines.append("TRAJECTORY")
     for point in trajectory.waypoints:

@@ -206,6 +206,15 @@ def _distance_to_human_edited(files):
     files["report"]["conditions"][0]["stats"]["min_distance_to_human_m"] = 99.0
 
 
+def _relevant_ghosts(files):
+    files["report"]["conditions"][0]["relevant"] = ["ghost", "nobody"]
+
+
+def _relevant_repeats(files):
+    relevant = files["report"]["conditions"][0]["relevant"]
+    relevant.append(relevant[0])
+
+
 class TestMalformedInputs:
     """Each malformed input ends with exit 1 and one "error: <path>: ..." line."""
 
@@ -234,6 +243,8 @@ class TestMalformedInputs:
             ("plan", _max_attempts_true, "assessor.max_attempts"),
             ("plan", _human_extent_zero, "human"),
             ("render", _distance_to_human_edited, "conditions[0].stats.min_distance_to_human_m"),
+            ("render", _relevant_ghosts, "conditions[0].relevant"),
+            ("render", _relevant_repeats, "conditions[0].relevant"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )
@@ -254,3 +265,33 @@ class TestMalformedInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert f"{where}: " in err[0]
+
+
+class TestUnreadableInputs:
+    """Input files that cannot be parsed or opened, and outputs that cannot be
+    written, end with exit 1 and one "error:" line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, what", [("validate", "scene"), ("plan", "scenario"), ("render", "report")]
+    )
+    def test_deeply_nested_json(self, tmp_path, capsys, command, what):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        out = ["-o", str(tmp_path / "out.svg")] if command == "render" else []
+        assert main([command, str(deep), *out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: $: {what} document is nested too deeply to parse"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "{dir}"],
+            ["render", "{dir}", "-o", "{dir}/out.svg"],
+            ["plan", SCENARIO, "-o", "{dir}"],
+        ],
+        ids=["validate", "render", "plan-o"],
+    )
+    def test_directory_is_one_error_line(self, tmp_path, capsys, argv):
+        assert main([a.format(dir=tmp_path) for a in argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {tmp_path}: Is a directory"]

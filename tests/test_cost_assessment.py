@@ -21,7 +21,6 @@ from socioplan import (
     relevant_objects,
     rule_based_assess,
     replay_assess,
-    validate_assessment,
 )
 from socioplan.cost_assessment import (
     AssessorFailure,
@@ -34,6 +33,7 @@ from socioplan.cost_assessment import (
     RuleAssessor,
     TransportError,
     ValueOutOfRangeError,
+    check_entries,
     serialize_fixtures,
 )
 from socioplan.scene_graph import SceneGraph
@@ -297,7 +297,7 @@ class TestRuleBasedAssess:
         partial = induce_partial_graph(graph, ids)
         assessed = ids + tuple(i for i in sorted(partial.nodes) if i not in set(ids))
         assessment = rule_based_assess(partial, Trajectory(((0, 0, 0),)), assessed, prefs)
-        assert validate_assessment(assessment, assessed) == []
+        check_entries(assessment.entries, assessed)
 
 
 class TestReplayAssess:
@@ -336,33 +336,28 @@ class TestReplayAssess:
         assert load_assessment_fixtures(serialize_fixtures(store)) == store
 
 
-class TestValidateAssessment:
-    def table_assessment(self):
-        return Assessment(
-            entries={
-                "bed": CostClearance(3.0, 1.5),
-                "human": CostClearance(5.0, 2.0),
-                "armchair": CostClearance(1.0, 0.0),
-            },
-            provenance=Provenance(assessor="test"),
-        )
+class TestCheckEntries:
+    def table_entries(self):
+        return {
+            "bed": CostClearance(3.0, 1.5),
+            "human": CostClearance(5.0, 2.0),
+            "armchair": CostClearance(1.0, 0.0),
+        }
 
     def test_valid_entries_pass(self):
-        assert validate_assessment(self.table_assessment(), RELEVANT) == []
+        check_entries(self.table_entries(), RELEVANT)
 
-    def test_negative_clearance_violation(self):
-        assessment = Assessment(
-            entries={"bed": CostClearance(2.0, -0.1)}, provenance=Provenance(assessor="test")
-        )
-        violations = validate_assessment(assessment, ("bed",))
-        assert [v.rule for v in violations] == ["clearance out of range"]
+    def test_negative_clearance_raises(self):
+        with pytest.raises(ValueOutOfRangeError) as info:
+            check_entries({"bed": CostClearance(2.0, -0.1)}, ("bed",))
+        assert (info.value.object_id, info.value.field_name) == ("bed", "clearance")
 
-    def test_extra_id_violation(self):
-        assessment = self.table_assessment()
-        assessment.entries["lamp"] = CostClearance(2.0, 0.0)
-        violations = validate_assessment(assessment, RELEVANT)
-        assert [v.rule for v in violations] == ["extra ids"]
-        assert violations[0].ids == ("lamp",)
+    def test_extra_id_raises(self):
+        entries = self.table_entries()
+        entries["lamp"] = CostClearance(2.0, 0.0)
+        with pytest.raises(CoverageError) as info:
+            check_entries(entries, RELEVANT)
+        assert (info.value.missing, info.value.extra) == ((), ("lamp",))
 
 
 class TestAssessPort:
@@ -378,6 +373,23 @@ class TestAssessPort:
 
         with pytest.raises(AssessorFailure, match='assessor "broken"'):
             assess(BrokenAssessor(), partial, trajectory, relevant, [])
+
+    def test_out_of_range_entry_is_an_assessor_failure(self, partial_and_trajectory):
+        partial, trajectory = partial_and_trajectory
+        relevant = tuple(sorted(partial.nodes))
+
+        class OutOfRangeAssessor:
+            name = "out_of_range"
+
+            def __call__(self, partial, trajectory, relevant, preferences):
+                entries = {i: CostClearance(1.0, 0.0) for i in relevant}
+                entries[relevant[0]] = CostClearance(0.5, 0.0)
+                return Assessment(entries=entries, provenance=Provenance(assessor="test"))
+
+        with pytest.raises(AssessorFailure, match='assessor "out_of_range"') as info:
+            assess(OutOfRangeAssessor(), partial, trajectory, relevant, [])
+        assert isinstance(info.value.cause, ValueOutOfRangeError)
+        assert (info.value.cause.object_id, info.value.cause.field_name) == (relevant[0], "cost")
 
     def test_empty_relevant_set_gives_empty_assessment(self, partial_and_trajectory):
         partial, trajectory = partial_and_trajectory

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from socioplan import (
     Trajectory,
-    describe_object,
     distance_to_object,
     induce_partial_graph,
     insert_human,
@@ -171,15 +170,21 @@ class TestInducePartialGraph:
         assert validate_scene(induce_partial_graph(graph, ids)) == []
 
 
-class TestDescribeObject:
+def _relations_line(text: str, object_id: str) -> str:
+    """The ``relations:`` line of one object's block in a context text."""
+    block = text.split(f"- object_id: {object_id}\n", 1)[1]
+    return next(line.strip() for line in block.splitlines() if "relations:" in line)
+
+
+class TestContextTextRelations:
     def test_inverted_relation_flagged(self, scene_with_human):
-        description = describe_object(scene_with_human, "bed")
+        text = render_context_text(scene_with_human, Trajectory(((0, 0, 0),)), [])
         # bed is the tail of both edges, so both carry the inverted flag
-        assert ("sitting on", "human", True) in description.relations
-        assert ("next to", "armchair", True) in description.relations
+        assert _relations_line(text, "bed") == (
+            "relations: [(next to, armchair, inverted), (sitting on, human, inverted)]"
+        )
         # while the armchair (head of "next to") sees it un-inverted
-        head_side = describe_object(scene_with_human, "armchair")
-        assert ("next to", "bed", False) in head_side.relations
+        assert _relations_line(text, "armchair") == "relations: [(next to, bed)]"
 
     def test_empty_sets_render_as_empty_lists(self, scene_with_human):
         text = render_context_text(
@@ -189,10 +194,6 @@ class TestDescribeObject:
         )
         assert "affordances: []" in text
         assert "attributes: []" in text
-
-    def test_unknown_id_rejected(self, small_scene):
-        with pytest.raises(ValueError, match="ghost"):
-            describe_object(small_scene, "ghost")
 
     def test_tag_collision_appends_ids(self):
         from socioplan.scene_graph import Relation, RelationKind
@@ -205,8 +206,10 @@ class TestDescribeObject:
             ],
             relations=[Relation("next to", "table", "chair_a", RelationKind.SPATIAL)],
         )
-        description = describe_object(graph, "table")
-        assert ("next to", "chair[chair_a]", False) in description.relations
+        text = render_context_text(graph, Trajectory(((0, 0, 0),)), [])
+        assert _relations_line(text, "table") == "relations: [(next to, chair[chair_a])]"
+        # the unique tag "table" stays a bare tag
+        assert _relations_line(text, "chair_a") == "relations: [(next to, table, inverted)]"
 
 
 class TestRenderContextText:
