@@ -73,7 +73,6 @@ from .scene_graph import (
     Relation,
     RelationKind,
     SceneGraph,
-    Violation,
     distance_to_object,
     load_scene,
     objects_within_radius,

@@ -12,6 +12,7 @@ from .jsonio import FormatError, canonical_json
 from .planner import PlanningError, relevant_context
 from .render import render_svg
 from .scenario_runner import (
+    ASSESSOR_KINDS,
     RunReport,
     ScenarioError,
     build_assessor,
@@ -37,7 +38,7 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--assessor",
-        choices=("rules", "llm", "replay"),
+        choices=ASSESSOR_KINDS,
         help="override the scenario's assessor",
     )
 

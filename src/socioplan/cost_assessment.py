@@ -100,17 +100,13 @@ class CostClearance:
     clearance: float
 
 
-def out_of_range(cost: float, clearance: float) -> list[tuple[str, float, float]]:
-    """(field, value, floor) for each value that breaks the contract every
-    assessment meets: both finite, cost >= 1, clearance >= 0."""
-    return [
-        (name, value, floor)
-        for name, value, floor in (
-            ("cost", cost, COST_FLOOR),
-            ("clearance", clearance, CLEARANCE_FLOOR),
-        )
-        if not math.isfinite(value) or value < floor
-    ]
+def out_of_range(cost: float, clearance: float) -> tuple[str, float, float] | None:
+    """(field, value, floor) of the first value that breaks the contract every
+    assessment meets (both finite, cost >= 1, clearance >= 0), or None."""
+    for name, value, floor in (("cost", cost, COST_FLOOR), ("clearance", clearance, CLEARANCE_FLOOR)):
+        if not math.isfinite(value) or value < floor:
+            return name, value, floor
+    return None
 
 
 def entries_to_dict(entries: dict[str, CostClearance]) -> dict:
@@ -127,7 +123,7 @@ def cost_clearance(raw: dict, path: str) -> CostClearance:
     cost, clearance = (finite_number(raw[k], f"{path}.{k}") for k in ("cost", "clearance"))
     bad = out_of_range(cost, clearance)
     if bad:
-        field_name, value, floor = bad[0]
+        field_name, value, floor = bad
         raise FormatError(f"{field_name} {value!r} must be >= {floor:g}", f"{path}.{field_name}")
     return CostClearance(cost, clearance)
 
@@ -185,7 +181,7 @@ def check_entries(entries: dict[str, CostClearance], relevant: Iterable[str]) ->
     for object_id, cc in entries.items():
         bad = out_of_range(cc.cost, cc.clearance)
         if bad:
-            raise ValueOutOfRangeError(object_id, *bad[0])
+            raise ValueOutOfRangeError(object_id, *bad)
     wanted = set(relevant)
     if set(entries) != wanted:
         raise CoverageError(missing=wanted - set(entries), extra=set(entries) - wanted)
@@ -248,9 +244,9 @@ def parse_assessment(response: str, relevant: Iterable[str]) -> Assessment:
     is distinct so retry policies can react to the specific failure.
     """
     try:
-        data = json.loads(response)
-    except json.JSONDecodeError as exc:
-        raise ResponseFormatError(f"response is not valid JSON: {exc}") from exc
+        data = parse_document(response, what="response")
+    except FormatError as exc:
+        raise ResponseFormatError(exc.reason) from exc
     if not isinstance(data, dict) or set(data) != {"assessments"}:
         raise ResponseFormatError('response must be an object with the single key "assessments"')
     items = data["assessments"]
@@ -267,11 +263,13 @@ def parse_assessment(response: str, relevant: Iterable[str]) -> Assessment:
             raise ResponseFormatError(f"assessments[{i}].object_id must be a non-empty string")
         if object_id in entries:
             raise ResponseFormatError(f'duplicate object_id "{object_id}"')
-        for field_name in ("cost", "clearance"):
-            value = item[field_name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ResponseFormatError(f"assessments[{i}].{field_name} must be a number")
-        entries[object_id] = CostClearance(float(item["cost"]), float(item["clearance"]))
+        try:
+            cost, clearance = (
+                finite_number(item[k], f"assessments[{i}].{k}") for k in ("cost", "clearance")
+            )
+        except FormatError as exc:
+            raise ResponseFormatError(str(exc)) from exc
+        entries[object_id] = CostClearance(cost, clearance)
     check_entries(entries, relevant)
     return Assessment(entries=entries, provenance=Provenance(assessor="parse"))
 
@@ -324,8 +322,8 @@ class HttpChatTransport:
         except (OSError, ValueError, http.client.HTTPException) as exc:
             raise TransportError(str(exc)) from exc
         try:
-            return json.loads(reply)["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            return parse_document(reply, what="completion")["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError, ValueError) as exc:  # FormatError is a ValueError
             raise TransportError(f"malformed completion response: {exc!r}") from exc
 
 

@@ -139,7 +139,7 @@ class Contribution:
     def __post_init__(self) -> None:
         bad = out_of_range(self.cost, self.clearance)
         if bad:
-            field_name, value, floor = bad[0]
+            field_name, value, floor = bad
             raise ValueError(f"{field_name} {value!r} must be >= {floor:g}")
 
 

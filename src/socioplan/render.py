@@ -8,6 +8,7 @@ from .cost_field import Costmap, footprint_of
 from .planner import Path
 from .scene_graph import SceneGraph
 
+PX_PER_M = 90.0
 PATH_COLORS = ("#1f6fb4", "#c23728", "#2a8f3c", "#8a4fad", "#b0771c")
 PATH_DASHES = ("", "7 4", "2 4", "9 4 2 4", "12 3")
 
@@ -22,33 +23,31 @@ def _heat_color(value: float, vmax: float) -> str:
 
 
 def render_svg(
-    costmap: Costmap,
-    paths: Sequence[Path],
-    scene: SceneGraph,
-    labels: Sequence[str] | None = None,
-    *,
-    px_per_m: float = 90.0,
+    costmap: Costmap, paths: Sequence[Path], scene: SceneGraph, labels: Sequence[str]
 ) -> str:
     """Render the costmap as heat cells with object footprints, human
-    markers, one dashed polyline per path, and a legend.
+    markers, one dashed polyline per path, and a legend with one label per path.
 
     Pure function of its inputs: identical inputs give identical bytes.
     """
-    if labels is None:
-        labels = [f"path {i + 1}" for i in range(len(paths))]
     if len(labels) != len(paths):
         raise ValueError("need exactly one label per path")
+    # Each path's color and dash attribute, shared by its polyline and its legend line.
+    styles = []
+    for i in range(len(paths)):
+        dash = PATH_DASHES[i % len(PATH_DASHES)]
+        styles.append((PATH_COLORS[i % len(PATH_COLORS)], f' stroke-dasharray="{dash}"' if dash else ""))
 
     (xmin, ymin) = costmap.origin
     (xmax, ymax) = costmap.max_xy
-    width_px = (xmax - xmin) * px_per_m
-    height_px = (ymax - ymin) * px_per_m
+    width_px = (xmax - xmin) * PX_PER_M
+    height_px = (ymax - ymin) * PX_PER_M
 
     def sx(x: float) -> float:
-        return (x - xmin) * px_per_m
+        return (x - xmin) * PX_PER_M
 
     def sy(y: float) -> float:
-        return (ymax - y) * px_per_m  # flip: world y up, SVG y down
+        return (ymax - y) * PX_PER_M  # flip: world y up, SVG y down
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px:.0f}" '
@@ -57,7 +56,7 @@ def render_svg(
     ]
 
     vmax = float(costmap.cells.max())
-    cell_px = costmap.resolution * px_per_m
+    cell_px = costmap.resolution * PX_PER_M
     out.append('<g shape-rendering="crispEdges">')
     for iy, row in enumerate(costmap.cells.tolist()):
         for ix, value in enumerate(row):
@@ -74,11 +73,11 @@ def render_svg(
     for node in scene:
         rect = footprint_of(node)
         x, y = sx(rect.min_xy[0]), sy(rect.max_xy[1])
-        w = (rect.max_xy[0] - rect.min_xy[0]) * px_per_m
-        h = (rect.max_xy[1] - rect.min_xy[1]) * px_per_m
+        w = (rect.max_xy[0] - rect.min_xy[0]) * PX_PER_M
+        h = (rect.max_xy[1] - rect.min_xy[1]) * PX_PER_M
         cx, cy = sx(rect.center[0]), sy(rect.center[1])
         if node.is_human:
-            r = max(rect.sides) / 2.0 * px_per_m
+            r = max(rect.sides) / 2.0 * PX_PER_M
             out.append(
                 f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r:.2f}" fill="none" '
                 f'stroke="#111111" stroke-width="2"/>'
@@ -93,14 +92,11 @@ def render_svg(
             f'text-anchor="middle" fill="#111111">{node.tag}</text>'
         )
 
-    for i, path in enumerate(paths):
-        color = PATH_COLORS[i % len(PATH_COLORS)]
-        dash = PATH_DASHES[i % len(PATH_DASHES)]
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    for path, (color, dash) in zip(paths, styles):
         points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in path.polyline)
         out.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" '
-            f'stroke-width="2.5"{dash_attr}/>'
+            f'stroke-width="2.5"{dash}/>'
         )
 
     if labels:
@@ -109,14 +105,11 @@ def render_svg(
             f'<rect x="8" y="8" width="190" height="{box_h:.2f}" fill="#ffffff" '
             f'fill-opacity="0.85" stroke="#555555" stroke-width="0.5"/>'
         )
-        for i, label in enumerate(labels):
-            color = PATH_COLORS[i % len(PATH_COLORS)]
-            dash = PATH_DASHES[i % len(PATH_DASHES)]
-            dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        for i, (label, (color, dash)) in enumerate(zip(labels, styles)):
             y = 20.0 + 16.0 * i
             out.append(
                 f'<line x1="14" y1="{y:.2f}" x2="44" y2="{y:.2f}" stroke="{color}" '
-                f'stroke-width="2.5"{dash_attr}/>'
+                f'stroke-width="2.5"{dash}/>'
             )
             out.append(
                 f'<text x="50" y="{y + 4:.2f}" font-size="11" '

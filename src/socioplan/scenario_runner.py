@@ -241,7 +241,7 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
         cost, clearance = vector(raw_zone, zone_path, 2)
         bad = out_of_range(cost, clearance)
         if bad:
-            field_name, value, floor = bad[0]
+            field_name, value, floor = bad
             raise FormatError(f"zone {field_name} {value!r} must be >= {floor:g}", zone_path)
         zones.append((verb, (cost, clearance)))
 
@@ -261,17 +261,17 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
         activity_zones=tuple(zones),
         base_dir=base_dir,
     )
-    if not scenario.scene_path().is_file():
+    if not scenario.scene_path().exists():
         raise FormatError(f"scene file not found: {scenario.scene_path()}", "scene")
     fixtures = scenario.fixtures_path()
-    if fixtures is not None and not fixtures.is_file():
+    if fixtures is not None and not fixtures.exists():
         raise FormatError(f"fixture file not found: {fixtures}", "assessor.fixtures")
     return scenario
 
 
 def load_scenario(path: str | FilePath, *, strict: bool = False) -> Scenario:
     path = FilePath(path)
-    if not path.is_file():
+    if not path.exists():
         raise FormatError(f"scenario file not found: {path}")
     return parse_scenario(path.read_bytes(), path.parent, strict=strict)
 
@@ -384,11 +384,11 @@ def load_base_scene(scenario: Scenario, *, strict: bool = False) -> SceneGraph:
         return scene
     try:
         scene = insert_human(scene, scenario.human)
+        validate_scene(scene)
+    except FormatError as exc:
+        raise FormatError(exc.reason, "human") from None
     except ValueError as exc:
         raise FormatError(str(exc), "human") from None
-    violations = validate_scene(scene)
-    if violations:
-        raise FormatError(violations[0].message, "human")
     return scene
 
 

@@ -89,16 +89,6 @@ class Relation:
 
 
 @dataclass(frozen=True)
-class Violation:
-    """One broken invariant; validation reports these as data, not failures."""
-
-    rule: str
-    ids: tuple[str, ...]
-    message: str
-    path: str = "$"  # position in the scene document, e.g. "relations[3].head"
-
-
-@dataclass(frozen=True)
 class SceneGraph:
     """Immutable scene graph: id-keyed nodes plus directed relations."""
 
@@ -133,73 +123,37 @@ class SceneGraph:
         return tuple(n.id for n in self if n.is_human)
 
 
-def validate_scene(graph: SceneGraph) -> list[Violation]:
-    """Check all scene-graph invariants; empty list means the graph is valid.
+def validate_scene(graph: SceneGraph) -> None:
+    """Check the scene-graph invariants; FormatError at the first broken one.
     Paths count nodes and relations in graph (= document) order."""
-    violations: list[Violation] = []
     for i, node in enumerate(graph):
         if not node.id:
-            violations.append(
-                Violation("empty id", (node.id,), "node id must be non-empty", f"nodes[{i}].id")
-            )
+            raise FormatError("node id must be non-empty", f"nodes[{i}].id")
         if min(node.bbox_extent) <= 0:
-            violations.append(
-                Violation(
-                    "non-positive extent",
-                    (node.id,),
-                    f'node "{node.id}" has bbox_extent {node.bbox_extent}; every component must be > 0',
-                    f"nodes[{i}].bbox_extent",
-                )
+            raise FormatError(
+                f'node "{node.id}" has bbox_extent {node.bbox_extent}; every component must be > 0',
+                f"nodes[{i}].bbox_extent",
             )
     seen: set[tuple[str, str, str]] = set()
     for j, rel in enumerate(graph.relations):
         path = f"relations[{j}]"
-        endpoint_ok = True
         for field_name, endpoint in (("head", rel.head_id), ("tail", rel.tail_id)):
             if endpoint not in graph:
-                endpoint_ok = False
-                violations.append(
-                    Violation(
-                        "dangling endpoint",
-                        (endpoint,),
-                        f'relation ({rel.name}, {rel.head_id}, {rel.tail_id}) references unknown id "{endpoint}"',
-                        f"{path}.{field_name}",
-                    )
+                raise FormatError(
+                    f'relation ({rel.name}, {rel.head_id}, {rel.tail_id}) references unknown id "{endpoint}"',
+                    f"{path}.{field_name}",
                 )
         if rel.head_id == rel.tail_id:
-            violations.append(
-                Violation(
-                    "self loop",
-                    (rel.head_id,),
-                    f'relation "{rel.name}" must connect two distinct nodes',
-                    path,
-                )
-            )
+            raise FormatError(f'relation "{rel.name}" must connect two distinct nodes', path)
         if rel.triple in seen:
-            violations.append(
-                Violation(
-                    "duplicate relation",
-                    (rel.head_id, rel.tail_id),
-                    f"duplicate relation triple {rel.triple}",
-                    path,
-                )
-            )
+            raise FormatError(f"duplicate relation triple {rel.triple}", path)
         seen.add(rel.triple)
-        if (
-            rel.kind is RelationKind.ACTIVITY
-            and endpoint_ok
-            and not graph.node(rel.head_id).is_human
-        ):
-            violations.append(
-                Violation(
-                    "activity head must be human",
-                    (rel.head_id,),
-                    f'activity relation "{rel.name}" originates at "{rel.head_id}" '
-                    f'(tag "{graph.node(rel.head_id).tag}"), not at a human node',
-                    f"{path}.head",
-                )
+        if rel.kind is RelationKind.ACTIVITY and not graph.node(rel.head_id).is_human:
+            raise FormatError(
+                f'activity relation "{rel.name}" originates at "{rel.head_id}" '
+                f'(tag "{graph.node(rel.head_id).tag}"), not at a human node',
+                f"{path}.head",
             )
-    return violations
 
 
 def load_scene(document: bytes | str, *, strict: bool = False) -> SceneGraph:
@@ -211,8 +165,8 @@ def scene_from_dict(data: object, *, strict: bool = False) -> SceneGraph:
     """Validate a parsed scene document and build the graph.
 
     Raises FormatError with a path into the document for missing fields,
-    wrong types, duplicate ids, and the first violation ``validate_scene``
-    finds. Unknown keys are rejected in strict mode, warned otherwise.
+    wrong types, duplicate ids, and the first rule ``validate_scene``
+    finds broken. Unknown keys are rejected in strict mode, warned otherwise.
     """
     check_keys(
         data,
@@ -273,9 +227,7 @@ def scene_from_dict(data: object, *, strict: bool = False) -> SceneGraph:
         relations.append(Relation(name=name, head_id=head, tail_id=tail, kind=kind))
 
     graph = SceneGraph(nodes=nodes, relations=tuple(relations))
-    violations = validate_scene(graph)
-    if violations:
-        raise FormatError(violations[0].message, violations[0].path)
+    validate_scene(graph)
     return graph
 
 

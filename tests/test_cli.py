@@ -215,6 +215,22 @@ def _relevant_repeats(files):
     relevant.append(relevant[0])
 
 
+_INPUTS = {
+    "scene": "bedroom_scene.json",
+    "fixtures": "bedroom_assessments.json",
+    "scenario": "bedroom_scenario.json",
+    "report": "bedroom_report.json",
+}
+
+
+def _write_inputs(tmp_path, mutate):
+    """Write the shipped inputs into ``tmp_path`` after ``mutate`` edits them."""
+    files = {k: json.loads((DATA_DIR / name).read_text()) for k, name in _INPUTS.items()}
+    mutate(files)
+    for key, name in _INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(files[key]))
+
+
 class TestMalformedInputs:
     """Each malformed input ends with exit 1 and one "error: <path>: ..." line."""
 
@@ -249,22 +265,76 @@ class TestMalformedInputs:
         ids=lambda v: getattr(v, "__name__", None),
     )
     def test_one_error_line(self, tmp_path, capsys, command, mutate, where):
-        names = {
-            "scene": "bedroom_scene.json",
-            "fixtures": "bedroom_assessments.json",
-            "scenario": "bedroom_scenario.json",
-            "report": "bedroom_report.json",
-        }
-        files = {k: json.loads((DATA_DIR / name).read_text()) for k, name in names.items()}
-        mutate(files)
-        for key, name in names.items():
-            (tmp_path / name).write_text(json.dumps(files[key]))
-        target = names["report"] if command == "render" else names["scenario"]
+        _write_inputs(tmp_path, mutate)
+        target = _INPUTS["report"] if command == "render" else _INPUTS["scenario"]
         out = ["-o", str(tmp_path / "out")] if command == "render" else []
         assert main([command, str(tmp_path / target), *out]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert f"{where}: " in err[0]
+
+
+def _relation(name, head, tail, kind="spatial"):
+    return {"name": name, "head": head, "tail": tail, "kind": kind}
+
+
+def _bed_extent_zero(files):
+    files["scene"]["nodes"][1]["bbox_extent"] = [1.6, 0.0, 0.6]
+
+
+def _relation_to_ghost(files):
+    files["scene"]["relations"].append(_relation("on", "bed", "ghost"))
+
+
+def _relation_repeated(files):
+    files["scene"]["relations"].append(dict(files["scene"]["relations"][0]))
+
+
+def _relation_self_loop(files):
+    files["scene"]["relations"].append(_relation("on", "bed", "bed"))
+
+
+def _activity_from_armchair(files):
+    files["scene"]["relations"].append(_relation("watching", "armchair", "tv", "activity"))
+
+
+def _human_id_taken(files):
+    files["scenario"]["human"]["id"] = "bed"
+
+
+_SCENE_BREAKS = [
+    (_bed_extent_zero,
+     'nodes[1].bbox_extent: node "bed" has bbox_extent (1.6, 0.0, 0.6); every component must be > 0'),
+    (_relation_to_ghost, 'relations[1].tail: relation (on, bed, ghost) references unknown id "ghost"'),
+    (_relation_repeated, "relations[1]: duplicate relation triple ('next to', 'wardrobe', 'tv')"),
+    (_relation_self_loop, 'relations[1]: relation "on" must connect two distinct nodes'),
+    (_activity_from_armchair,
+     'relations[1].head: activity relation "watching" originates at "armchair" (tag "armchair"), '
+     "not at a human node"),
+]
+_HUMAN_BREAKS = [
+    (_human_extent_zero,
+     'human: node "human" has bbox_extent (0.5, 0.0, 0.9); every component must be > 0'),
+    (_human_id_taken, 'human: node id "bed" already exists in the scene'),
+    (_missing_human_target, 'human: human relation target "ghost" does not name a node'),
+]
+
+
+class TestRuleBreakLines:
+    """A broken scene rule ends in the exact "error:" line of its first break."""
+
+    @pytest.mark.parametrize(
+        "command, mutate, line",
+        [(c, m, line) for m, line in _SCENE_BREAKS for c in ("validate", "plan")]
+        + [("plan", m, line) for m, line in _HUMAN_BREAKS],
+        ids=[f"{m.__name__}-{c}" for m, _ in _SCENE_BREAKS for c in ("validate", "plan")]
+        + [f"{m.__name__}-plan" for m, _ in _HUMAN_BREAKS],
+    )
+    def test_error_line(self, tmp_path, capsys, command, mutate, line):
+        _write_inputs(tmp_path, mutate)
+        target = _INPUTS["scene"] if command == "validate" else _INPUTS["scenario"]
+        assert main([command, str(tmp_path / target)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
 
 
 class TestUnreadableInputs:
@@ -288,10 +358,21 @@ class TestUnreadableInputs:
             ["validate", "{dir}"],
             ["render", "{dir}", "-o", "{dir}/out.svg"],
             ["plan", SCENARIO, "-o", "{dir}"],
+            ["plan", "{dir}"],
         ],
-        ids=["validate", "render", "plan-o"],
+        ids=["validate", "render", "plan-o", "plan"],
     )
     def test_directory_is_one_error_line(self, tmp_path, capsys, argv):
         assert main([a.format(dir=tmp_path) for a in argv]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {tmp_path}: Is a directory"]
+
+    def test_scene_that_is_a_directory(self, tmp_path, capsys):
+        def scene_is_a_directory(files):
+            files["scenario"]["scene"] = "rooms"
+
+        _write_inputs(tmp_path, scene_is_a_directory)
+        (tmp_path / "rooms").mkdir()
+        assert main(["plan", str(tmp_path / _INPUTS["scenario"])]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {tmp_path / 'rooms'}: Is a directory"]

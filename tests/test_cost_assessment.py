@@ -153,6 +153,25 @@ class TestParseAssessment:
         with pytest.raises(ResponseFormatError, match="number"):
             parse_assessment(response, ("bed",))
 
+    @pytest.mark.parametrize(
+        "cost, message",
+        [
+            ("9" * 401, "finite"),  # beyond the float range
+            ("9" * 5000, "not valid JSON"),  # beyond the integer digit limit of json.loads
+            ("NaN", "finite"),
+            ("-Infinity", "finite"),
+        ],
+        ids=["401_digits", "5000_digits", "nan", "minus_infinity"],
+    )
+    def test_unreadable_number_is_a_format_error(self, cost, message):
+        response = '{"assessments": [{"object_id": "bed", "cost": %s, "clearance": 1}]}' % cost
+        with pytest.raises(ResponseFormatError, match=message):
+            parse_assessment(response, ("bed",))
+
+    def test_deep_nesting_is_a_format_error(self):
+        with pytest.raises(ResponseFormatError, match="nested too deeply"):
+            parse_assessment("[" * 200_000, RELEVANT)
+
 
 class TestBuildPrompt:
     def test_matches_reviewed_golden_snapshot(self, data_dir):
@@ -210,6 +229,14 @@ class TestLlmAssess:
         assert any("invalid" in m["content"] for m in second_call if m["role"] == "user")
         roles = [role for role, _ in assessment.provenance.transcript]
         assert roles == ["user", "assistant", "user", "assistant"]
+
+    def test_hostile_then_valid_takes_two_attempts(self, partial_and_trajectory):
+        partial, trajectory = partial_and_trajectory
+        hostile = VALID_RESPONSE.replace('"cost": 3', '"cost": ' + "9" * 401)
+        transport = scripted_transport([hostile, VALID_RESPONSE])
+        assessment = llm_assess(transport, partial, trajectory, RELEVANT, [])
+        assert assessment.provenance.attempts == 2
+        assert assessment.entries["bed"] == CostClearance(3.0, 1.5)
 
     def test_three_garbage_replies_exhaust_retries(self, partial_and_trajectory):
         partial, trajectory = partial_and_trajectory
@@ -468,7 +495,11 @@ class TestHttpChatTransport:
         with pytest.raises(TransportError, match="unknown url type"):
             HttpChatTransport(model="m", url="llm.invalid/v1")([])
 
-    @pytest.mark.parametrize("body", [b'{"choices": []}', b"<html>", b'{"choices": [{}]}'])
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"choices": []}', b"<html>", b'{"choices": [{}]}', b"[" * 200_000],
+        ids=["no_choice", "html", "no_message", "deep"],
+    )
     def test_malformed_body_is_a_transport_error(self, monkeypatch, body):
         transport = self.transport(monkeypatch, lambda request, timeout: _Reply(body))
         with pytest.raises(TransportError, match="malformed completion response"):

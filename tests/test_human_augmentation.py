@@ -22,7 +22,7 @@ class TestInsertHuman:
         triples = {r.triple: r.kind for r in graph.relations}
         assert triples[("sitting on", "human_1", "bed")] is RelationKind.SPATIAL
         assert triples[("watching", "human_1", "tv")] is RelationKind.ACTIVITY
-        assert validate_scene(graph) == []
+        assert validate_scene(graph) is None
 
     def test_empty_relation_lists_gives_isolated_human(self, small_scene):
         spec = HumanSpec(id="human_1", bbox_center=(2, 2, 0.9), bbox_extent=(0.5, 0.5, 1.8))
@@ -87,7 +87,7 @@ class TestConditionVariants:
 
     @pytest.mark.parametrize("condition", ALL_CONDITIONS)
     def test_variants_are_valid_graphs(self, scene_with_human, condition):
-        assert validate_scene(derive_condition_variant(scene_with_human, condition)) == []
+        assert validate_scene(derive_condition_variant(scene_with_human, condition)) is None
 
     def test_no_human_on_humanless_graph_is_noop(self, small_scene):
         variant = derive_condition_variant(small_scene, Condition.NO_HUMAN)

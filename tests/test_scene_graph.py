@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -48,7 +49,7 @@ class TestLoadScene:
         assert len(graph.nodes) == 3
         assert len(graph.relations) == 1
         assert graph.relations[0].triple == ("next to", "armchair", "bed")
-        assert validate_scene(graph) == []
+        assert validate_scene(graph) is None
 
     def test_empty_document_reports_missing_nodes(self):
         with pytest.raises(FormatError, match='missing required field "nodes"'):
@@ -126,38 +127,52 @@ class TestSerialization:
         assert serialize_scene(graph) == bedroom_scene_text
 
 
-class TestValidateScene:
-    def test_valid_fixture_has_no_violations(self, small_scene):
-        assert validate_scene(small_scene) == []
+def _with_relations(scene: SceneGraph, *relations: Relation) -> SceneGraph:
+    return SceneGraph(nodes=scene.nodes, relations=scene.relations + relations)
 
-    def test_non_positive_extent_violation(self):
+
+class TestValidateScene:
+    def test_valid_fixture_returns_none(self, small_scene):
+        assert validate_scene(small_scene) is None
+
+    def test_empty_id(self):
+        graph = SceneGraph(nodes=[ObjectNode("", "box", (0, 0, 0), (1, 1, 1))])
+        with pytest.raises(FormatError, match="non-empty") as info:
+            validate_scene(graph)
+        assert info.value.path == "nodes[0].id"
+
+    def test_non_positive_extent(self):
         node = ObjectNode("box", "box", (0, 0, 0), (1, 1, 1))
         object.__setattr__(node, "bbox_extent", (1.0, 0.0, 1.0))  # bypass loader checks
-        graph = SceneGraph(nodes=[node])
-        violations = validate_scene(graph)
-        assert [v.rule for v in violations] == ["non-positive extent"]
-        assert violations[0].ids == ("box",)
+        with pytest.raises(FormatError, match='"box"') as info:
+            validate_scene(SceneGraph(nodes=[node]))
+        assert info.value.path == "nodes[0].bbox_extent"
 
-    def test_activity_head_violation(self, small_scene):
-        graph = SceneGraph(
-            nodes=small_scene.nodes,
-            relations=small_scene.relations
-            + (Relation("reading", "armchair", "tv", RelationKind.ACTIVITY),),
-        )
-        rules = [v.rule for v in validate_scene(graph)]
-        assert rules == ["activity head must be human"]
+    @pytest.mark.parametrize(
+        "relation, path, message",
+        [
+            (Relation("on", "ghost", "bed", RelationKind.SPATIAL), "relations[1].head", "ghost"),
+            (Relation("on", "bed", "ghost", RelationKind.SPATIAL), "relations[1].tail", "ghost"),
+            (Relation("on", "bed", "bed", RelationKind.SPATIAL), "relations[1]", "distinct"),
+            (Relation("next to", "armchair", "bed", RelationKind.SPATIAL), "relations[1]", "duplicate"),
+            (Relation("reading", "armchair", "tv", RelationKind.ACTIVITY), "relations[1].head", "human"),
+        ],
+        ids=["dangling_head", "dangling_tail", "self_loop", "duplicate", "activity_head"],
+    )
+    def test_relation_rule(self, small_scene, relation, path, message):
+        with pytest.raises(FormatError, match=message) as info:
+            validate_scene(_with_relations(small_scene, relation))
+        assert info.value.path == path
 
-    def test_dangling_and_duplicate_relations(self, small_scene):
+    def test_first_break_wins(self, small_scene):
+        nodes = dict(small_scene.nodes)
+        nodes["tv"] = replace(nodes["tv"], bbox_extent=(1.2, 0.0, 0.7))
         graph = SceneGraph(
-            nodes=small_scene.nodes,
-            relations=small_scene.relations
-            + (
-                Relation("next to", "armchair", "bed", RelationKind.SPATIAL),
-                Relation("on", "bed", "ghost", RelationKind.SPATIAL),
-            ),
+            nodes=nodes, relations=(Relation("on", "bed", "ghost", RelationKind.SPATIAL),)
         )
-        rules = {v.rule for v in validate_scene(graph)}
-        assert rules == {"duplicate relation", "dangling endpoint"}
+        with pytest.raises(FormatError) as info:
+            validate_scene(graph)
+        assert info.value.path == "nodes[1].bbox_extent"
 
 
 class TestDistance:

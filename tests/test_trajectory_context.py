@@ -147,7 +147,7 @@ class TestInducePartialGraph:
         assert ("sitting on", "human_1", "bed") in triples
         # tv is outside the requested set, so the watching edge must not dangle
         assert all("tv" not in (r.head_id, r.tail_id) for r in partial.relations)
-        assert validate_scene(partial) == []
+        assert validate_scene(partial) is None
 
     def test_all_ids_reproduces_graph(self, scene_with_human):
         partial = induce_partial_graph(scene_with_human, set(scene_with_human.nodes))
@@ -167,7 +167,7 @@ class TestInducePartialGraph:
     )
     def test_partial_graph_always_valid(self, ids):
         graph = insert_human(make_small_scene(), make_seated_human_spec())
-        assert validate_scene(induce_partial_graph(graph, ids)) == []
+        assert validate_scene(induce_partial_graph(graph, ids)) is None
 
 
 def _relations_line(text: str, object_id: str) -> str:
