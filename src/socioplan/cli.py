@@ -99,10 +99,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         raise FormatError(f"scene file not found: {args.scene}") from None
     # load_scene raises FormatError at the first broken invariant: a loaded graph is valid.
+    nodes, relations = len(graph.nodes), len(graph.relations)
     if args.format == "json":
-        print(canonical_json({"ok": True, "violations": []}), end="")
+        print(canonical_json({"nodes": nodes, "ok": True, "relations": relations}), end="")
     else:
-        print(f"OK: {len(graph.nodes)} nodes, {len(graph.relations)} relations")
+        print(f"OK: {nodes} nodes, {relations} relations")
     return 0
 
 

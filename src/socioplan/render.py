@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .cost_field import Costmap, footprint_of
 from .planner import Path
 from .scene_graph import SceneGraph
@@ -11,6 +13,11 @@ from .scene_graph import SceneGraph
 PX_PER_M = 90.0
 PATH_COLORS = ("#1f6fb4", "#c23728", "#2a8f3c", "#8a4fad", "#b0771c")
 PATH_DASHES = ("", "7 4", "2 4", "9 4 2 4", "12 3")
+
+
+def _xml_text(text: str) -> str:
+    # What xml.sax.saxutils.escape does, without importing it: it pulls in urllib.request and ssl.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _heat_color(value: float, vmax: float) -> str:
@@ -55,19 +62,22 @@ def render_svg(
         f'<rect x="0" y="0" width="{width_px:.2f}" height="{height_px:.2f}" fill="#ffffff"/>',
     ]
 
-    vmax = float(costmap.cells.max())
-    cell_px = costmap.resolution * PX_PER_M
+    # Heat cells: each column's x, each row's y and each distinct cost's color
+    # is formatted once. The white background already covers cost-1 cells.
+    cells, res = costmap.cells, costmap.resolution
+    vmax = float(cells.max())
+    cell_px = res * PX_PER_M
+    size = f'width="{cell_px:.2f}" height="{cell_px:.2f}"'
+    xs = [f"{sx(xmin + ix * res):.2f}" for ix in range(costmap.width)]
+    ys = [f"{sy(ymin + (iy + 1) * res):.2f}" for iy in range(costmap.height)]
+    rows, cols = np.nonzero(cells > 1.0)  # row-major, like a loop over rows
+    distinct, which = np.unique(cells[rows, cols], return_inverse=True)
+    fills = [_heat_color(value, vmax) for value in distinct.tolist()]
     out.append('<g shape-rendering="crispEdges">')
-    for iy, row in enumerate(costmap.cells.tolist()):
-        for ix, value in enumerate(row):
-            if value <= 1.0:
-                continue  # white background already covers cost-1 cells
-            x = sx(xmin + ix * costmap.resolution)
-            y = sy(ymin + (iy + 1) * costmap.resolution)
-            out.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_px:.2f}" '
-                f'height="{cell_px:.2f}" fill="{_heat_color(value, vmax)}"/>'
-            )
+    out.extend(
+        f'<rect x="{xs[ix]}" y="{ys[iy]}" {size} fill="{fills[k]}"/>'
+        for iy, ix, k in zip(rows.tolist(), cols.tolist(), which.tolist())
+    )
     out.append("</g>")
 
     for node in scene:
@@ -89,7 +99,7 @@ def render_svg(
             )
         out.append(
             f'<text x="{cx:.2f}" y="{cy:.2f}" font-size="11" font-family="sans-serif" '
-            f'text-anchor="middle" fill="#111111">{node.tag}</text>'
+            f'text-anchor="middle" fill="#111111">{_xml_text(node.tag)}</text>'
         )
 
     for path, (color, dash) in zip(paths, styles):
@@ -113,7 +123,7 @@ def render_svg(
             )
             out.append(
                 f'<text x="50" y="{y + 4:.2f}" font-size="11" '
-                f'font-family="sans-serif" fill="#111111">{label}</text>'
+                f'font-family="sans-serif" fill="#111111">{_xml_text(label)}</text>'
             )
 
     out.append("</svg>")

@@ -22,7 +22,7 @@ class TestValidate:
     def test_json_format(self, capsys):
         assert main(["validate", SCENE, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload == {"ok": True, "violations": []}
+        assert payload == {"nodes": 4, "ok": True, "relations": 1}
 
     def test_missing_file(self, capsys):
         assert main(["validate", "nope.json"]) == 1

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import shutil
+import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,8 +24,9 @@ from socioplan import (
     run_scenario,
 )
 from socioplan.cost_assessment import load_assessment_fixtures
-from socioplan.cost_field import footprint_of
+from socioplan.cost_field import Costmap, footprint_of
 from socioplan.jsonio import FormatError
+from socioplan.render import PX_PER_M, _heat_color
 from socioplan.scenario_runner import (
     ScenarioError,
     human_footprint,
@@ -31,6 +35,7 @@ from socioplan.scenario_runner import (
     min_distance_to_human,
     serialize_scenario,
 )
+from socioplan.scene_graph import SceneGraph
 
 from conftest import DATA_DIR
 
@@ -307,10 +312,83 @@ class TestCompareConditions:
                 assert entry["entries"][object_id]["clearance"] == cc.clearance
 
 
+def _heat_block(svg):
+    lines = svg.splitlines()
+    start = lines.index('<g shape-rendering="crispEdges">')
+    return lines[start + 1 : lines.index("</g>", start)]
+
+
+def _heat_block_by_cell(costmap):
+    """The heat cells `render_svg` draws, from a plain loop over every cell."""
+    (xmin, ymin), (_, ymax) = costmap.origin, costmap.max_xy
+    res = costmap.resolution
+    vmax = float(costmap.cells.max())
+    size = res * PX_PER_M
+    block = []
+    for iy, row in enumerate(costmap.cells.tolist()):
+        for ix, value in enumerate(row):
+            if value > 1.0:
+                x = (xmin + ix * res - xmin) * PX_PER_M
+                y = (ymax - (ymin + (iy + 1) * res)) * PX_PER_M
+                block.append(
+                    f'<rect x="{x:.2f}" y="{y:.2f}" width="{size:.2f}" '
+                    f'height="{size:.2f}" fill="{_heat_color(value, vmax)}"/>'
+                )
+    return block
+
+
 class TestRenderSvg:
+    # At 0.0123 m a cell is 1.107 px wide, so some cell edges fall on a .2f
+    # rounding tie and only the same float expressions give the same text.
+    @pytest.mark.parametrize("resolution", [0.05, 0.1, 0.25, 0.0123])
+    @pytest.mark.parametrize("origin", [(0.0, 0.0), (-3.7, -1.25), (2.3, 0.45)])
+    def test_heat_cells_match_a_loop_over_every_cell(self, origin, resolution):
+        rng = np.random.default_rng(17)
+        shapes = [(7, 23), (31, 12), (1, 17), (13, 1), (40, 40)]
+        for height, width in shapes:
+            smooth = 1.0 + 5.0 * rng.random((height, width))
+            smooth[rng.random((height, width)) < 0.3] = 1.0
+            repeated = rng.choice([1.0, 1.25, 2.0, 7.5], size=(height, width))
+            for cells in (smooth, repeated):
+                costmap = Costmap(origin, resolution, width, height, cells)
+                svg = render_svg(costmap, [], SceneGraph(nodes={}), labels=[])
+                assert _heat_block(svg) == _heat_block_by_cell(costmap)
+
+    @pytest.mark.parametrize("resolution", [0.05, 0.1, 0.25])
+    def test_all_cost_one_map_has_no_heat_cells(self, resolution):
+        costmap = Costmap((-1.5, 2.0), resolution, 9, 4, np.ones((4, 9)))
+        svg = render_svg(costmap, [], SceneGraph(nodes={}), labels=[])
+        assert _heat_block(svg) == []
+
+    def test_shipped_report_svg_bytes(self):
+        # What `socioplan render data/bedroom_report.json` writes.
+        report = load_report((DATA_DIR / "bedroom_report.json").read_bytes())
+        svg = render_svg(
+            report.conditions[-1].costmap,
+            [r.path for r in report.conditions],
+            report.scene,
+            labels=[r.condition.label for r in report.conditions],
+        )
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == (
+            "f641bb9ef3743e2d698f490cae71c97b60f96a04b2207e984a3fbb2f71b81225"
+        )
+
+    def test_markup_in_tags_and_labels_is_escaped(self, replay_report):
+        document = json.loads((DATA_DIR / "bedroom_scene.json").read_text())
+        document["nodes"][0]["tag"] = "R&D <shelf>"
+        scene = load_scene(json.dumps(document).encode("utf-8"))
+        svg = render_svg(
+            replay_report.conditions[-1].costmap,
+            [replay_report.conditions[0].path],
+            scene,
+            labels=["cost > 1 & <raw>"],
+        )
+        texts = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert "R&D <shelf>" in texts
+        assert "cost > 1 & <raw>" in texts
+
     def test_empty_map_renders(self):
         from socioplan.cost_field import FieldSpec, rasterize
-        from socioplan.scene_graph import SceneGraph
 
         costmap = rasterize(FieldSpec(()), (), ((0, 0), (1, 1)), 0.25)
         svg = render_svg(costmap, [], SceneGraph(nodes={}), labels=[])
