@@ -9,7 +9,7 @@ from pathlib import Path as FilePath
 from .cost_assessment import AssessmentError, assess, entries_to_dict
 from .human_augmentation import Condition, derive_condition_variant
 from .jsonio import FormatError, canonical_json
-from .planner import PlanningError, relevant_context
+from .planner import PlanningError, relevant_context, seed_trajectory
 from .render import render_svg
 from .scenario_runner import (
     ASSESSOR_KINDS,
@@ -26,7 +26,6 @@ from .scenario_runner import (
     run_scenario,
 )
 from .scene_graph import load_scene
-from .trajectory_context import Trajectory
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -113,11 +112,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
     if args.condition:
         conditions = tuple(Condition(v) for v in args.condition)
     base = load_base_scene(scenario, strict=args.strict)
-    if scenario.waypoints is not None:
-        trajectory = Trajectory(scenario.waypoints)
-    else:
-        s, g = scenario.start, scenario.goal
-        trajectory = Trajectory(((s[0], s[1], 0.0), (g[0], g[1], 0.0)))
+    trajectory = seed_trajectory(scenario.start, scenario.goal, scenario.waypoints)
 
     output = []
     for condition in conditions:

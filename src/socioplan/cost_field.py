@@ -30,6 +30,7 @@ Vec2 = tuple[float, float]
 
 # Largest grid rasterize builds; A* keeps four lists of about this many cells.
 MAX_GRID_CELLS = 1_000_000
+_EDGE_SLACK = 1e-9  # cells of a side that grid_shape rounds away and cell_at still takes
 
 
 @dataclass(frozen=True)
@@ -306,12 +307,12 @@ class Costmap:
         )
 
     def cell_at(self, point: Iterable[float]) -> tuple[int, int]:
+        """The cell holding ``point``; every point of the closed bounds has one."""
         x, y = (float(c) for c in point)
-        ix = math.floor((x - self.origin[0]) / self.resolution)
-        iy = math.floor((y - self.origin[1]) / self.resolution)
-        if not (0 <= ix < self.width and 0 <= iy < self.height):
+        fx, fy = (x - self.origin[0]) / self.resolution, (y - self.origin[1]) / self.resolution
+        if not (0 <= fx and 0 <= fy and fx - _EDGE_SLACK <= self.width and fy - _EDGE_SLACK <= self.height):
             raise ValueError(f"point ({x}, {y}) lies outside the costmap")
-        return (ix, iy)
+        return (min(math.floor(fx), self.width - 1), min(math.floor(fy), self.height - 1))
 
     def value(self, ix: int, iy: int) -> float:
         return float(self.cells[iy, ix])
@@ -329,8 +330,8 @@ def grid_shape(bounds: tuple[Vec2, Vec2], resolution: float) -> tuple[int, int]:
         raise ValueError("resolution must be > 0")
     if xmax <= xmin or ymax <= ymin:
         raise ValueError("bounds must span a non-degenerate rectangle")
-    width = (xmax - xmin) / resolution - 1e-9
-    height = (ymax - ymin) / resolution - 1e-9
+    width = (xmax - xmin) / resolution - _EDGE_SLACK
+    height = (ymax - ymin) / resolution - _EDGE_SLACK
     # A side alone over the cap (it may be inf) is refused before ceil; a
     # side shorter than one cell still gets one.
     if max(width, height) > MAX_GRID_CELLS or math.ceil(width) * math.ceil(height) > MAX_GRID_CELLS:

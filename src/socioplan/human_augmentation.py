@@ -58,13 +58,10 @@ class HumanSpec:
 def insert_human(graph: SceneGraph, spec: HumanSpec) -> SceneGraph:
     """Return a new graph with a human node and its relations added.
 
-    The input graph is never mutated. Raises ValueError for a duplicate id,
-    a missing or human-tagged target, or an empty relation verb.
+    The input graph is never mutated. Raises ValueError for an empty relation
+    verb or a missing or human-tagged target, then ``SceneGraph``'s FormatError
+    for a taken id; ``validate_scene`` checks the other rules (an empty id).
     """
-    if not spec.id:
-        raise ValueError("human id must be non-empty")
-    if spec.id in graph:
-        raise ValueError(f'node id "{spec.id}" already exists in the scene')
     relations = list(graph.relations)
     for kind, pairs in (
         (RelationKind.SPATIAL, spec.spatial_relations),
@@ -84,7 +81,7 @@ def insert_human(graph: SceneGraph, spec: HumanSpec) -> SceneGraph:
         bbox_center=spec.bbox_center,
         bbox_extent=spec.bbox_extent,
     )
-    return SceneGraph(nodes={**graph.nodes, spec.id: human}, relations=tuple(relations))
+    return SceneGraph(nodes=(*graph, human), relations=tuple(relations))
 
 
 def derive_condition_variant(graph: SceneGraph, condition: Condition) -> SceneGraph:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from itertools import chain
 from typing import Any, Callable, Iterable
@@ -165,11 +166,17 @@ def index_vectors(value: Any, path: str, length: int) -> tuple[tuple[int, ...], 
     return tuple(map(tuple, value))
 
 
+# What a UTF-8 report or XML 1.0 SVG cannot carry, all unprintable; compiled on first use.
+_UNWRITABLE = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+
+
 def string(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise FormatError(f"expected a string, got {type(value).__name__}", path)
     if not value:
         raise FormatError("must be non-empty", path)
+    if not value.isprintable() and (bad := re.search(_UNWRITABLE, value)):
+        raise FormatError(f"holds U+{ord(bad[0]):04X}, which no report or SVG can carry", path)
     return value
 
 

@@ -20,7 +20,7 @@ from .cost_field import (
     rasterize,
 )
 from .human_augmentation import Condition, derive_condition_variant
-from .scene_graph import SceneGraph
+from .scene_graph import SceneGraph, Vec3
 from .trajectory_context import Trajectory, induce_partial_graph, relevant_objects
 
 SQRT2 = math.sqrt(2.0)
@@ -175,6 +175,13 @@ def relevant_context(
     return ids, partial, ids + tuple(i for i in sorted(partial.nodes) if i not in found)
 
 
+def seed_trajectory(start: Vec2, goal: Vec2, waypoints: Sequence[Vec3] | None) -> Trajectory:
+    """Round 1's trajectory: the waypoints if given, else the start-goal segment at z = 0."""
+    if waypoints is not None:
+        return Trajectory(tuple(waypoints))
+    return Trajectory(((start[0], start[1], 0.0), (goal[0], goal[1], 0.0)))
+
+
 @dataclass(frozen=True)
 class PlanIteration:
     """Result of the assess-then-plan loop for one condition, as a report
@@ -204,10 +211,11 @@ def iterate_plan(
     preferences: Sequence[str] = (),
     activity_zones: dict[str, tuple[float, float]] | None = None,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
+    waypoints: Sequence[Vec3] | None = None,
 ) -> PlanIteration:
     """Alternate relevance extraction, assessment, and planning to a fixed point.
 
-    Round 1 seeds relevance with the straight start-goal segment; every round
+    Round 1 seeds relevance with ``seed_trajectory``; every later round
     re-extracts the relevant set from the latest path and replans. The loop
     stops when the relevant set repeats or ``max_rounds`` is reached. The set
     handed to the assessor is the partial graph's node set (radius hits plus
@@ -221,9 +229,7 @@ def iterate_plan(
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     variant = derive_condition_variant(graph, condition)
-    trajectory = Trajectory(
-        ((start[0], start[1], 0.0), (goal[0], goal[1], 0.0))
-    )
+    trajectory = seed_trajectory(start, goal, waypoints)
     previous: tuple[str, ...] | None = None
     costmap: Costmap | None = None
     rounds = 0

@@ -385,10 +385,8 @@ def load_base_scene(scenario: Scenario, *, strict: bool = False) -> SceneGraph:
     try:
         scene = insert_human(scene, scenario.human)
         validate_scene(scene)
-    except FormatError as exc:
-        raise FormatError(exc.reason, "human") from None
-    except ValueError as exc:
-        raise FormatError(str(exc), "human") from None
+    except ValueError as exc:  # a FormatError's path is into the graph, not the scenario
+        raise FormatError(exc.reason if isinstance(exc, FormatError) else str(exc), "human") from None
     return scene
 
 
@@ -421,6 +419,7 @@ def run_scenario(
                     resolution=scenario.resolution,
                     preferences=scenario.preferences,
                     activity_zones=dict(scenario.activity_zones),
+                    waypoints=scenario.waypoints,
                 )
             )
         except (ScenarioError, AssessmentError, PlanningError, FormatError, ValueError) as exc:

@@ -90,20 +90,21 @@ class Relation:
 
 @dataclass(frozen=True)
 class SceneGraph:
-    """Immutable scene graph: id-keyed nodes plus directed relations."""
+    """Immutable scene graph: id-keyed nodes, from a Mapping's values or any
+    iterable, plus directed relations. The constructor is the one home of the
+    unique-id rule, since a graph keyed by id has already merged its repeats:
+    the first repeat is a FormatError at ``nodes[i].id``, in the order given."""
 
     nodes: Mapping[str, ObjectNode]
     relations: tuple[Relation, ...] = ()
 
     def __post_init__(self) -> None:
-        if isinstance(self.nodes, Mapping):
-            nodes = dict(self.nodes)
-        else:
-            nodes = {}
-            for node in self.nodes:
-                if node.id in nodes:
-                    raise ValueError(f'duplicate node id "{node.id}"')
-                nodes[node.id] = node
+        given = self.nodes.values() if isinstance(self.nodes, Mapping) else self.nodes
+        nodes: dict[str, ObjectNode] = {}
+        for i, node in enumerate(given):
+            if node.id in nodes:
+                raise FormatError(f'node id "{node.id}" already exists in the scene', f"nodes[{i}].id")
+            nodes[node.id] = node
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "relations", tuple(self.relations))
 
@@ -164,8 +165,8 @@ def load_scene(document: bytes | str, *, strict: bool = False) -> SceneGraph:
 def scene_from_dict(data: object, *, strict: bool = False) -> SceneGraph:
     """Validate a parsed scene document and build the graph.
 
-    Raises FormatError with a path into the document for missing fields,
-    wrong types, duplicate ids, and the first rule ``validate_scene``
+    Raises FormatError with a path into the document for missing fields and
+    wrong types, then a repeated node id, then the first rule ``validate_scene``
     finds broken. Unknown keys are rejected in strict mode, warned otherwise.
     """
     check_keys(
@@ -180,7 +181,7 @@ def scene_from_dict(data: object, *, strict: bool = False) -> SceneGraph:
     raw_nodes = data["nodes"]
     if not isinstance(raw_nodes, list):
         raise FormatError("expected a list of node objects", "nodes")
-    nodes: dict[str, ObjectNode] = {}
+    nodes: list[ObjectNode] = []
     for i, raw in enumerate(raw_nodes):
         path = f"nodes[{i}]"
         check_keys(
@@ -190,17 +191,14 @@ def scene_from_dict(data: object, *, strict: bool = False) -> SceneGraph:
             path=path,
             strict=strict,
         )
-        node_id = string(raw["id"], f"{path}.id")
-        if node_id in nodes:
-            raise FormatError(f'duplicate node id "{node_id}"', f"{path}.id")
-        nodes[node_id] = ObjectNode(
-            id=node_id,
+        nodes.append(ObjectNode(
+            id=string(raw["id"], f"{path}.id"),
             tag=string(raw["tag"], f"{path}.tag"),
             bbox_center=vector(raw["bbox_center"], f"{path}.bbox_center", 3),
             bbox_extent=vector(raw["bbox_extent"], f"{path}.bbox_extent", 3),
             affordances=frozenset(string_list(raw.get("affordances", []), f"{path}.affordances")),
             attributes=frozenset(string_list(raw.get("attributes", []), f"{path}.attributes")),
-        )
+        ))
 
     raw_relations = data.get("relations", [])
     if not isinstance(raw_relations, list):

@@ -6,6 +6,9 @@ import shutil
 import pytest
 
 from socioplan.cli import main
+from socioplan.cost_assessment import entries_to_dict
+from socioplan.planner import iterate_plan
+from socioplan.scenario_runner import build_assessor, load_base_scene, load_scenario, run_scenario
 
 from conftest import DATA_DIR
 
@@ -43,6 +46,19 @@ class TestValidate:
         assert "extra" in capsys.readouterr().err
 
 
+def _waypoint_scenario(tmp_path):
+    """The shipped scenario with the rules assessor and a trajectory hugging
+    the bed: only the bed (and the human attached to it) is in range."""
+    for name in ("bedroom_scene.json", "bedroom_assessments.json"):
+        shutil.copy(DATA_DIR / name, tmp_path)
+    document = json.loads((DATA_DIR / "bedroom_scenario.json").read_text())
+    document["waypoints"] = [[0.8, 2.4, 0.0], [1.0, 2.4, 0.0]]
+    document["assessor"] = {"kind": "rules"}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(document))
+    return path
+
+
 class TestAssess:
     def test_replay_text_output(self, capsys):
         assert main(["assess", SCENARIO]) == 0
@@ -63,14 +79,7 @@ class TestAssess:
         assert "no_human" in out and "with_relations" not in out
 
     def test_explicit_waypoints_are_used(self, tmp_path, capsys):
-        for name in ("bedroom_scene.json", "bedroom_assessments.json"):
-            shutil.copy(DATA_DIR / name, tmp_path)
-        document = json.loads((DATA_DIR / "bedroom_scenario.json").read_text())
-        # a trajectory hugging the bed: only bed (and the attached human) in range
-        document["waypoints"] = [[0.8, 2.4, 0.0], [1.0, 2.4, 0.0]]
-        document["assessor"] = {"kind": "rules"}
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(document))
+        path = _waypoint_scenario(tmp_path)
         assert main(["assess", str(path), "--condition", "human_with_relations",
                      "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -78,7 +87,56 @@ class TestAssess:
         assert set(entries) == {"bed", "human"}
 
 
+def _first_round(scenario, condition, **kwargs):
+    return iterate_plan(
+        load_base_scene(scenario),
+        condition,
+        scenario.start,
+        scenario.goal,
+        scenario.query_radius_m,
+        build_assessor(scenario, condition),
+        bounds=scenario.bounds,
+        resolution=scenario.resolution,
+        preferences=scenario.preferences,
+        activity_zones=dict(scenario.activity_zones),
+        max_rounds=1,
+        **kwargs,
+    )
+
+
+class TestWaypointsSeedRoundOne:
+    """``waypoints`` seed round 1 of ``assess`` and of ``plan`` alike."""
+
+    def test_assess_prints_round_one_of_plan(self, tmp_path, capsys):
+        path = _waypoint_scenario(tmp_path)
+        assert main(["assess", str(path), "--format", "json"]) == 0
+        printed = {c["condition"]: c["entries"] for c in json.loads(capsys.readouterr().out)["conditions"]}
+        scenario = load_scenario(path)
+        for condition in scenario.conditions:
+            first = _first_round(scenario, condition, waypoints=scenario.waypoints)
+            assert entries_to_dict(first.assessment.entries) == printed[condition.value]
+        assert set(printed["no_human"]) == {"bed"}
+        # The straight start-goal segment would have assessed the armchair too.
+        straight = _first_round(scenario, scenario.conditions[0])
+        assert set(straight.assessment.entries) == {"armchair", "bed"}
+
+    def test_plan_starts_from_the_waypoints(self, tmp_path):
+        # From {bed}, round 2 finds {bed, armchair} and round 3 repeats it; the
+        # straight seed finds {armchair, bed} in round 1.
+        report = run_scenario(load_scenario(_waypoint_scenario(tmp_path)))
+        assert [(r.rounds, r.stop) for r in report.conditions] == [(2, "converged")] * 3
+
+
 class TestPlanCommand:
+    @pytest.mark.parametrize("goal", [[6.0, 5.0], [6.0, 0.2], [3.4, 5.0], [0.0, 0.0]])
+    def test_goal_on_the_map_edge_plans(self, tmp_path, capsys, goal):
+        def goal_on_edge(files):
+            files["scenario"]["goal"] = goal
+
+        _write_inputs(tmp_path, goal_on_edge)
+        assert main(["plan", str(tmp_path / _INPUTS["scenario"]), "--assessor", "rules"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_text_summary(self, capsys):
         assert main(["plan", SCENARIO]) == 0
         out = capsys.readouterr().out
@@ -335,6 +393,28 @@ class TestRuleBreakLines:
         target = _INPUTS["scene"] if command == "validate" else _INPUTS["scenario"]
         assert main([command, str(tmp_path / target)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+
+
+class TestUnwritableStrings:
+    """A string no report or SVG can carry is refused where it is read."""
+
+    @pytest.mark.parametrize(
+        "tag, code", [("\ud800", "D800"), ("a\u0001b", "0001"), ("\uffff", "FFFF")]
+    )
+    @pytest.mark.parametrize("command", ["validate", "plan"])
+    def test_tag_is_one_error_line(self, tmp_path, capsys, command, tag, code):
+        def bad_tag(files):
+            files["scene"]["nodes"][0]["tag"] = tag
+
+        _write_inputs(tmp_path, bad_tag)  # json.dumps writes the tag as \u escapes
+        target = _INPUTS["scene"] if command == "validate" else _INPUTS["scenario"]
+        out = tmp_path / "r.json"
+        argv = [command, str(tmp_path / target)] + (["-o", str(out)] if command == "plan" else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: nodes[0].tag: holds U+{code}, which no report or SVG can carry"
+        ]
+        assert not out.exists()
 
 
 class TestUnreadableInputs:

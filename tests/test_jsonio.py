@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from socioplan.jsonio import FormatError, canonical_json, finite_number, parse_document
+from socioplan.jsonio import FormatError, canonical_json, finite_number, parse_document, string
+from socioplan.render import _xml_text
 
 
 def _reference(value) -> str:
@@ -71,3 +73,21 @@ class TestReaders:
     def test_integer_beyond_the_float_range_is_not_finite(self):
         with pytest.raises(FormatError, match="must be finite"):
             finite_number(10**400, "x")
+
+    @pytest.mark.parametrize(
+        "value, code",
+        [("\ud800", "D800"), ("x\udfff", "DFFF"), ("\x00", "0000"), ("a\x1fb", "001F"),
+         ("\x0b", "000B"), ("\ufffe", "FFFE"), ("ok \uffff", "FFFF")],
+    )
+    def test_string_refuses_what_a_report_or_svg_cannot_carry(self, value, code):
+        with pytest.raises(FormatError) as info:
+            string(value, "nodes[0].tag")
+        assert str(info.value) == f"nodes[0].tag: holds U+{code}, which no report or SVG can carry"
+
+    @pytest.mark.parametrize(
+        "value", ["bed", "a\tb", "a\nb\r", "caf\u00e9", "a\x7fb", "\U0001f600", "\ufffd", "R&D <shelf>"]
+    )
+    def test_string_keeps_every_other_character(self, value):
+        assert string(value, "tag") == value
+        canonical_json(value).encode("utf-8")
+        ET.fromstring(f"<t>{_xml_text(value)}</t>")  # XML 1.0 can carry it

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from socioplan import (
     Condition,
@@ -17,7 +18,7 @@ from socioplan import (
     planner,
 )
 from socioplan.cost_assessment import CostClearance, RuleAssessor
-from socioplan.cost_field import Costmap
+from socioplan.cost_field import Costmap, FieldSpec, rasterize
 from socioplan.scene_graph import ObjectNode, SceneGraph
 
 from conftest import dijkstra_optimum, random_costmap, uniform_costmap
@@ -200,6 +201,71 @@ class TestPlan:
                 )
             ).total_cost
             assert higher >= base
+
+
+def _edge_points(bounds):
+    """The four corners and four edge midpoints of closed ``bounds``."""
+    (xmin, ymin), (xmax, ymax) = bounds
+    xs, ys = (xmin, (xmin + xmax) / 2, xmax), (ymin, (ymin + ymax) / 2, ymax)
+    return [(x, y) for x in xs for y in ys if x != xs[1] or y != ys[1]]
+
+
+def _assert_cell_holds(costmap, cell, point):
+    # The cell's closed extent holds the point, up to the slack grid_shape drops.
+    slack = 1e-9 * costmap.resolution
+    for i, (index, coordinate, count) in enumerate(
+        zip(cell, point, (costmap.width, costmap.height))
+    ):
+        low = costmap.origin[i] + index * costmap.resolution
+        assert 0 <= index < count
+        assert low - slack <= coordinate <= low + costmap.resolution + slack
+
+
+class TestEndpointsOnTheMapEdge:
+    """Every point of the closed map bounds has a cell: one on the far edge
+    takes the last cell, and start and goal there plan."""
+
+    @pytest.mark.parametrize(
+        "bounds, resolution",
+        [(((0.0, 0.0), (6.0, 5.0)), r) for r in (0.07, 0.1, 0.25, 0.3, 1.0)]
+        + [
+            (((0.0, 0.0), (6.05, 5.0)), 0.1),  # span not a multiple of the resolution
+            (((0.0, 0.0), (2.1, 2.7)), 0.3),  # span / resolution just over a whole number
+            (((-3.7, 1.25), (2.3, 6.25)), 0.25),
+        ],
+    )
+    def test_corners_and_edge_midpoints_plan(self, bounds, resolution):
+        costmap = rasterize(FieldSpec(()), (), bounds, resolution)
+        points = _edge_points(bounds)
+        for point in points:
+            _assert_cell_holds(costmap, costmap.cell_at(point), point)
+        (xmax, ymax) = bounds[1]
+        assert costmap.cell_at((xmax, ymax)) == (costmap.width - 1, costmap.height - 1)
+        for start in points:
+            for goal in points:
+                result = plan(PlanRequest(start=start, goal=goal, costmap=costmap))
+                assert result.cells[0] == costmap.cell_at(start)
+                assert result.cells[-1] == costmap.cell_at(goal)
+
+    @given(
+        low=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+        span=st.tuples(st.floats(0.05, 40), st.floats(0.05, 40)),
+        cells=st.integers(1, 300),
+        data=st.data(),
+    )
+    def test_every_point_of_the_bounds_has_a_cell(self, low, span, cells, data):
+        bounds = (low, (low[0] + span[0], low[1] + span[1]))
+        costmap = rasterize(FieldSpec(()), (), bounds, max(span) / cells)
+        (xmin, ymin), (xmax, ymax) = bounds
+        inside = st.tuples(st.floats(xmin, xmax), st.floats(ymin, ymax))
+        for point in _edge_points(bounds) + [data.draw(inside) for _ in range(3)]:
+            _assert_cell_holds(costmap, costmap.cell_at(point), point)
+
+    def test_points_past_the_far_edge_have_no_cell(self):
+        costmap = rasterize(FieldSpec(()), (), ((0.0, 0.0), (6.0, 5.0)), 0.1)
+        for point in ((6.0 + 1e-6, 2.0), (3.0, 5.0 + 1e-6), (-1e-12, 2.0), (math.inf, 1.0)):
+            with pytest.raises(ValueError, match="outside the costmap"):
+                costmap.cell_at(point)
 
 
 class TestPathCost:

@@ -9,11 +9,13 @@ from hypothesis import given, strategies as st
 
 from socioplan import (
     FormatError,
+    HumanSpec,
     ObjectNode,
     Relation,
     RelationKind,
     SceneGraph,
     distance_to_object,
+    insert_human,
     load_scene,
     objects_within_radius,
     serialize_scene,
@@ -269,8 +271,43 @@ class TestRadiusQuery:
 class TestSceneGraphType:
     def test_duplicate_node_ids_rejected(self):
         node = ObjectNode("a", "box", (0, 0, 0), (1, 1, 1))
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match='node id "a" already exists in the scene'):
             SceneGraph(nodes=[node, node])
+
+    def test_repeated_id_has_one_reason_wherever_it_arises(self, small_scene):
+        # A scene file, a graph built from nodes, and an inserted human all
+        # meet the one check in the SceneGraph constructor.
+        doc = json.loads(small_scene_document())
+        doc["nodes"].append(dict(doc["nodes"][0], tag="sofa"))
+        bed = small_scene.node("bed")
+        taken = HumanSpec(id="bed", bbox_center=(0, 0, 0), bbox_extent=(1, 1, 1))
+        for build, path in (
+            (lambda: load_scene(json.dumps(doc)), "nodes[3].id"),
+            (lambda: SceneGraph(nodes=(bed, bed)), "nodes[1].id"),
+            (lambda: insert_human(small_scene, taken), f"nodes[{len(small_scene.nodes)}].id"),
+        ):
+            with pytest.raises(FormatError) as info:
+                build()
+            assert (info.value.path, info.value.reason) == (
+                path, 'node id "bed" already exists in the scene'
+            )
+
+    def test_mapping_values_that_repeat_an_id_are_refused(self):
+        # Two keys, one node id: a graph keyed by id cannot hold both.
+        node = ObjectNode("a", "box", (0, 0, 0), (1, 1, 1))
+        with pytest.raises(FormatError, match=r'^nodes\[1\]\.id: node id "a" already exists'):
+            SceneGraph(nodes={"a": node, "b": node})
+
+    def test_mapping_is_keyed_by_node_id(self):
+        node = ObjectNode("a", "box", (0, 0, 0), (1, 1, 1))
+        assert SceneGraph(nodes={"x": node}).nodes == {"a": node}
+
+    def test_repeated_id_is_reported_after_shape_errors(self):
+        doc = json.loads(small_scene_document())
+        doc["nodes"].append(dict(doc["nodes"][0]))
+        doc["relations"][0]["kind"] = "nearby"
+        with pytest.raises(FormatError, match=r"^relations\[0\]\.kind: unknown kind"):
+            load_scene(json.dumps(doc))
 
     def test_unknown_node_lookup(self, small_scene):
         with pytest.raises(ValueError, match="ghost"):
