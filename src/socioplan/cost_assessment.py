@@ -543,7 +543,10 @@ class ReplayAssessor:
     name = "replay"
 
     def __call__(self, partial, trajectory, relevant, preferences) -> Assessment:
-        return replay_assess(self.store, self.scenario_key, self.condition)
+        # The recorded entries of the ids asked for; one the recording lacks stays missing.
+        recorded = replay_assess(self.store, self.scenario_key, self.condition)
+        wanted = set(relevant)
+        return replace(recorded, entries={i: e for i, e in recorded.entries.items() if i in wanted})
 
 
 @dataclass

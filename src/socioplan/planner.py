@@ -58,37 +58,39 @@ class Path:
     length_m: float
 
 
-def _step_weight(costmap: Costmap, a: tuple[int, int], b: tuple[int, int]) -> float:
-    # Step weight = step length (meters) x mean of the two endpoint cell costs.
-    length = costmap.resolution * (SQRT2 if a[0] != b[0] and a[1] != b[1] else 1.0)
-    return length * ((costmap.value(*a) + costmap.value(*b)) / 2.0)
-
-
 def path_cost(path: "Path | Sequence[tuple[int, int]]", costmap: Costmap) -> float:
     """Recompute a path's total cost from its cells; 0 for single-cell paths."""
     cells = path.cells if isinstance(path, Path) else tuple(tuple(c) for c in path)
-    total = 0.0
-    for cell in cells:
-        ix, iy = cell
-        if not (0 <= ix < costmap.width and 0 <= iy < costmap.height):
-            raise PlanningError(f"cell {cell} lies outside the costmap")
-    for a, b in zip(cells, cells[1:]):
-        if max(abs(a[0] - b[0]), abs(a[1] - b[1])) != 1:
-            raise PlanningError(f"cells {a} and {b} are not 8-adjacent")
-        total += _step_weight(costmap, a, b)
-    return total
+    return path_from_cells(cells, costmap).total_cost
 
 
 def path_from_cells(cells: tuple[tuple[int, int], ...], costmap: Costmap) -> Path:
-    """The path through ``cells`` on ``costmap``; PlanningError as in ``path_cost``."""
-    total_cost = path_cost(cells, costmap)  # checks the cells before anything uses them
-    steps = (SQRT2 if a[0] != b[0] and a[1] != b[1] else 1.0 for a, b in zip(cells, cells[1:]))
-    return Path(
-        cells=cells,
-        polyline=tuple(costmap.cell_center(*c) for c in cells),
-        total_cost=total_cost,
-        length_m=sum((costmap.resolution * step for step in steps), 0.0),
-    )
+    """The path through ``cells`` on ``costmap``.
+
+    A step weighs its length (meters) x the mean of its two endpoint cell
+    costs. ``total_cost`` and ``length_m`` add the steps up from the first,
+    one float at a time, so they do not depend on how a Python version's
+    ``sum`` rounds. Raises PlanningError at the first cell off the map, else
+    at the first pair of cells that do not touch.
+    """
+    for cell in cells:  # on Python ints: an index of any size is refused, not overflowed
+        ix, iy = cell
+        if not (0 <= ix < costmap.width and 0 <= iy < costmap.height):
+            raise PlanningError(f"cell {cell} lies outside the costmap")
+    index = np.array(cells, dtype=np.int64).reshape(-1, 2)
+    gap = np.abs(np.diff(index, axis=0))
+    apart = np.flatnonzero(gap.max(axis=1) != 1).tolist()
+    if apart:
+        raise PlanningError(f"cells {cells[apart[0]]} and {cells[apart[0] + 1]} are not 8-adjacent")
+    lengths = costmap.resolution * np.where(gap.all(axis=1), SQRT2, 1.0)
+    values = costmap.cells[index[:, 1], index[:, 0]]
+    weights = lengths * ((values[:-1] + values[1:]) / 2.0)
+    total_cost = length_m = 0.0
+    for weight, length in zip(weights.tolist(), lengths.tolist()):
+        total_cost += weight
+        length_m += length
+    centers = np.asarray(costmap.origin) + (index + 0.5) * costmap.resolution
+    return Path(cells, tuple(map(tuple, centers.tolist())), total_cost, length_m)
 
 
 def plan(request: PlanRequest) -> Path:

@@ -20,15 +20,6 @@ def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _heat_color(value: float, vmax: float) -> str:
-    # White at cost 1, warm red toward the map maximum.
-    t = 0.0 if vmax <= 1.0 else (value - 1.0) / (vmax - 1.0)
-    red = 255
-    green = int(round(250.0 - 190.0 * t))
-    blue = int(round(240.0 - 210.0 * t))
-    return f"#{red:02x}{green:02x}{blue:02x}"
-
-
 def render_svg(
     costmap: Costmap, paths: Sequence[Path], scene: SceneGraph, labels: Sequence[str]
 ) -> str:
@@ -62,17 +53,21 @@ def render_svg(
         f'<rect x="0" y="0" width="{width_px:.2f}" height="{height_px:.2f}" fill="#ffffff"/>',
     ]
 
-    # Heat cells: each column's x, each row's y and each distinct cost's color
-    # is formatted once. The white background already covers cost-1 cells.
+    # Heat cells: each column's x, each row's y and each distinct color is
+    # formatted once. The white background already covers cost-1 cells.
     cells, res = costmap.cells, costmap.resolution
-    vmax = float(cells.max())
     cell_px = res * PX_PER_M
     size = f'width="{cell_px:.2f}" height="{cell_px:.2f}"'
     xs = [f"{sx(xmin + ix * res):.2f}" for ix in range(costmap.width)]
     ys = [f"{sy(ymin + (iy + 1) * res):.2f}" for iy in range(costmap.height)]
     rows, cols = np.nonzero(cells > 1.0)  # row-major, like a loop over rows
-    distinct, which = np.unique(cells[rows, cols], return_inverse=True)
-    fills = [_heat_color(value, vmax) for value in distinct.tolist()]
+    # White at cost 1, warm red toward the map maximum; rint, like round,
+    # breaks ties to even. With no heat cell, t is empty and nothing divides.
+    t = (cells[rows, cols] - 1.0) / (float(cells.max()) - 1.0)
+    green, blue = np.rint(250.0 - 190.0 * t), np.rint(240.0 - 210.0 * t)
+    key = (green * 256.0 + blue).astype(np.int64)  # "#ff", then green and blue in two hex digits each
+    distinct, which = np.unique(key, return_inverse=True)
+    fills = [f"#ff{code:04x}" for code in distinct.tolist()]
     out.append('<g shape-rendering="crispEdges">')
     out.extend(
         f'<rect x="{xs[ix]}" y="{ys[iy]}" {size} fill="{fills[k]}"/>'

@@ -238,6 +238,7 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
     zones: list[tuple[str, tuple[float, float]]] = []
     for verb, raw_zone in raw_zones.items():
         zone_path = f"activity_zones[{verb!r}]"
+        verb = string(verb, zone_path)
         cost, clearance = vector(raw_zone, zone_path, 2)
         bad = out_of_range(cost, clearance)
         if bad:
@@ -378,15 +379,21 @@ def human_footprint(scenario: Scenario) -> RectFootprint | None:
 
 def load_base_scene(scenario: Scenario, *, strict: bool = False) -> SceneGraph:
     """The scenario's scene with its human, if any, inserted. The result
-    holds every scene rule; a broken one is a FormatError at ``human``."""
+    holds every scene rule; a broken one is a FormatError at ``human``. Each
+    ``activity_zones`` verb must name an activity relation of the result."""
     scene = load_scene(scenario.scene_path().read_bytes(), strict=strict)
-    if scenario.human is None:
-        return scene
-    try:
-        scene = insert_human(scene, scenario.human)
-        validate_scene(scene)
-    except ValueError as exc:  # a FormatError's path is into the graph, not the scenario
-        raise FormatError(exc.reason if isinstance(exc, FormatError) else str(exc), "human") from None
+    if scenario.human is not None:
+        try:
+            scene = insert_human(scene, scenario.human)
+            validate_scene(scene)
+        except ValueError as exc:  # a FormatError's path is into the graph, not the scenario
+            raise FormatError(exc.reason if isinstance(exc, FormatError) else str(exc), "human") from None
+    verbs = {r.name for r in scene.relations if r.kind is RelationKind.ACTIVITY}
+    for verb, _ in scenario.activity_zones:
+        if verb not in verbs:
+            raise FormatError(
+                f'no activity relation of the scene has the verb "{verb}"', f"activity_zones[{verb!r}]"
+            )
     return scene
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from socioplan.cli import main
 from socioplan.cost_assessment import entries_to_dict
+from socioplan.human_augmentation import Condition
 from socioplan.planner import iterate_plan
 from socioplan.scenario_runner import build_assessor, load_base_scene, load_scenario, run_scenario
 
@@ -46,14 +47,16 @@ class TestValidate:
         assert "extra" in capsys.readouterr().err
 
 
-def _waypoint_scenario(tmp_path):
-    """The shipped scenario with the rules assessor and a trajectory hugging
-    the bed: only the bed (and the human attached to it) is in range."""
+def _waypoint_scenario(tmp_path, replay=False):
+    """The shipped scenario with the rules assessor, or its own replay one,
+    and a trajectory hugging the bed: only the bed (and the human attached
+    to it) is in range."""
     for name in ("bedroom_scene.json", "bedroom_assessments.json"):
         shutil.copy(DATA_DIR / name, tmp_path)
     document = json.loads((DATA_DIR / "bedroom_scenario.json").read_text())
     document["waypoints"] = [[0.8, 2.4, 0.0], [1.0, 2.4, 0.0]]
-    document["assessor"] = {"kind": "rules"}
+    if not replay:
+        document["assessor"] = {"kind": "rules"}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(document))
     return path
@@ -125,6 +128,15 @@ class TestWaypointsSeedRoundOne:
         # straight seed finds {armchair, bed} in round 1.
         report = run_scenario(load_scenario(_waypoint_scenario(tmp_path)))
         assert [(r.rounds, r.stop) for r in report.conditions] == [(2, "converged")] * 3
+
+    def test_replay_answers_round_one_from_part_of_its_recording(self, tmp_path, capsys):
+        # Round 1 asks the no_human recording of {armchair, bed} for the bed alone.
+        path = _waypoint_scenario(tmp_path, replay=True)
+        scenario = load_scenario(path)
+        first = _first_round(scenario, Condition.NO_HUMAN, waypoints=scenario.waypoints)
+        assert entries_to_dict(first.assessment.entries) == {"bed": {"cost": 1.0, "clearance": 0.5}}
+        assert main(["plan", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestPlanCommand:
@@ -273,6 +285,14 @@ def _relevant_repeats(files):
     relevant.append(relevant[0])
 
 
+def _zone_verb_misspelt(files):
+    files["scenario"]["activity_zones"] = {"wathcing": [4.0, 0.5]}
+
+
+def _zone_verb_empty(files):
+    files["scenario"]["activity_zones"] = {"": [4.0, 0.5]}
+
+
 _INPUTS = {
     "scene": "bedroom_scene.json",
     "fixtures": "bedroom_assessments.json",
@@ -319,6 +339,9 @@ class TestMalformedInputs:
             ("render", _distance_to_human_edited, "conditions[0].stats.min_distance_to_human_m"),
             ("render", _relevant_ghosts, "conditions[0].relevant"),
             ("render", _relevant_repeats, "conditions[0].relevant"),
+            ("plan", _zone_verb_misspelt, "activity_zones['wathcing']"),
+            ("assess", _zone_verb_misspelt, "activity_zones['wathcing']"),
+            ("plan", _zone_verb_empty, "activity_zones['']"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )

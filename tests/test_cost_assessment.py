@@ -17,6 +17,7 @@ from socioplan import (
     insert_human,
     llm_assess,
     load_assessment_fixtures,
+    load_scene,
     parse_assessment,
     relevant_objects,
     rule_based_assess,
@@ -27,6 +28,7 @@ from socioplan.cost_assessment import (
     CoverageError,
     FixtureKeyError,
     Provenance,
+    ReplayAssessor,
     ResponseFormatError,
     RetriesExhaustedError,
     RetryPolicy,
@@ -361,6 +363,15 @@ class TestReplayAssess:
 
     def test_fixture_round_trip(self, store):
         assert load_assessment_fixtures(serialize_fixtures(store)) == store
+
+    def test_port_answers_the_ids_asked_for(self, store, data_dir):
+        scene = load_scene((data_dir / "bedroom_scene.json").read_bytes())
+        port = ReplayAssessor(store, "bedroom", Condition.NO_HUMAN)
+        trajectory = Trajectory(((0.8, 2.4, 0.0), (1.0, 2.4, 0.0)))
+        assert assess(port, scene, trajectory, ["bed"], []).entries == {"bed": CostClearance(1.0, 0.5)}
+        # The no_human recording holds the armchair and the bed, not the tv.
+        with pytest.raises(AssessorFailure, match=r"missing ids: \['tv'\]$"):
+            assess(port, scene, trajectory, ["bed", "tv"], [])
 
 
 class TestCheckEntries:

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from socioplan import (
     Condition,
@@ -19,9 +20,10 @@ from socioplan import (
 )
 from socioplan.cost_assessment import CostClearance, RuleAssessor
 from socioplan.cost_field import Costmap, FieldSpec, rasterize
+from socioplan.planner import Path, path_from_cells
 from socioplan.scene_graph import ObjectNode, SceneGraph
 
-from conftest import dijkstra_optimum, random_costmap, uniform_costmap
+from conftest import DATA_DIR, dijkstra_optimum, random_costmap, uniform_costmap
 
 
 def cells_map(rows, resolution=1.0) -> Costmap:
@@ -287,6 +289,95 @@ class TestPathCost:
     def test_non_adjacent_cells_rejected(self):
         with pytest.raises(PlanningError, match="adjacent"):
             path_cost([(0, 0), (2, 0)], uniform_costmap(3, 3))
+
+
+def _path_by_step(cells, costmap):
+    """The path through ``cells``, one cell and one step at a time: the
+    oracle of ``path_from_cells``, errors included."""
+    for cell in cells:
+        ix, iy = cell
+        if not (0 <= ix < costmap.width and 0 <= iy < costmap.height):
+            raise PlanningError(f"cell {cell} lies outside the costmap")
+    total_cost = length_m = 0.0
+    for a, b in zip(cells, cells[1:]):
+        if max(abs(a[0] - b[0]), abs(a[1] - b[1])) != 1:
+            raise PlanningError(f"cells {a} and {b} are not 8-adjacent")
+        length = costmap.resolution * (math.sqrt(2.0) if a[0] != b[0] and a[1] != b[1] else 1.0)
+        total_cost += length * ((costmap.value(*a) + costmap.value(*b)) / 2.0)
+        length_m += length
+    return Path(cells, tuple(costmap.cell_center(*c) for c in cells), total_cost, length_m)
+
+
+def _outcome(build, cells, costmap):
+    try:
+        path = build(cells, costmap)
+    except PlanningError as exc:
+        return str(exc)
+    return path, path.total_cost.hex(), path.length_m.hex()
+
+
+_MOVES = st.sampled_from([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy])
+_JUMPS = st.sampled_from([(0, 0), (2, 0), (0, -3), (2, 1), (-4, 4)])
+_STRIDES = st.one_of(
+    st.lists(_MOVES, max_size=40),
+    st.builds(lambda move, n: [move] * n, _MOVES, st.integers(1, 30)),  # one long straight run
+)
+
+
+class TestPathFromCells:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        size=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+        seed=st.integers(0, 2**32 - 1),
+        resolution=st.sampled_from([0.05, 0.1, 0.25, 0.0123, 1.0]),
+        origin=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        strides=_STRIDES,
+        jump=st.none() | _JUMPS,
+        stay=st.booleans(),
+        data=st.data(),
+    )
+    def test_equals_a_loop_over_every_step(
+        self, size, seed, resolution, origin, strides, jump, stay, data
+    ):
+        width, height = size
+        rng = np.random.default_rng(seed)
+        values = rng.choice([1.0, 1.0, 2.5, 7.0], size=(height, width)) + rng.random((height, width))
+        costmap = Costmap(origin, resolution, width, height, values)
+        if jump is not None:  # one pair of cells that do not touch
+            strides = strides[:]
+            strides.insert(data.draw(st.integers(0, len(strides))), jump)
+        # A walk that stays on the map starts on it and skips each stride that
+        # would leave it; any other walk starts on the map or next to it.
+        off = 0 if stay else 1
+        start = st.tuples(st.integers(-off, width - 1 + off), st.integers(-off, height - 1 + off))
+        walk = [data.draw(start)]
+        for dx, dy in strides:
+            cell = (walk[-1][0] + dx, walk[-1][1] + dy)
+            if not stay or (0 <= cell[0] < width and 0 <= cell[1] < height):
+                walk.append(cell)
+        cells = tuple(walk)
+        assert _outcome(path_from_cells, cells, costmap) == _outcome(_path_by_step, cells, costmap)
+
+    def test_an_index_of_any_size_is_refused(self):
+        costmap = uniform_costmap(3, 3)
+        for cell in ((10**400, 0), (0, -(10**400))):
+            assert _outcome(path_from_cells, ((0, 0), cell), costmap) == (
+                f"cell {cell} lies outside the costmap"
+            )
+
+    def test_shipped_lengths_are_a_left_to_right_sum(self):
+        # On Python 3.12 and later, sum() compensates rounding error; the
+        # stored lengths are the plain left-to-right float sum of the steps.
+        report = json.loads((DATA_DIR / "bedroom_report.json").read_text())
+        resolution = report["map"]["resolution"]
+        costmap = uniform_costmap(60, 50, resolution)
+        for condition in report["conditions"]:
+            cells = tuple(map(tuple, condition["path"]["cells"]))
+            length_m = 0.0
+            for a, b in zip(cells, cells[1:]):
+                length_m += resolution * (math.sqrt(2.0) if a[0] != b[0] and a[1] != b[1] else 1.0)
+            assert condition["path"]["length_m"] == length_m
+            assert path_from_cells(cells, costmap).length_m == length_m
 
 
 class TestIteratePlan:

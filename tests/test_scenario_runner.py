@@ -26,7 +26,7 @@ from socioplan import (
 from socioplan.cost_assessment import load_assessment_fixtures
 from socioplan.cost_field import Costmap, footprint_of
 from socioplan.jsonio import FormatError
-from socioplan.render import PX_PER_M, _heat_color
+from socioplan.render import PX_PER_M
 from socioplan.scenario_runner import (
     ScenarioError,
     human_footprint,
@@ -318,6 +318,15 @@ def _heat_block(svg):
     return lines[start + 1 : lines.index("</g>", start)]
 
 
+def _heat_color(value: float, vmax: float) -> str:
+    # White at cost 1, warm red toward the map maximum.
+    t = 0.0 if vmax <= 1.0 else (value - 1.0) / (vmax - 1.0)
+    red = 255
+    green = int(round(250.0 - 190.0 * t))
+    blue = int(round(240.0 - 210.0 * t))
+    return f"#{red:02x}{green:02x}{blue:02x}"
+
+
 def _heat_block_by_cell(costmap):
     """The heat cells `render_svg` draws, from a plain loop over every cell."""
     (xmin, ymin), (_, ymax) = costmap.origin, costmap.max_xy
@@ -354,6 +363,15 @@ class TestRenderSvg:
                 svg = render_svg(costmap, [], SceneGraph(nodes={}), labels=[])
                 assert _heat_block(svg) == _heat_block_by_cell(costmap)
 
+    def test_color_ties_round_half_to_even(self):
+        # With a maximum of 3, cost 1.5 gives green 202.5 and blue 187.5, and
+        # cost 2.5 gives green 107.5 and blue 82.5: every channel is a tie.
+        costmap = Costmap((0.0, 0.0), 0.1, 3, 1, np.array([[1.5, 2.5, 3.0]]))
+        block = _heat_block(render_svg(costmap, [], SceneGraph(nodes={}), labels=[]))
+        assert block == _heat_block_by_cell(costmap)
+        assert [line.split('fill="')[1][:7] for line in block] == ["#ffcabc", "#ff6c52", "#ff3c1e"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("resolution", [0.05, 0.1, 0.25])
     def test_all_cost_one_map_has_no_heat_cells(self, resolution):
         costmap = Costmap((-1.5, 2.0), resolution, 9, 4, np.ones((4, 9)))
