@@ -40,7 +40,8 @@ graph = insert_human(
 )
 
 store = load_assessment_fixtures((DATA / "bedroom_assessments.json").read_bytes())
-assessment = replay_assess(store, "bedroom", Condition.HUMAN_WITH_RELATIONS)
+recorded = ("armchair", "bed", "human")
+assessment = replay_assess(store, "bedroom", Condition.HUMAN_WITH_RELATIONS, recorded)
 print("assessment:", {k: (v.cost, v.clearance) for k, v in sorted(assessment.entries.items())})
 
 # Single-contribution falloff: the bed's influence fades linearly and

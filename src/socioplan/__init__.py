@@ -13,10 +13,7 @@ from .cost_assessment import (
     AssessmentStore,
     CostClearance,
     HttpChatTransport,
-    LlmAssessor,
-    ReplayAssessor,
     RetryPolicy,
-    RuleAssessor,
     assess,
     build_prompt,
     llm_assess,

@@ -6,10 +6,10 @@ import argparse
 import sys
 from pathlib import Path as FilePath
 
-from .cost_assessment import AssessmentError, assess, entries_to_dict
+from .cost_assessment import assess, entries_to_dict
 from .human_augmentation import Condition, derive_condition_variant
 from .jsonio import FormatError, canonical_json
-from .planner import PlanningError, relevant_context, seed_trajectory
+from .planner import relevant_context, seed_trajectory
 from .render import render_svg
 from .scenario_runner import (
     ASSESSOR_KINDS,
@@ -18,6 +18,7 @@ from .scenario_runner import (
     build_assessor,
     compare_conditions,
     comparison_dict,
+    condition_stage,
     load_base_scene,
     load_report,
     load_scenario,
@@ -111,16 +112,19 @@ def _cmd_assess(args: argparse.Namespace) -> int:
     conditions = scenario.conditions
     if args.condition:
         conditions = tuple(Condition(v) for v in args.condition)
+    kind = args.assessor or scenario.assessor.kind
     base = load_base_scene(scenario, strict=args.strict)
     trajectory = seed_trajectory(scenario.start, scenario.goal, scenario.waypoints)
 
     output = []
     for condition in conditions:
-        variant = derive_condition_variant(base, condition)
-        _, partial, assessed = relevant_context(variant, trajectory, scenario.query_radius_m)
-        port = build_assessor(scenario, condition, args.assessor)
-        assessment = assess(port, partial, trajectory, assessed, scenario.preferences)
-        output.append((condition, assessment))
+        with condition_stage(condition, kind):
+            assessor = build_assessor(scenario, condition, kind)
+            variant = derive_condition_variant(base, condition)
+            _, partial, assessed = relevant_context(variant, trajectory, scenario.query_radius_m)
+            output.append(
+                (condition, assess(assessor, partial, trajectory, assessed, scenario.preferences))
+            )
 
     if args.format == "json":
         payload = {
@@ -144,11 +148,11 @@ def _cmd_assess(args: argparse.Namespace) -> int:
 
 
 def _run(args: argparse.Namespace) -> RunReport:
-    return run_scenario(
-        load_scenario(args.scenario, strict=args.strict),
-        assessor_kind=args.assessor,
-        strict=args.strict,
-    )
+    scenario = load_scenario(args.scenario, strict=args.strict)
+    count = len(scenario.conditions)
+    if args.command == "compare" and count < 2:
+        raise FormatError(f"compare needs at least 2 conditions, got {count}", "conditions")
+    return run_scenario(scenario, assessor_kind=args.assessor, strict=args.strict)
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -206,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, ScenarioError, AssessmentError, PlanningError) as exc:
+    except (FormatError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # e.g. a directory given as an input file or as -o

@@ -1,9 +1,10 @@
 """Assessors: map (partial graph, trajectory, preferences) to a validated
 per-object (cost, clearance) assessment.
 
-Three interchangeable implementations sit behind one port contract: an
-LLM-backed assessor speaking an OpenAI-compatible chat endpoint, a
-deterministic rule model, and a replay assessor serving recorded fixtures.
+An assessor is any function of (partial graph, trajectory, relevant ids,
+preferences) to an Assessment; ``assess`` holds every one to one contract.
+Three are provided: an LLM-backed assessor speaking an OpenAI-compatible chat
+endpoint, a deterministic rule model, and a replay of recorded fixtures.
 Cost is dimensionless and >= 1 (1 = no impact); clearance is meters and >= 0
 (0 = no influence beyond the object itself).
 """
@@ -14,7 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .human_augmentation import Condition
 from .jsonio import (
@@ -81,15 +82,6 @@ class RetriesExhaustedError(AssessmentError):
 
 class FixtureKeyError(AssessmentError):
     """Requested scenario/condition pair is absent from the fixture store."""
-
-
-class AssessorFailure(AssessmentError):
-    """An assessor produced an error or an invalid assessment."""
-
-    def __init__(self, assessor: str, cause: Exception | str) -> None:
-        super().__init__(f'assessor "{assessor}": {cause}')
-        self.assessor = assessor
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -160,18 +152,7 @@ class Assessment:
     provenance: Provenance
 
 
-class AssessorPort(Protocol):
-    """Contract every assessor implementation satisfies."""
-
-    name: str
-
-    def __call__(
-        self,
-        partial: SceneGraph,
-        trajectory: Trajectory,
-        relevant: Sequence[str],
-        preferences: Sequence[str],
-    ) -> Assessment: ...
+Assessor = Callable[[SceneGraph, Trajectory, Sequence[str], Sequence[str]], Assessment]
 
 
 def check_entries(entries: dict[str, CostClearance], relevant: Iterable[str]) -> None:
@@ -188,22 +169,19 @@ def check_entries(entries: dict[str, CostClearance], relevant: Iterable[str]) ->
 
 
 def assess(
-    port: AssessorPort,
+    assessor: Assessor,
     partial: SceneGraph,
     trajectory: Trajectory,
     relevant: Sequence[str],
     preferences: Sequence[str],
 ) -> Assessment:
-    """Run an assessor and enforce the port contract on its output."""
+    """Run an assessor and enforce ``check_entries`` on its output. The
+    assessor's own AssessmentError passes through as it was raised."""
     unknown = [i for i in relevant if i not in partial]
     if unknown:
         raise ValueError(f"relevant ids not in the partial graph: {unknown}")
-    name = getattr(port, "name", type(port).__name__)
-    try:
-        assessment = port(partial, trajectory, relevant, preferences)
-        check_entries(assessment.entries, relevant)
-    except AssessmentError as exc:
-        raise AssessorFailure(name, exc) from exc
+    assessment = assessor(partial, trajectory, relevant, preferences)
+    check_entries(assessment.entries, relevant)
     return assessment
 
 
@@ -279,12 +257,14 @@ def parse_assessment(response: str, relevant: Iterable[str]) -> Assessment:
 LLM_URL_ENV = "SOCIOPLAN_LLM_URL"
 LLM_KEY_ENV = "SOCIOPLAN_LLM_KEY"
 
+DEFAULT_MAX_ATTEMPTS = 3
+
 Transport = Callable[[list[dict]], str]
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    max_attempts: int = 3
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS
 
 
 @dataclass
@@ -510,50 +490,18 @@ def serialize_fixtures(store: AssessmentStore) -> str:
 
 
 def replay_assess(
-    store: AssessmentStore, scenario_key: str, condition: Condition
+    store: AssessmentStore, scenario_key: str, condition: Condition, relevant: Iterable[str]
 ) -> Assessment:
-    """Return the recorded assessment for a scenario/condition pair, unchanged."""
+    """The recorded entries of the ``relevant`` ids for a scenario/condition
+    pair, in recorded order; an id the recording lacks stays missing."""
     key = store.key(scenario_key, condition)
     if key not in store.entries:
         raise FixtureKeyError(f'no recorded assessment for "{key}"')
+    wanted = set(relevant)
     return Assessment(
-        entries=dict(store.entries[key]),
+        entries={i: e for i, e in store.entries[key].items() if i in wanted},
         provenance=Provenance(
             assessor="replay",
             parameters={"scenario_key": scenario_key, "condition": condition.value},
         ),
     )
-
-
-# --- port adapters ------------------------------------------------------------
-
-
-class RuleAssessor:
-    name = "rules"
-
-    def __call__(self, partial, trajectory, relevant, preferences) -> Assessment:
-        return rule_based_assess(partial, trajectory, relevant, preferences)
-
-
-@dataclass
-class ReplayAssessor:
-    store: AssessmentStore
-    scenario_key: str
-    condition: Condition
-    name = "replay"
-
-    def __call__(self, partial, trajectory, relevant, preferences) -> Assessment:
-        # The recorded entries of the ids asked for; one the recording lacks stays missing.
-        recorded = replay_assess(self.store, self.scenario_key, self.condition)
-        wanted = set(relevant)
-        return replace(recorded, entries={i: e for i, e in recorded.entries.items() if i in wanted})
-
-
-@dataclass
-class LlmAssessor:
-    transport: Transport
-    policy: RetryPolicy = RetryPolicy()
-    name = "llm"
-
-    def __call__(self, partial, trajectory, relevant, preferences) -> Assessment:
-        return llm_assess(self.transport, partial, trajectory, relevant, preferences, self.policy)

@@ -314,9 +314,6 @@ class Costmap:
             raise ValueError(f"point ({x}, {y}) lies outside the costmap")
         return (min(math.floor(fx), self.width - 1), min(math.floor(fy), self.height - 1))
 
-    def value(self, ix: int, iy: int) -> float:
-        return float(self.cells[iy, ix])
-
 
 def grid_shape(bounds: tuple[Vec2, Vec2], resolution: float) -> tuple[int, int]:
     """(width, height) in cells of the grid that covers ``bounds``.

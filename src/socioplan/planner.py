@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cost_assessment import Assessment, AssessorPort, assess
+from .cost_assessment import Assessment, Assessor, assess
 from .cost_field import (
     ActivityZone,
     Costmap,
@@ -206,7 +206,7 @@ def iterate_plan(
     start: Vec2,
     goal: Vec2,
     radius: float,
-    assessor: AssessorPort,
+    assessor: Assessor,
     *,
     bounds: tuple[Vec2, Vec2],
     resolution: float,

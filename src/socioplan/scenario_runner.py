@@ -3,27 +3,30 @@ deterministic run reports, and the condition comparison table."""
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path as FilePath
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .cost_assessment import (
+    DEFAULT_MAX_ATTEMPTS,
     Assessment,
     AssessmentError,
-    AssessorPort,
+    Assessor,
     HttpChatTransport,
-    LlmAssessor,
     Provenance,
-    ReplayAssessor,
     RetryPolicy,
-    RuleAssessor,
     cost_clearance,
     entries_from_dict,
     entries_to_dict,
+    llm_assess,
     load_assessment_fixtures,
     out_of_range,
+    replay_assess,
+    rule_based_assess,
 )
 from .cost_field import (
     ActivityZone,
@@ -77,7 +80,7 @@ class AssessorConfig:
     fixtures: str | None = None  # replay: fixture file, relative to the scenario
     scenario_key: str | None = None  # replay: defaults to the scenario name
     model: str | None = None  # llm: model name
-    max_attempts: int = 3  # llm: retry budget
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS  # llm: retry budget
 
 
 @dataclass(frozen=True)
@@ -156,7 +159,9 @@ def _parse_assessor(raw: dict, path: str, strict: bool) -> AssessorConfig:
         if "scenario_key" in raw
         else None,
         model=string(raw["model"], f"{path}.model") if "model" in raw else None,
-        max_attempts=integer(raw.get("max_attempts", 3), f"{path}.max_attempts", 1),
+        max_attempts=integer(
+            raw.get("max_attempts", DEFAULT_MAX_ATTEMPTS), f"{path}.max_attempts", 1
+        ),
     )
 
 
@@ -217,11 +222,14 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
     if radius <= 0:
         raise FormatError("query_radius_m must be > 0", "query_radius_m")
 
-    start = vector(data["start"], "start", 2)
-    goal = vector(data["goal"], "goal", 2)
-    for label, point in (("start", start), ("goal", goal)):
+    def on_map(label: str, point: tuple[float, ...]) -> None:
         if not (low[0] <= point[0] <= high[0] and low[1] <= point[1] <= high[1]):
             raise FormatError(f"{label} {list(point)} lies outside map.bounds", label)
+
+    start = vector(data["start"], "start", 2)
+    goal = vector(data["goal"], "goal", 2)
+    on_map("start", start)
+    on_map("goal", goal)
 
     waypoints = None
     if "waypoints" in data:
@@ -229,6 +237,8 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
         if not isinstance(raw_waypoints, list) or not raw_waypoints:
             raise FormatError("waypoints must be a non-empty list", "waypoints")
         waypoints = tuple(vector(p, f"waypoints[{i}]", 3) for i, p in enumerate(raw_waypoints))
+        for i, point in enumerate(waypoints):
+            on_map(f"waypoints[{i}]", point)
 
     raw_zones = data.get("activity_zones", {})
     if not isinstance(raw_zones, dict):
@@ -295,7 +305,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         data["assessor"]["scenario_key"] = scenario.assessor.scenario_key
     if scenario.assessor.model is not None:
         data["assessor"]["model"] = scenario.assessor.model
-    if scenario.assessor.max_attempts != 3:
+    if scenario.assessor.max_attempts != DEFAULT_MAX_ATTEMPTS:
         data["assessor"]["max_attempts"] = scenario.assessor.max_attempts
     if scenario.human is not None:
         data["human"] = {
@@ -318,26 +328,47 @@ def serialize_scenario(scenario: Scenario) -> str:
     return canonical_json(scenario_to_dict(scenario))
 
 
-def build_assessor(
-    scenario: Scenario, condition: Condition, kind_override: str | None = None
-) -> AssessorPort:
-    """Construct the assessor port a scenario requests for one condition."""
-    kind = kind_override or scenario.assessor.kind
+def build_assessor(scenario: Scenario, condition: Condition, kind: str) -> Assessor:
+    """The assessor of ``kind`` for one condition of a scenario."""
     if kind == "rules":
-        return RuleAssessor()
+        return rule_based_assess
     if kind == "replay":
         fixtures = scenario.fixtures_path()
         if fixtures is None:
             raise ScenarioError("replay assessor needs assessor.fixtures in the scenario")
         store = load_assessment_fixtures(fixtures.read_bytes())
         key = scenario.assessor.scenario_key or scenario.name
-        return ReplayAssessor(store=store, scenario_key=key, condition=condition)
+        return lambda partial, trajectory, relevant, preferences: replay_assess(
+            store, key, condition, relevant
+        )
     if kind == "llm":
         if scenario.assessor.model is None:
             raise ScenarioError("llm assessor needs assessor.model in the scenario")
         transport = HttpChatTransport(model=scenario.assessor.model)
-        return LlmAssessor(transport=transport, policy=RetryPolicy(scenario.assessor.max_attempts))
+        return functools.partial(
+            llm_assess, transport, policy=RetryPolicy(scenario.assessor.max_attempts)
+        )
     raise ScenarioError(f'unknown assessor kind "{kind}"')
+
+
+@contextmanager
+def condition_stage(condition: Condition, kind: str) -> Iterator[None]:
+    """Re-raise a failure of one condition's run as a ScenarioError naming
+    the condition, the pipeline stage and, for an assessor's error, ``kind``."""
+    try:
+        yield
+    # FormatError and PlanningError are ValueErrors.
+    except (ScenarioError, AssessmentError, ValueError) as exc:
+        reason = str(exc)
+        if isinstance(exc, AssessmentError):
+            stage, reason = "assess", f'assessor "{kind}": {reason}'
+        elif isinstance(exc, PlanningError):
+            stage = "plan"
+        elif isinstance(exc, FormatError):
+            stage = "load"
+        else:
+            stage = "setup"
+        raise ScenarioError(f'condition "{condition.value}", stage "{stage}": {reason}') from exc
 
 
 # --- report -------------------------------------------------------------------
@@ -404,16 +435,17 @@ def run_scenario(
     strict: bool = False,
 ) -> RunReport:
     """Run every requested condition: derive the graph variant and iterate
-    assess-and-plan.
+    assess-and-plan with the assessor of ``assessor_kind``, by default the
+    scenario's.
 
-    Deterministic for the rules and replay assessors. Errors are re-raised as
-    ScenarioError annotated with the condition and pipeline stage.
+    Deterministic for the rules and replay assessors. Errors are re-raised
+    by ``condition_stage``.
     """
+    kind = assessor_kind or scenario.assessor.kind
     base = load_base_scene(scenario, strict=strict)
     results = []
     for condition in scenario.conditions:
-        try:
-            port = build_assessor(scenario, condition, assessor_kind)
+        with condition_stage(condition, kind):
             results.append(
                 iterate_plan(
                     base,
@@ -421,7 +453,7 @@ def run_scenario(
                     scenario.start,
                     scenario.goal,
                     scenario.query_radius_m,
-                    port,
+                    build_assessor(scenario, condition, kind),
                     bounds=scenario.bounds,
                     resolution=scenario.resolution,
                     preferences=scenario.preferences,
@@ -429,18 +461,6 @@ def run_scenario(
                     waypoints=scenario.waypoints,
                 )
             )
-        except (ScenarioError, AssessmentError, PlanningError, FormatError, ValueError) as exc:
-            if isinstance(exc, AssessmentError):
-                stage = "assess"
-            elif isinstance(exc, PlanningError):
-                stage = "plan"
-            elif isinstance(exc, FormatError):
-                stage = "load"
-            else:
-                stage = "setup"
-            raise ScenarioError(
-                f'condition "{condition.value}", stage "{stage}": {exc}'
-            ) from exc
     return RunReport(scenario.name, base, tuple(results), scenario.bounds, scenario.resolution)
 
 

@@ -97,7 +97,7 @@ def _first_round(scenario, condition, **kwargs):
         scenario.start,
         scenario.goal,
         scenario.query_radius_m,
-        build_assessor(scenario, condition),
+        build_assessor(scenario, condition, scenario.assessor.kind),
         bounds=scenario.bounds,
         resolution=scenario.resolution,
         preferences=scenario.preferences,
@@ -293,6 +293,26 @@ def _zone_verb_empty(files):
     files["scenario"]["activity_zones"] = {"": [4.0, 0.5]}
 
 
+def _waypoint_off_the_map(files):
+    files["scenario"]["waypoints"] = [[0.8, 2.0, 0.0], [100.0, 2.0, 0.0]]  # the map is 6 x 5 m
+
+
+def _one_condition(files):
+    files["scenario"]["conditions"] = ["no_human"]
+
+
+def _no_fixtures(files):
+    files["scenario"]["assessor"] = {"kind": "rules"}
+
+
+def _fixture_lacks_the_bed(files):
+    del files["fixtures"]["assessments"]["bedroom/no_human"]["bed"]
+
+
+def _fixture_lacks_no_human(files):
+    del files["fixtures"]["assessments"]["bedroom/no_human"]
+
+
 _INPUTS = {
     "scene": "bedroom_scene.json",
     "fixtures": "bedroom_assessments.json",
@@ -342,6 +362,8 @@ class TestMalformedInputs:
             ("plan", _zone_verb_misspelt, "activity_zones['wathcing']"),
             ("assess", _zone_verb_misspelt, "activity_zones['wathcing']"),
             ("plan", _zone_verb_empty, "activity_zones['']"),
+            ("plan", _waypoint_off_the_map, "waypoints[1]"),
+            ("assess", _waypoint_off_the_map, "waypoints[1]"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )
@@ -353,6 +375,37 @@ class TestMalformedInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert f"{where}: " in err[0]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_compare_needs_two_conditions(self, tmp_path, capsys, fmt):
+        _write_inputs(tmp_path, _one_condition)
+        assert main(["compare", str(tmp_path / _INPUTS["scenario"]), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: conditions: compare needs at least 2 conditions, got 1"
+        ]
+
+    @pytest.mark.parametrize(
+        "mutate, stage, reason",
+        [
+            (_no_fixtures, "setup", "replay assessor needs assessor.fixtures in the scenario"),
+            (_fixture_cost_below_one, "load",
+             "assessments['bedroom/no_human']['armchair'].cost: cost 0.5 must be >= 1"),
+            (_fixture_lacks_the_bed, "assess", "assessor \"replay\": missing ids: ['bed']"),
+            (_fixture_lacks_no_human, "assess",
+             'assessor "replay": no recorded assessment for "bedroom/no_human"'),
+        ],
+        ids=["setup", "load", "assess-missing-id", "assess-missing-key"],
+    )
+    @pytest.mark.parametrize("command", ["assess", "plan", "compare"])
+    def test_condition_failure_line(self, tmp_path, capsys, command, mutate, stage, reason):
+        """``assess``, ``plan`` and ``compare`` name the failed condition and stage alike."""
+        _write_inputs(tmp_path, mutate)
+        assert main([command, str(tmp_path / _INPUTS["scenario"]), "--assessor", "replay"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f'error: condition "no_human", stage "{stage}": {reason}'
+        ]
 
 
 def _relation(name, head, tail, kind="spatial"):

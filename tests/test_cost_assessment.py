@@ -24,15 +24,12 @@ from socioplan import (
     replay_assess,
 )
 from socioplan.cost_assessment import (
-    AssessorFailure,
     CoverageError,
     FixtureKeyError,
     Provenance,
-    ReplayAssessor,
     ResponseFormatError,
     RetriesExhaustedError,
     RetryPolicy,
-    RuleAssessor,
     TransportError,
     ValueOutOfRangeError,
     check_entries,
@@ -335,7 +332,9 @@ class TestReplayAssess:
         return load_assessment_fixtures((data_dir / "bedroom_assessments.json").read_bytes())
 
     def test_with_relations_row(self, store):
-        assessment = replay_assess(store, "bedroom", Condition.HUMAN_WITH_RELATIONS)
+        assessment = replay_assess(
+            store, "bedroom", Condition.HUMAN_WITH_RELATIONS, ("armchair", "bed", "human")
+        )
         assert assessment.entries == {
             "bed": CostClearance(3.0, 1.5),
             "human": CostClearance(5.0, 2.0),
@@ -343,7 +342,9 @@ class TestReplayAssess:
         }
 
     def test_no_relations_row(self, store):
-        assessment = replay_assess(store, "bedroom", Condition.HUMAN_NO_RELATIONS)
+        assessment = replay_assess(
+            store, "bedroom", Condition.HUMAN_NO_RELATIONS, ("armchair", "bed", "human")
+        )
         assert assessment.entries == {
             "bed": CostClearance(2.0, 0.5),
             "human": CostClearance(10.0, 2.0),
@@ -351,7 +352,7 @@ class TestReplayAssess:
         }
 
     def test_no_human_row(self, store):
-        assessment = replay_assess(store, "bedroom", Condition.NO_HUMAN)
+        assessment = replay_assess(store, "bedroom", Condition.NO_HUMAN, ("armchair", "bed"))
         assert assessment.entries == {
             "bed": CostClearance(1.0, 0.5),
             "armchair": CostClearance(2.0, 1.5),
@@ -359,19 +360,26 @@ class TestReplayAssess:
 
     def test_missing_key_names_it(self, store):
         with pytest.raises(FixtureKeyError, match="kitchen/no_human"):
-            replay_assess(store, "kitchen", Condition.NO_HUMAN)
+            replay_assess(store, "kitchen", Condition.NO_HUMAN, ())
 
     def test_fixture_round_trip(self, store):
         assert load_assessment_fixtures(serialize_fixtures(store)) == store
 
-    def test_port_answers_the_ids_asked_for(self, store, data_dir):
+    def test_answers_the_ids_asked_for_in_recorded_order(self, store, data_dir):
+        recorded = list(store.entries["bedroom/human_with_relations"])
+        asked = list(reversed(recorded[1:]))
+        assessment = replay_assess(store, "bedroom", Condition.HUMAN_WITH_RELATIONS, asked)
+        assert list(assessment.entries) == recorded[1:]
         scene = load_scene((data_dir / "bedroom_scene.json").read_bytes())
-        port = ReplayAssessor(store, "bedroom", Condition.NO_HUMAN)
         trajectory = Trajectory(((0.8, 2.4, 0.0), (1.0, 2.4, 0.0)))
-        assert assess(port, scene, trajectory, ["bed"], []).entries == {"bed": CostClearance(1.0, 0.5)}
+
+        def replay(partial, trajectory, relevant, preferences):
+            return replay_assess(store, "bedroom", Condition.NO_HUMAN, relevant)
+
+        assert assess(replay, scene, trajectory, ["bed"], []).entries == {"bed": CostClearance(1.0, 0.5)}
         # The no_human recording holds the armchair and the bed, not the tv.
-        with pytest.raises(AssessorFailure, match=r"missing ids: \['tv'\]$"):
-            assess(port, scene, trajectory, ["bed", "tv"], [])
+        with pytest.raises(CoverageError, match=r"^missing ids: \['tv'\]$"):
+            assess(replay, scene, trajectory, ["bed", "tv"], [])
 
 
 class TestCheckEntries:
@@ -399,45 +407,51 @@ class TestCheckEntries:
 
 
 class TestAssessPort:
-    def test_wraps_invalid_output_with_assessor_name(self, partial_and_trajectory):
+    def test_lets_the_assessors_own_error_through(self, partial_and_trajectory):
+        partial, trajectory = partial_and_trajectory
+        relevant = tuple(sorted(partial.nodes))
+        error = TransportError("endpoint down")
+
+        def broken(partial, trajectory, relevant, preferences):
+            raise error
+
+        with pytest.raises(TransportError) as info:
+            assess(broken, partial, trajectory, relevant, [])
+        assert info.value is error
+
+    def test_invalid_output_is_a_coverage_error(self, partial_and_trajectory):
         partial, trajectory = partial_and_trajectory
         relevant = tuple(sorted(partial.nodes))
 
-        class BrokenAssessor:
-            name = "broken"
+        def empty(partial, trajectory, relevant, preferences):
+            return Assessment(entries={}, provenance=Provenance(assessor="empty"))
 
-            def __call__(self, partial, trajectory, relevant, preferences):
-                return Assessment(entries={}, provenance=Provenance(assessor="broken"))
+        with pytest.raises(CoverageError) as info:
+            assess(empty, partial, trajectory, relevant, [])
+        assert info.value.missing == relevant
 
-        with pytest.raises(AssessorFailure, match='assessor "broken"'):
-            assess(BrokenAssessor(), partial, trajectory, relevant, [])
-
-    def test_out_of_range_entry_is_an_assessor_failure(self, partial_and_trajectory):
+    def test_out_of_range_entry_is_a_value_error(self, partial_and_trajectory):
         partial, trajectory = partial_and_trajectory
         relevant = tuple(sorted(partial.nodes))
 
-        class OutOfRangeAssessor:
-            name = "out_of_range"
+        def out_of_range(partial, trajectory, relevant, preferences):
+            entries = {i: CostClearance(1.0, 0.0) for i in relevant}
+            entries[relevant[0]] = CostClearance(0.5, 0.0)
+            return Assessment(entries=entries, provenance=Provenance(assessor="test"))
 
-            def __call__(self, partial, trajectory, relevant, preferences):
-                entries = {i: CostClearance(1.0, 0.0) for i in relevant}
-                entries[relevant[0]] = CostClearance(0.5, 0.0)
-                return Assessment(entries=entries, provenance=Provenance(assessor="test"))
-
-        with pytest.raises(AssessorFailure, match='assessor "out_of_range"') as info:
-            assess(OutOfRangeAssessor(), partial, trajectory, relevant, [])
-        assert isinstance(info.value.cause, ValueOutOfRangeError)
-        assert (info.value.cause.object_id, info.value.cause.field_name) == (relevant[0], "cost")
+        with pytest.raises(ValueOutOfRangeError) as info:
+            assess(out_of_range, partial, trajectory, relevant, [])
+        assert (info.value.object_id, info.value.field_name) == (relevant[0], "cost")
 
     def test_empty_relevant_set_gives_empty_assessment(self, partial_and_trajectory):
         partial, trajectory = partial_and_trajectory
-        assessment = assess(RuleAssessor(), partial, trajectory, (), [])
+        assessment = assess(rule_based_assess, partial, trajectory, (), [])
         assert assessment.entries == {}
 
     def test_relevant_must_be_subset_of_partial(self, partial_and_trajectory):
         partial, trajectory = partial_and_trajectory
         with pytest.raises(ValueError, match="ghost"):
-            assess(RuleAssessor(), partial, trajectory, ("ghost",), [])
+            assess(rule_based_assess, partial, trajectory, ("ghost",), [])
 
 
 class _Reply:

@@ -142,7 +142,8 @@ class TestActivityZones:
         # zone cost applies between the endpoints
         mid = zone.corridor.center
         raster = rasterize(FieldSpec(()), zones, ((0, 0), (6, 5)), 0.1)
-        assert raster.value(*raster.cell_at(mid)) > 1.0
+        ix, iy = raster.cell_at(mid)
+        assert raster.cells[iy, ix] > 1.0
 
     def test_corridor_between_coincident_centers_is_none(self):
         box = RectFootprint((1.0, 1.0), (2.0, 3.0))
@@ -178,7 +179,7 @@ class TestRasterize:
         spec = FieldSpec((Contribution(RectFootprint((0.4, 0.4), (0.6, 0.6)), 7.0, 0.0),))
         costmap = rasterize(spec, (), ((0, 0), (1, 1)), 0.1)
         ix, iy = costmap.cell_at((0.5, 0.5))
-        assert costmap.value(ix, iy) == 7.0
+        assert costmap.cells[iy, ix] == 7.0
 
     def test_max_cell_equals_strongest_contribution(self, data_dir):
         # Exhaustive scan: the human's cost dominates the rasterized map.
@@ -211,7 +212,7 @@ class TestRasterize:
         for iy in range(costmap.height):
             for ix in range(costmap.width):
                 center = costmap.cell_center(ix, iy)
-                assert costmap.value(ix, iy) == combined_cost(center, spec)
+                assert costmap.cells[iy, ix] == combined_cost(center, spec)
 
     def test_coincident_centers_agree_across_resolutions(self):
         # Tripling the resolution makes every coarse center a fine center
@@ -221,7 +222,7 @@ class TestRasterize:
         fine = rasterize(spec, (), ((0, 0), (3, 3)), 0.25)
         for iy in range(coarse.height):
             for ix in range(coarse.width):
-                assert coarse.value(ix, iy) == fine.value(3 * ix + 1, 3 * iy + 1)
+                assert coarse.cells[iy, ix] == fine.cells[3 * iy + 1, 3 * ix + 1]
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError, match="resolution"):

@@ -18,7 +18,7 @@ from socioplan import (
     plan,
     planner,
 )
-from socioplan.cost_assessment import CostClearance, RuleAssessor
+from socioplan.cost_assessment import CostClearance, rule_based_assess
 from socioplan.cost_field import Costmap, FieldSpec, rasterize
 from socioplan.planner import Path, path_from_cells
 from socioplan.scene_graph import ObjectNode, SceneGraph
@@ -303,7 +303,7 @@ def _path_by_step(cells, costmap):
         if max(abs(a[0] - b[0]), abs(a[1] - b[1])) != 1:
             raise PlanningError(f"cells {a} and {b} are not 8-adjacent")
         length = costmap.resolution * (math.sqrt(2.0) if a[0] != b[0] and a[1] != b[1] else 1.0)
-        total_cost += length * ((costmap.value(*a) + costmap.value(*b)) / 2.0)
+        total_cost += length * ((costmap.cells[a[1], a[0]] + costmap.cells[b[1], b[0]]) / 2.0)
         length_m += length
     return Path(cells, tuple(costmap.cell_center(*c) for c in cells), total_cost, length_m)
 
@@ -391,7 +391,7 @@ class TestIteratePlan:
             (0.5, 0.5),
             (5.5, 4.5),
             1.5,
-            RuleAssessor(),
+            rule_based_assess,
             bounds=self.BOUNDS,
             resolution=0.1,
         )
@@ -424,7 +424,7 @@ class TestIteratePlan:
             (0.5, 2.0),
             (5.5, 2.0),
             0.9,
-            RuleAssessor(),
+            rule_based_assess,
             bounds=self.BOUNDS,
             resolution=0.1,
         )
@@ -447,7 +447,7 @@ class TestIteratePlan:
                 (0.5, 2.0),
                 (5.5, 2.0),
                 0.9,
-                RuleAssessor(),
+                rule_based_assess,
                 bounds=self.BOUNDS,
                 resolution=0.1,
                 max_rounds=max_rounds,
@@ -467,7 +467,7 @@ class TestIteratePlan:
                 (0.5, 2.0),
                 (5.5, 2.0),
                 0.9,
-                RuleAssessor(),
+                rule_based_assess,
                 bounds=self.BOUNDS,
                 resolution=0.1,
                 max_rounds=max_rounds,
@@ -477,7 +477,7 @@ class TestIteratePlan:
         assert outcome.stop == "converged"  # five rounds are enough to settle
         empty = iterate_plan(
             SceneGraph(nodes={}), Condition.NO_HUMAN, (0.5, 0.5), (5.5, 4.5), 1.5,
-            RuleAssessor(), bounds=self.BOUNDS, resolution=0.1, max_rounds=1,
+            rule_based_assess, bounds=self.BOUNDS, resolution=0.1, max_rounds=1,
         )
         assert empty.stop == "max_rounds"
 
@@ -489,7 +489,7 @@ class TestIteratePlan:
                 (0.5, 0.5),
                 (5.5, 4.5),
                 1.0,
-                RuleAssessor(),
+                rule_based_assess,
                 bounds=self.BOUNDS,
                 resolution=0.1,
                 max_rounds=0,
@@ -512,7 +512,7 @@ class TestIteratePlanReusesPath:
         )
         return iterate_plan(
             graph, Condition.HUMAN_NO_RELATIONS, (0.5, 2.0), (5.5, 2.0), 0.9,
-            RuleAssessor(), bounds=self.BOUNDS, resolution=0.1,
+            rule_based_assess, bounds=self.BOUNDS, resolution=0.1,
         )
 
     def reused_and_replanned(self, monkeypatch, tag):
