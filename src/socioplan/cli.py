@@ -111,7 +111,10 @@ def _cmd_assess(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario, strict=args.strict)
     conditions = scenario.conditions
     if args.condition:
-        conditions = tuple(Condition(v) for v in args.condition)
+        conditions = tuple(map(Condition, args.condition))
+        for i, condition in enumerate(conditions):
+            if condition in conditions[:i]:
+                raise FormatError(f'condition "{condition.value}" repeats', "--condition")
     kind = args.assessor or scenario.assessor.kind
     base = load_base_scene(scenario, strict=args.strict)
     trajectory = seed_trajectory(scenario.start, scenario.goal, scenario.waypoints)

@@ -24,6 +24,7 @@ from .jsonio import (
     check_keys,
     finite_number,
     parse_document,
+    plain_numbers,
     require_version,
 )
 from .scene_graph import RelationKind, SceneGraph
@@ -123,17 +124,23 @@ def cost_clearance(raw: dict, path: str) -> CostClearance:
 def entries_from_dict(
     raw_entries: object, path: str, *, strict: bool = False
 ) -> dict[str, CostClearance]:
-    """Read entries written by ``entries_to_dict``; each must pass ``out_of_range``."""
+    """Read entries written by ``entries_to_dict``; each must pass ``out_of_range``.
+    Entries that pass one bulk check (keys exactly cost and clearance, and
+    ``plain_numbers`` that ``out_of_range`` accepts), a sufficient condition
+    only, skip the per-entry reader, the one source of error text and warnings."""
     if not isinstance(raw_entries, dict):
         raise FormatError("expected an object keyed by object id", path)
-    entries = {}
-    for object_id, raw in raw_entries.items():
-        entry_path = f"{path}[{object_id!r}]"
-        check_keys(
-            raw, required=("cost", "clearance"), optional=(), path=entry_path, strict=strict
-        )
-        entries[object_id] = cost_clearance(raw, entry_path)
-    return entries
+    raws = raw_entries.values()
+    if not (
+        all(type(raw) is dict and raw.keys() == {"cost", "clearance"} for raw in raws)
+        and plain_numbers([value for raw in raws for value in raw.values()])
+        and not any(out_of_range(raw["cost"], raw["clearance"]) for raw in raws)
+    ):
+        for object_id, raw in raw_entries.items():
+            entry_path = f"{path}[{object_id!r}]"
+            check_keys(raw, required=("cost", "clearance"), optional=(), path=entry_path, strict=strict)
+            cost_clearance(raw, entry_path)
+    return {i: CostClearance(float(raw["cost"]), float(raw["clearance"])) for i, raw in raw_entries.items()}
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,19 @@ def string(value: Any, path: str) -> str:
     return value
 
 
+def plain_strings(values: list) -> bool:
+    """Whether ``string`` surely accepts each value: a non-empty printable ``str``."""
+    return set(map(type, values)) <= {str} and all(values) and "".join(values).isprintable()
+
+
+def plain_numbers(values: list) -> bool:
+    """Whether ``finite_number`` surely accepts each value: a finite ``int`` or ``float``."""
+    try:
+        return set(map(type, values)) <= _NUMBER_TYPES and all(map(math.isfinite, values))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def string_list(value: Any, path: str) -> list[str]:
     if not isinstance(value, list):
         raise FormatError("expected a list of strings", path)

@@ -211,10 +211,13 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
     conditions = []
     for i, value in enumerate(raw_conditions):
         try:
-            conditions.append(Condition(string(value, f"conditions[{i}]")))
+            condition = Condition(string(value, f"conditions[{i}]"))
         except ValueError:
             valid = ", ".join(c.value for c in Condition)
             raise FormatError(f'unknown condition "{value}" (valid: {valid})', f"conditions[{i}]") from None
+        if condition in conditions:
+            raise FormatError(f'condition "{value}" repeats', f"conditions[{i}]")
+        conditions.append(condition)
 
     (low, high), resolution = _parse_map(data["map"], strict)
 
@@ -627,8 +630,9 @@ def load_report(document: bytes | str, *, strict: bool = False) -> RunReport:
     """Parse a report written by ``report_to_json`` and rebuild its costmaps.
 
     Raises FormatError with a path into the document for a missing field, a
-    value of the wrong type, counts, costs or cells out of range, a
-    ``relevant`` list that repeats an id or names other ids than its entries,
+    value of the wrong type, counts, costs or cells out of range, a condition
+    that repeats an earlier one, a ``relevant`` list that repeats an id or
+    names other ids than its entries,
     a path whose ``total_cost`` or ``length_m`` differs from that of its
     cells, and a ``stats.min_distance_to_human_m`` that differs from that of
     its polyline.
@@ -648,16 +652,14 @@ def load_report(document: bytes | str, *, strict: bool = False) -> RunReport:
     raw_conditions = data["conditions"]
     if not isinstance(raw_conditions, list) or not raw_conditions:
         raise FormatError("conditions must be a non-empty list", "conditions")
-    return RunReport(
-        scenario_name=string(data["scenario"], "scenario"),
-        scene=scene,
-        conditions=tuple(
-            _condition_from_dict(raw, f"conditions[{i}]", scene, grid, strict)
-            for i, raw in enumerate(raw_conditions)
-        ),
-        bounds=grid[0],
-        resolution=grid[1],
-    )
+    name = string(data["scenario"], "scenario")
+    conditions: list[PlanIteration] = []
+    for i, raw in enumerate(raw_conditions):
+        result = _condition_from_dict(raw, f"conditions[{i}]", scene, grid, strict)
+        if result.condition in {c.condition for c in conditions}:
+            raise FormatError(f'condition "{result.condition.value}" repeats', f"conditions[{i}].condition")
+        conditions.append(result)
+    return RunReport(name, scene, tuple(conditions), *grid)
 
 
 # --- comparison ---------------------------------------------------------------

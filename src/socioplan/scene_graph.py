@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -20,6 +21,8 @@ from .jsonio import (
     canonical_json,
     check_keys,
     parse_document,
+    plain_numbers,
+    plain_strings,
     require_version,
     string,
     string_list,
@@ -54,8 +57,8 @@ class ObjectNode:
     attributes: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bbox_center", tuple(float(c) for c in self.bbox_center))
-        object.__setattr__(self, "bbox_extent", tuple(float(c) for c in self.bbox_extent))
+        object.__setattr__(self, "bbox_center", tuple(map(float, self.bbox_center)))
+        object.__setattr__(self, "bbox_extent", tuple(map(float, self.bbox_extent)))
         object.__setattr__(self, "affordances", frozenset(self.affordances))
         object.__setattr__(self, "attributes", frozenset(self.attributes))
 
@@ -162,12 +165,44 @@ def load_scene(document: bytes | str, *, strict: bool = False) -> SceneGraph:
     return scene_from_dict(parse_document(document, what="scene document"), strict=strict)
 
 
+_NODE_REQUIRED = ("id", "tag", "bbox_center", "bbox_extent")
+_NODE_OPTIONAL = ("affordances", "attributes")
+_RELATION_FIELDS = ("name", "head", "tail", "kind")
+_NODE_KEYS = frozenset(_NODE_REQUIRED), frozenset(_NODE_REQUIRED + _NODE_OPTIONAL)  # fewest, most
+_RELATION_KEYS = frozenset(_RELATION_FIELDS)
+_KINDS = {k.value: k for k in RelationKind}
+
+
+def _plain(raw_nodes: object, raw_relations: object) -> bool:
+    """Whether every node and relation is plainly well-formed: known and required
+    keys only, ``plain_strings`` ids, tags, names, affordances and attributes,
+    ``plain_numbers`` 3-list bboxes, and a ``RelationKind`` kind."""
+    if not (
+        type(raw_nodes) is type(raw_relations) is list
+        and all(type(n) is dict and _NODE_KEYS[0] <= n.keys() <= _NODE_KEYS[1] for n in raw_nodes)
+        and all(type(r) is dict and r.keys() == _RELATION_KEYS for r in raw_relations)
+    ):
+        return False
+    labels = [n.get(k, []) for n in raw_nodes for k in _NODE_OPTIONAL]
+    boxes = [n[k] for n in raw_nodes for k in ("bbox_center", "bbox_extent")]
+    kinds = [r["kind"] for r in raw_relations]
+    names = [r[k] for r in raw_relations for k in ("name", "head", "tail")]
+    return (
+        set(map(type, labels + boxes)) <= {list} and set(map(len, boxes)) <= {3}
+        and plain_strings([n[k] for n in raw_nodes for k in ("id", "tag")] + names + kinds + list(chain(*labels)))
+        and _KINDS.keys() >= set(kinds)
+        and plain_numbers(list(chain(*boxes)))
+    )
+
+
 def scene_from_dict(data: object, *, strict: bool = False) -> SceneGraph:
     """Validate a parsed scene document and build the graph.
 
     Raises FormatError with a path into the document for missing fields and
     wrong types, then a repeated node id, then the first rule ``validate_scene``
     finds broken. Unknown keys are rejected in strict mode, warned otherwise.
+    A document that passes one bulk check (``_plain``), a sufficient condition
+    only, skips the per-field reader, the one source of error text and warnings.
     """
     check_keys(
         data,
@@ -177,56 +212,40 @@ def scene_from_dict(data: object, *, strict: bool = False) -> SceneGraph:
         strict=strict,
     )
     require_version(data, "$", SCENE_SCHEMA_VERSION)
-
-    raw_nodes = data["nodes"]
-    if not isinstance(raw_nodes, list):
-        raise FormatError("expected a list of node objects", "nodes")
-    nodes: list[ObjectNode] = []
-    for i, raw in enumerate(raw_nodes):
-        path = f"nodes[{i}]"
-        check_keys(
-            raw,
-            required=("id", "tag", "bbox_center", "bbox_extent"),
-            optional=("affordances", "attributes"),
-            path=path,
-            strict=strict,
-        )
-        nodes.append(ObjectNode(
-            id=string(raw["id"], f"{path}.id"),
-            tag=string(raw["tag"], f"{path}.tag"),
-            bbox_center=vector(raw["bbox_center"], f"{path}.bbox_center", 3),
-            bbox_extent=vector(raw["bbox_extent"], f"{path}.bbox_extent", 3),
-            affordances=frozenset(string_list(raw.get("affordances", []), f"{path}.affordances")),
-            attributes=frozenset(string_list(raw.get("attributes", []), f"{path}.attributes")),
-        ))
-
-    raw_relations = data.get("relations", [])
-    if not isinstance(raw_relations, list):
-        raise FormatError("expected a list of relation objects", "relations")
-    relations: list[Relation] = []
-    for j, raw in enumerate(raw_relations):
-        path = f"relations[{j}]"
-        check_keys(
-            raw,
-            required=("name", "head", "tail", "kind"),
-            optional=(),
-            path=path,
-            strict=strict,
-        )
-        name = string(raw["name"], f"{path}.name")
-        head = string(raw["head"], f"{path}.head")
-        tail = string(raw["tail"], f"{path}.tail")
-        kind_value = string(raw["kind"], f"{path}.kind")
-        try:
-            kind = RelationKind(kind_value)
-        except ValueError:
-            valid = ", ".join(k.value for k in RelationKind)
-            raise FormatError(f'unknown kind "{kind_value}" (valid: {valid})', f"{path}.kind") from None
-        relations.append(Relation(name=name, head_id=head, tail_id=tail, kind=kind))
-
-    graph = SceneGraph(nodes=nodes, relations=tuple(relations))
+    raw_nodes, raw_relations = data["nodes"], data.get("relations", [])
+    if not _plain(raw_nodes, raw_relations):
+        _check_fields(raw_nodes, raw_relations, strict)
+    graph = SceneGraph(
+        [ObjectNode(n["id"], n["tag"], n["bbox_center"], n["bbox_extent"], n.get("affordances", ()),
+                    n.get("attributes", ())) for n in raw_nodes],
+        tuple(Relation(r["name"], r["head"], r["tail"], _KINDS[r["kind"]]) for r in raw_relations),
+    )
     validate_scene(graph)
     return graph
+
+
+def _check_fields(raw_nodes: object, raw_relations: object, strict: bool) -> None:
+    """The per-field reader of a scene's nodes and relations."""
+    if not isinstance(raw_nodes, list):
+        raise FormatError("expected a list of node objects", "nodes")
+    for i, raw in enumerate(raw_nodes):
+        path = f"nodes[{i}]"
+        check_keys(raw, required=_NODE_REQUIRED, optional=_NODE_OPTIONAL, path=path, strict=strict)
+        for key in ("id", "tag"):
+            string(raw[key], f"{path}.{key}")
+        for key in ("bbox_center", "bbox_extent"):
+            vector(raw[key], f"{path}.{key}", 3)
+        for key in _NODE_OPTIONAL:
+            string_list(raw.get(key, []), f"{path}.{key}")
+    if not isinstance(raw_relations, list):
+        raise FormatError("expected a list of relation objects", "relations")
+    for j, raw in enumerate(raw_relations):
+        path = f"relations[{j}]"
+        check_keys(raw, required=_RELATION_FIELDS, optional=(), path=path, strict=strict)
+        for key in _RELATION_FIELDS:
+            string(raw[key], f"{path}.{key}")
+        if raw["kind"] not in _KINDS:
+            raise FormatError(f'unknown kind "{raw["kind"]}" (valid: {", ".join(_KINDS)})', f"{path}.kind")
 
 
 def node_to_dict(node: ObjectNode) -> dict:
@@ -256,32 +275,33 @@ def serialize_scene(graph: SceneGraph) -> str:
     return canonical_json(scene_to_dict(graph))
 
 
-def box_distances(points: Iterable[Iterable[float]], nodes: Iterable[ObjectNode]) -> np.ndarray:
-    """(P, N) Euclidean distances from each point to the closest point of each
-    node's box; 0 where the point is inside or on the box.
+def box_corners(nodes: Iterable[ObjectNode]) -> tuple[np.ndarray, np.ndarray]:
+    """(3, N) lower and upper corners of the nodes' boxes, ``c -/+ e / 2``, axis first."""
+    nodes = tuple(nodes)
+    boxes = np.fromiter(chain(*[n.bbox_center + n.bbox_extent for n in nodes]), float, 6 * len(nodes))
+    center, extent = boxes.reshape(len(nodes), 2, 3).transpose(1, 2, 0)
+    return center - extent / 2.0, center + extent / 2.0
 
-    Per axis the gap is ``max(lo - p, 0, p - hi)`` with ``lo, hi = c -/+ e / 2``;
-    the squared gaps are summed in x, y, z order before the square root. The
-    work runs axis by axis on (P, N) arrays, so no (P, N, 3) block is built.
-    """
+
+def gap_distances(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Euclidean distances from points to boxes, 0 inside or on a box, with
+    ``p[a]``, ``lo[a]`` and ``hi[a]`` broadcasting together on each axis a.
+    The one home of the formula: per axis the gap is ``max(max(lo - p, 0),
+    p - hi)``; the squared gaps are summed in x, y, z order from 0, then rooted."""
+    total = 0.0
+    for axis in range(3):
+        gap = np.maximum(np.maximum(lo[axis] - p[axis], 0.0), p[axis] - hi[axis])
+        total = total + gap * gap
+    return np.sqrt(total)
+
+
+def box_distances(points: Iterable[Iterable[float]], nodes: Iterable[ObjectNode]) -> np.ndarray:
+    """(P, N) Euclidean distances (``gap_distances``) from each point to each
+    node's box, worked on (P, N) arrays, so no (P, N, 3) block is built."""
     rows = [tuple(q) for q in points]
     p = np.array(rows, dtype=float).reshape(len(rows), 3)
-    nodes = tuple(nodes)
-    center = np.array([n.bbox_center for n in nodes], dtype=float).reshape(len(nodes), 3)
-    half = np.array([n.bbox_extent for n in nodes], dtype=float).reshape(len(nodes), 3) / 2.0
-    lo, hi = center - half, center + half
-    total = np.zeros((len(p), len(nodes)))
-    gap = np.empty_like(total)
-    beyond = np.empty_like(total)
-    for axis in range(3):
-        coord = p[:, axis, None]
-        np.subtract(lo[:, axis], coord, out=gap)
-        np.maximum(gap, 0.0, out=gap)
-        np.subtract(coord, hi[:, axis], out=beyond)
-        np.maximum(gap, beyond, out=gap)
-        gap *= gap
-        total += gap
-    return np.sqrt(total, out=total)
+    lo, hi = box_corners(nodes)
+    return gap_distances(p.T[:, :, None], lo[:, None, :], hi[:, None, :])
 
 
 def distance_to_object(point: Iterable[float], node: ObjectNode) -> float:

@@ -8,7 +8,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .scene_graph import SceneGraph, Vec3, box_distances
+import numpy as np
+
+from .scene_graph import SceneGraph, Vec3, box_corners, gap_distances
 
 DEFAULT_QUERY_RADIUS_M = 2.0
 # Relevance is sampled at waypoints only; trajectories are densified to this
@@ -34,20 +36,26 @@ class Trajectory:
         return len(self.waypoints)
 
 
-def resample(trajectory: Trajectory, max_spacing: float = DEFAULT_WAYPOINT_SPACING_M) -> Trajectory:
-    """Insert evenly spaced waypoints so consecutive ones are <= max_spacing apart."""
+def _densify(waypoints: Sequence[Vec3], max_spacing: float) -> np.ndarray:
+    """(W, 3) waypoints, each segment a -> b split into ``steps = max(1,
+    ceil(dist(a, b) / max_spacing))`` points ``a + (b - a) * (k / steps)``,
+    k = 1..steps; an infinite spacing keeps the waypoints as they are."""
     if max_spacing <= 0:
         raise ValueError("max_spacing must be > 0")
+    points = np.array(waypoints, dtype=float).reshape(len(waypoints), 3)
     if not math.isfinite(max_spacing):
-        return trajectory
-    points = [trajectory.waypoints[0]]
-    for a, b in zip(trajectory.waypoints, trajectory.waypoints[1:]):
-        length = math.dist(a, b)
-        steps = max(1, math.ceil(length / max_spacing))
-        for k in range(1, steps + 1):
-            t = k / steps
-            points.append(tuple(a[i] + (b[i] - a[i]) * t for i in range(3)))
-    return Trajectory(tuple(points))
+        return points
+    pairs = zip(waypoints, waypoints[1:])
+    steps = np.array([max(1, math.ceil(math.dist(a, b) / max_spacing)) for a, b in pairs], dtype=np.int64)
+    segment = np.repeat(np.arange(len(steps)), steps)
+    k = np.arange(1, len(segment) + 1) - np.repeat(np.cumsum(steps) - steps, steps)
+    a, b = points[segment], points[segment + 1]
+    return np.concatenate([points[:1], a + (b - a) * (k / steps[segment])[:, None]])
+
+
+def resample(trajectory: Trajectory, max_spacing: float = DEFAULT_WAYPOINT_SPACING_M) -> Trajectory:
+    """Insert evenly spaced waypoints so consecutive ones are <= max_spacing apart."""
+    return Trajectory(tuple(map(tuple, _densify(trajectory.waypoints, max_spacing).tolist())))
 
 
 def relevant_objects(
@@ -57,19 +65,33 @@ def relevant_objects(
     *,
     max_spacing: float = DEFAULT_WAYPOINT_SPACING_M,
 ) -> tuple[str, ...]:
-    """Ids of objects within ``radius`` of any (densified) waypoint.
+    """Ids of objects within ``radius`` of any (densified) waypoint, ordered
+    by the index of the first such waypoint, ties broken by id.
 
-    All (waypoint, object) box distances are computed in one pass. Ids are
-    ordered by the index of the first waypoint within ``radius`` of the
-    object, ties broken by id, so the result is deterministic.
+    A (chunk of ``chunk`` consecutive waypoints, object) pair is dropped when
+    the gap between their boxes on some axis exceeds ``radius * (1 + 1e-9)``;
+    ``gap_distances`` runs on the (waypoint, object) pairs left. This is
+    exact: rounding of a subtraction is monotone, so a waypoint's computed gap
+    is at least the chunk's, and the square, sum and root lose under 1e-15
+    relative, far inside the margin.
     """
     if radius <= 0:
         raise ValueError("query radius must be > 0")
-    dense = resample(trajectory, max_spacing)
+    points, chunk = _densify(trajectory.waypoints, max_spacing), 16
     nodes = tuple(graph)
-    hits = box_distances(dense.waypoints, nodes) <= radius
-    first, any_hit = hits.argmax(axis=0).tolist(), hits.any(axis=0).tolist()
-    found = sorted((i, node.id) for i, node, hit in zip(first, nodes, any_hit) if hit)
+    lo, hi = box_corners(nodes)
+    starts = np.arange(0, len(points), chunk)
+    low, high = np.minimum.reduceat(points, starts).T, np.maximum.reduceat(points, starts).T
+    limit = radius * (1 + 1e-9)
+    far = (lo[:, None] - high[:, :, None] > limit) | (low[:, :, None] - hi[:, None] > limit)
+    near, node = np.nonzero(~far.any(axis=0))
+    # A pair stands for its chunk's waypoints; a short last chunk repeats its last one.
+    waypoint = np.minimum(near[:, None] * chunk + np.arange(chunk), len(points) - 1).ravel()
+    node = node.repeat(chunk)
+    hit = gap_distances(points.T.take(waypoint, 1), lo.take(node, 1), hi.take(node, 1)) <= radius
+    first = np.full(len(nodes), len(points))
+    np.minimum.at(first, node[hit], waypoint[hit])
+    found = sorted((i, n.id) for i, n in zip(first.tolist(), nodes) if i < len(points))
     return tuple(node_id for _, node_id in found)
 
 

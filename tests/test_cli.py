@@ -297,6 +297,14 @@ def _waypoint_off_the_map(files):
     files["scenario"]["waypoints"] = [[0.8, 2.0, 0.0], [100.0, 2.0, 0.0]]  # the map is 6 x 5 m
 
 
+def _conditions_repeat(files):
+    files["scenario"]["conditions"] = ["no_human", "human_with_relations", "no_human"]
+
+
+def _report_conditions_repeat(files):
+    files["report"]["conditions"].append(files["report"]["conditions"][0])
+
+
 def _one_condition(files):
     files["scenario"]["conditions"] = ["no_human"]
 
@@ -364,6 +372,10 @@ class TestMalformedInputs:
             ("plan", _zone_verb_empty, "activity_zones['']"),
             ("plan", _waypoint_off_the_map, "waypoints[1]"),
             ("assess", _waypoint_off_the_map, "waypoints[1]"),
+            ("compare", _conditions_repeat, "conditions[2]"),
+            ("plan", _conditions_repeat, "conditions[2]"),
+            ("assess", _conditions_repeat, "conditions[2]"),
+            ("render", _report_conditions_repeat, "conditions[3].condition"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )
@@ -375,6 +387,13 @@ class TestMalformedInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert f"{where}: " in err[0]
+
+    def test_repeated_condition_flag(self, capsys):
+        scenario = str(DATA_DIR / _INPUTS["scenario"])
+        assert main(["assess", scenario, "--condition", "no_human", "--condition", "no_human"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ['error: --condition: condition "no_human" repeats']
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_compare_needs_two_conditions(self, tmp_path, capsys, fmt):

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import shutil
+import warnings
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,9 +27,10 @@ from socioplan import (
     report_to_json,
     run_scenario,
 )
-from socioplan.cost_assessment import load_assessment_fixtures
+from socioplan import cost_assessment, scene_graph
+from socioplan.cost_assessment import entries_from_dict, load_assessment_fixtures
 from socioplan.cost_field import Costmap, footprint_of
-from socioplan.jsonio import FormatError
+from socioplan.jsonio import FormatError, UnknownKeyWarning
 from socioplan.render import PX_PER_M
 from socioplan.scenario_runner import (
     ScenarioError,
@@ -35,7 +40,7 @@ from socioplan.scenario_runner import (
     min_distance_to_human,
     serialize_scenario,
 )
-from socioplan.scene_graph import SceneGraph
+from socioplan.scene_graph import SceneGraph, scene_from_dict, serialize_scene
 
 from conftest import DATA_DIR
 
@@ -541,3 +546,113 @@ class TestLoadFixturesMutations:
             load_assessment_fixtures(json.dumps(_mutated(_SHIPPED_FIXTURES, where, mutation)))
         except FormatError:
             pass
+
+
+# --- bulk readers ---------------------------------------------------------------
+
+_BULK_VALUES = [
+    None, True, False, 0, -1, 1.5, 10**400, -(10**400), float("nan"), float("inf"), "x", "", [], {},
+    "a\x01b", "a b", "\ud800", "sit", ("sit",), ["sit", 1], [1.0, 2.0], [1, 2, True], "spatial",
+]
+_BULK_MUTATIONS = st.sampled_from([("delete",), ("wrap",), ("unknown_key",)]) | st.tuples(
+    st.just("replace"), st.sampled_from(_BULK_VALUES)
+)
+
+
+def _bulk_mutated(data: object, where: tuple, mutation: tuple) -> object:
+    """A copy of ``data`` with ``mutation`` applied at key path ``where``;
+    ``unknown_key`` adds a key to the object there, or else beside it."""
+    data = copy.deepcopy(data)
+    parent = data
+    for key in where[:-1]:
+        parent = parent[key]
+    key = where[-1]
+    if mutation[0] == "unknown_key":
+        target = parent[key] if isinstance(parent[key], dict) else parent
+        if isinstance(target, dict):
+            target["zz_unknown"] = 1
+    elif mutation[0] == "delete":
+        del parent[key]
+    elif mutation[0] == "wrap":
+        parent[key] = [parent[key]]
+    else:
+        parent[key] = copy.deepcopy(mutation[1])
+    return data
+
+
+def _outcome(read, data: object) -> tuple:
+    """``read(data)`` as the repr of its result or its FormatError text, and
+    the UnknownKeyWarning messages it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = read(copy.deepcopy(data))
+            text = serialize_scene(result) if isinstance(result, SceneGraph) else repr(result)
+        except FormatError as exc:
+            text = f"FormatError: {exc}"
+    return text, [str(w.message) for w in caught if issubclass(w.category, UnknownKeyWarning)]
+
+
+def _bulk_off(module, name: str):
+    """Patch ``module.name``, a check the bulk path needs, to refuse everything."""
+    return mock.patch.object(module, name, lambda *args: False)
+
+
+_SCENE_DATA = json.loads(_SHIPPED_SCENE)
+_SCENE_DATA["relations"].append({"name": "faces", "head": "armchair", "tail": "tv", "kind": "comparative"})
+_SCENE_DATA_LOCATIONS = list(_locations(_SCENE_DATA))[1:]
+_ENTRIES_DATA = json.loads(_SHIPPED_REPORT)["conditions"][-1]["assessment"]["entries"]
+_ENTRIES_DATA["int_valued"] = {"clearance": 0, "cost": 2}
+_ENTRIES_LOCATIONS = list(_locations(_ENTRIES_DATA))[1:]
+
+
+class TestBulkReadersAreSound:
+    """The bulk checks of ``scene_from_dict`` and ``entries_from_dict`` are
+    sufficient conditions only: with them switched off, every document reads
+    to the same graph or entries, the same FormatError and the same warnings."""
+
+    def test_shipped_documents_take_the_bulk_path(self):
+        for document in (_SCENE_DATA, json.loads(_SHIPPED_REPORT)["scene"]):
+            with mock.patch.object(scene_graph, "_check_fields", side_effect=AssertionError):
+                scene_from_dict(document, strict=True)
+        with mock.patch.object(cost_assessment, "cost_clearance", side_effect=AssertionError):
+            entries = entries_from_dict(_ENTRIES_DATA, "entries", strict=True)
+        assert type(entries["int_valued"].cost) is float
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("reader", ["scene", "entries"])
+    def test_every_single_edit(self, reader, strict):
+        data, locations, read, switch = self._reader(reader, strict)
+        for where in locations:
+            for mutation in [("delete",), ("wrap",), ("unknown_key",)] + [("replace", v) for v in _BULK_VALUES]:
+                edited = _bulk_mutated(data, where, mutation)
+                shipped = _outcome(read, edited)
+                with switch:
+                    assert _outcome(read, edited) == shipped, (where, mutation)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        reader=st.sampled_from(["scene", "entries"]),
+        picks=st.lists(st.tuples(st.integers(0, 10**6), _BULK_MUTATIONS), min_size=2, max_size=3),
+        strict=st.booleans(),
+    )
+    def test_several_edits(self, reader, picks, strict):
+        data, locations, read, switch = self._reader(reader, strict)
+        for pick, mutation in picks:
+            try:
+                data = _bulk_mutated(data, locations[pick % len(locations)], mutation)
+            except (KeyError, IndexError, TypeError):  # an earlier edit removed the path
+                pass
+        shipped = _outcome(read, data)
+        with switch:
+            assert _outcome(read, data) == shipped
+
+    @staticmethod
+    def _reader(reader: str, strict: bool) -> tuple:
+        """The document, its edit locations, the reader, and a patch that
+        switches the reader's bulk check off."""
+        if reader == "scene":
+            read = functools.partial(scene_from_dict, strict=strict)
+            return _SCENE_DATA, _SCENE_DATA_LOCATIONS, read, _bulk_off(scene_graph, "_plain")
+        read = functools.partial(entries_from_dict, path="entries", strict=strict)
+        return _ENTRIES_DATA, _ENTRIES_LOCATIONS, read, _bulk_off(cost_assessment, "plain_numbers")

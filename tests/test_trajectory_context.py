@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from socioplan import (
     resample,
     validate_scene,
 )
-from socioplan.scene_graph import ObjectNode, SceneGraph
+from socioplan.scene_graph import ObjectNode, SceneGraph, box_distances
 
 from conftest import make_seated_human_spec, make_small_scene
 
@@ -137,6 +138,96 @@ class TestRelevantObjects:
         assert relevant_objects(graph, trajectory, radius) == _loop_relevant_objects(
             graph, trajectory, radius
         )
+
+
+def _loop_resample(trajectory, max_spacing=0.25):
+    """Reference: the point-by-point loop ``resample`` replaced."""
+    if not math.isfinite(max_spacing):
+        return trajectory
+    points = [trajectory.waypoints[0]]
+    for a, b in zip(trajectory.waypoints, trajectory.waypoints[1:]):
+        steps = max(1, math.ceil(math.dist(a, b) / max_spacing))
+        for k in range(1, steps + 1):
+            t = k / steps
+            points.append(tuple(a[i] + (b[i] - a[i]) * t for i in range(3)))
+    return Trajectory(tuple(points))
+
+
+def _full_matrix_relevant_objects(graph, trajectory, radius, max_spacing=0.25):
+    """Reference: every (waypoint, object) box distance, the first hit per object."""
+    nodes = tuple(graph)
+    hits = box_distances(_loop_resample(trajectory, max_spacing).waypoints, nodes) <= radius
+    first, any_hit = hits.argmax(axis=0).tolist(), hits.any(axis=0).tolist()
+    return tuple(i for _, i in sorted((w, n.id) for w, n, hit in zip(first, nodes, any_hit) if hit))
+
+
+def _bits(trajectory):
+    return [c.hex() for point in trajectory.waypoints for c in point]
+
+
+@st.composite
+def _relevance_cases(draw):
+    """A scene of 0-60 boxes and a trajectory of 1-8 waypoints about one
+    offset (0, -37.5 or +-1e6 m), with repeated waypoints, waypoints exactly
+    ``radius`` beyond a box face, and spacings and radii that include inf,
+    a single dense waypoint and a radius whose margin overflows."""
+    offset = draw(st.sampled_from([0.0, -37.5, -1e6, 1e6]))
+    coord = st.floats(-8.0, 8.0).map(lambda v: v + offset)
+    point = st.tuples(coord, coord, st.floats(-1.0, 2.0))
+    boxes = draw(st.lists(st.tuples(point, st.tuples(*[st.floats(0.01, 4.0)] * 3)), max_size=60))
+    names = draw(st.permutations(range(len(boxes))))
+    nodes = [ObjectNode(f"n{k:02d}", "box", c, e) for k, (c, e) in zip(names, boxes)]
+    radius = draw(st.one_of(st.floats(0.01, 5.0), st.sampled_from([sys.float_info.max, math.inf])))
+    spacing = draw(st.one_of(st.floats(0.05, 2.0), st.sampled_from([0.25, math.inf])))
+    waypoints = draw(st.lists(point, min_size=1, max_size=8))
+    for index in draw(st.lists(st.integers(1, len(waypoints)), max_size=2)):
+        waypoints.insert(index, waypoints[index - 1])  # a zero-length segment
+    if nodes and radius < 10.0:
+        for node in draw(st.lists(st.sampled_from(nodes), max_size=3)):
+            axis, face = draw(st.integers(0, 2)), draw(st.booleans())
+            spot = list(node.bbox_center)
+            spot[axis] = node.bbox_max[axis] + radius if face else node.bbox_min[axis] - radius
+            waypoints[draw(st.integers(0, len(waypoints) - 1))] = tuple(spot)
+    return SceneGraph(nodes=nodes), Trajectory(tuple(waypoints)), radius, spacing
+
+
+class TestRelevanceReferences:
+    """``resample`` and ``relevant_objects`` against the loop and the full
+    distance matrix they replaced: bit-equal points and equal id tuples."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_relevance_cases())
+    def test_match_the_references(self, case):
+        graph, trajectory, radius, spacing = case
+        assert _bits(resample(trajectory, spacing)) == _bits(_loop_resample(trajectory, spacing))
+        assert relevant_objects(graph, trajectory, radius, max_spacing=spacing) == (
+            _full_matrix_relevant_objects(graph, trajectory, radius, spacing)
+        )
+
+    @pytest.mark.parametrize("offset", [0.0, -1e6, 1e6])
+    def test_long_trip_past_faces_at_the_radius(self, offset):
+        """Boxes beside a 30 m trip, over a hundred dense waypoints, each with a
+        face exactly 1 m off the trip or a hair beyond it."""
+        radius, nodes = 1.0, []
+        for k in range(60):
+            x = offset + k * 0.5
+            gap = radius if k % 2 else math.nextafter(radius, 2.0)
+            nodes.append(ObjectNode(f"b{k:02d}", "box", (x, offset + gap + 0.25, 0.0), (0.2, 0.5, 0.2)))
+        trajectory = Trajectory(((offset, offset, 0.0), (offset + 30.0, offset, 0.0)))
+        found = relevant_objects(SceneGraph(nodes), trajectory, radius)
+        assert found == _full_matrix_relevant_objects(SceneGraph(nodes), trajectory, radius)
+        assert len(resample(trajectory).waypoints) > 100
+        if offset == 0.0:
+            assert found == tuple(f"b{k:02d}" for k in range(1, 60, 2))
+
+    def test_single_waypoint_and_empty_scene(self, small_scene):
+        trajectory = Trajectory(((1.0, 1.0, 0.0),))
+        for spacing in (0.25, math.inf):
+            assert _bits(resample(trajectory, spacing)) == _bits(trajectory)
+            assert relevant_objects(SceneGraph(nodes={}), trajectory, 2.0, max_spacing=spacing) == ()
+            assert relevant_objects(small_scene, trajectory, sys.float_info.max, max_spacing=spacing) == (
+                _full_matrix_relevant_objects(small_scene, trajectory, sys.float_info.max, spacing)
+            )
 
 
 class TestInducePartialGraph:
