@@ -26,6 +26,7 @@ from .jsonio import (
     parse_document,
     plain_numbers,
     require_version,
+    unwritable,
 )
 from .scene_graph import RelationKind, SceneGraph
 from .trajectory_context import Trajectory, render_context_text
@@ -325,7 +326,8 @@ def llm_assess(
     """Query the LLM and validate its answer, re-querying on invalid responses.
 
     Each retry appends the validation error to the conversation so the model
-    can repair its output. Transport failures are not retried. Raises
+    can repair its output. Transport failures are not retried; nor is a reply
+    holding a character no report can carry, which is a TransportError. Raises
     RetriesExhaustedError (carrying the last parse error) when every attempt
     fails validation.
     """
@@ -339,6 +341,8 @@ def llm_assess(
         reply = transport(messages)
         if not isinstance(reply, str):
             raise TransportError(f"transport must return text, got {type(reply).__name__}")
+        if reason := unwritable(reply):  # the transcript goes into the report
+            raise TransportError(f"reply {reason}")
         transcript.append(("assistant", reply))
         try:
             parsed = parse_assessment(reply, relevant)

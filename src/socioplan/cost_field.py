@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .cost_assessment import out_of_range
-from .scene_graph import ObjectNode, RelationKind, SceneGraph
+from .scene_graph import ObjectNode, RelationKind, SceneGraph, gap_distances
 
 Vec2 = tuple[float, float]
 
@@ -63,11 +63,9 @@ class RectFootprint:
         return (self.min_xy, self.max_xy)
 
     def distance(self, points: np.ndarray) -> np.ndarray:
-        """Planar distance from each (N, 2) point to the rectangle; 0 inside."""
-        pts = np.asarray(points, dtype=float)
-        dx = np.maximum(np.maximum(self.min_xy[0] - pts[:, 0], 0.0), pts[:, 0] - self.max_xy[0])
-        dy = np.maximum(np.maximum(self.min_xy[1] - pts[:, 1], 0.0), pts[:, 1] - self.max_xy[1])
-        return np.sqrt(dx * dx + dy * dy)
+        """Planar distance (``gap_distances``) from each (N, 2) point to the
+        rectangle; 0 inside."""
+        return gap_distances(np.asarray(points, dtype=float).T, self.min_xy, self.max_xy)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import math
 import re
 import warnings
 from itertools import chain
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 
 class FormatError(ValueError):
@@ -27,63 +27,9 @@ class UnknownKeyWarning(UserWarning):
     """Unknown key accepted outside strict mode."""
 
 
-# With ``indent`` set, ``json.dumps`` runs the pure-Python encoder, one
-# generator step per value. The canonical layout is written here instead, and
-# every scalar, and every list of plain numbers, goes through the C encoder.
-_encode = json.JSONEncoder(ensure_ascii=False).encode
-_NUMBER_TYPES = frozenset((int, float))
-
-
 def canonical_json(value: Any) -> str:
-    """Serialize with sorted keys and fixed layout; byte-stable for equal values.
-
-    The text is exactly ``json.dumps(value, indent=2, sort_keys=True,
-    ensure_ascii=False) + "\\n"``.
-    """
-    chunks: list[str] = []
-    _write(value, "\n", chunks.append)
-    chunks.append("\n")
-    return "".join(chunks)
-
-
-def _write(value: Any, newline: str, emit: Callable[[str], None]) -> None:
-    """Emit ``value`` laid out as the stdlib's ``indent=2`` encoder does;
-    ``newline`` is the line break plus the indentation of ``value``'s own line."""
-    if isinstance(value, dict):
-        if not value:
-            emit("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                # As in the stdlib: a scalar key is written as its JSON text.
-                if key is not None and not isinstance(key, (int, float)):
-                    raise TypeError(
-                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-                    )
-                key = _encode(key)
-            emit(separator + _encode(key) + ": ")
-            _write(item, inner, emit)
-            separator = "," + inner
-        emit(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            emit("[]")
-            return
-        inner = newline + "  "
-        if set(map(type, value)) <= _NUMBER_TYPES:
-            # A number's text holds no ", ", so every ", " is a separator.
-            emit("[" + inner + _encode(value)[1:-1].replace(", ", "," + inner) + newline + "]")
-            return
-        separator = "[" + inner
-        for item in value:
-            emit(separator)
-            _write(item, inner, emit)
-            separator = "," + inner
-        emit(newline + "]")
-    else:
-        emit(_encode(value))
+    """Serialize with sorted keys and fixed layout; byte-stable for equal values."""
+    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def parse_document(document: bytes | str, *, what: str) -> Any:
@@ -170,19 +116,29 @@ def index_vectors(value: Any, path: str, length: int) -> tuple[tuple[int, ...], 
 _UNWRITABLE = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
+def unwritable(text: str) -> str | None:
+    """Why no report or SVG can carry ``text``, or None when both can."""
+    if text.isprintable() or not (bad := re.search(_UNWRITABLE, text)):
+        return None
+    return f"holds U+{ord(bad[0]):04X}, which no report or SVG can carry"
+
+
 def string(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise FormatError(f"expected a string, got {type(value).__name__}", path)
     if not value:
         raise FormatError("must be non-empty", path)
-    if not value.isprintable() and (bad := re.search(_UNWRITABLE, value)):
-        raise FormatError(f"holds U+{ord(bad[0]):04X}, which no report or SVG can carry", path)
+    if reason := unwritable(value):
+        raise FormatError(reason, path)
     return value
 
 
 def plain_strings(values: list) -> bool:
     """Whether ``string`` surely accepts each value: a non-empty printable ``str``."""
     return set(map(type, values)) <= {str} and all(values) and "".join(values).isprintable()
+
+
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def plain_numbers(values: list) -> bool:

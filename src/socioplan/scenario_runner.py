@@ -4,6 +4,7 @@ deterministic run reports, and the condition comparison table."""
 from __future__ import annotations
 
 import functools
+import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path as FilePath
@@ -512,7 +513,8 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def report_to_json(report: RunReport) -> str:
-    return canonical_json(report_to_dict(report))
+    """The report in the compact layout: sorted keys, no whitespace, one final newline."""
+    return json.dumps(report_to_dict(report), sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
 def _is_message(value: object) -> bool:

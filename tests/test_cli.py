@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from socioplan import scenario_runner
 from socioplan.cli import main
 from socioplan.cost_assessment import entries_to_dict
 from socioplan.human_augmentation import Condition
@@ -508,6 +509,37 @@ class TestUnwritableStrings:
         assert main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: nodes[0].tag: holds U+{code}, which no report or SVG can carry"
+        ]
+        assert not out.exists()
+
+
+class TestUnwritableLlmReply:
+    def test_plan_refuses_the_reply_before_it_is_recorded(self, tmp_path, capsys, monkeypatch):
+        """A reply the report's transcript cannot carry ends ``plan`` with one
+        error line, though a valid reply would follow it."""
+        recorded = json.loads((DATA_DIR / "bedroom_assessments.json").read_text())
+        entries = recorded["assessments"]["bedroom/no_human"]
+        valid = json.dumps({"assessments": [{"object_id": k, **v} for k, v in entries.items()]})
+        replies = ["\ud800 not json", valid]
+
+        class FakeTransport:
+            def __init__(self, model):
+                self.model = model
+
+            def __call__(self, messages):
+                return replies.pop(0)
+
+        def llm_no_human(files):
+            files["scenario"]["assessor"] = {"kind": "llm", "model": "fake"}
+            files["scenario"]["conditions"] = ["no_human"]
+
+        monkeypatch.setattr(scenario_runner, "HttpChatTransport", FakeTransport)
+        _write_inputs(tmp_path, llm_no_human)
+        out = tmp_path / "r.json"
+        assert main(["plan", str(tmp_path / _INPUTS["scenario"]), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            'error: condition "no_human", stage "assess": assessor "llm": '
+            "reply holds U+D800, which no report or SVG can carry"
         ]
         assert not out.exists()
 

@@ -254,6 +254,15 @@ class TestLlmAssess:
         with pytest.raises(TransportError, match="connection refused"):
             llm_assess(failing, partial, trajectory, RELEVANT, [])
 
+    @pytest.mark.parametrize("bad, code", [("\ud800", "D800"), ("\x01", "0001"), ("\uffff", "FFFF")])
+    def test_a_reply_no_report_can_carry_is_not_retried(self, partial_and_trajectory, bad, code):
+        partial, trajectory = partial_and_trajectory
+        transport = scripted_transport([bad + " not json", VALID_RESPONSE])
+        with pytest.raises(TransportError) as info:
+            llm_assess(transport, partial, trajectory, RELEVANT, [])
+        assert str(info.value) == f"reply holds U+{code}, which no report or SVG can carry"
+        assert len(transport.calls) == 1
+
     def test_never_returns_out_of_range_values(self, partial_and_trajectory):
         partial, trajectory = partial_and_trajectory
         bad = json.dumps(

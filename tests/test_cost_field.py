@@ -300,6 +300,25 @@ def _corridor(center, angle, half_length, half_width, cost=3.0, clearance=0.4):
     return ActivityZone("human", "watching", "tv", cost, clearance, corridor)
 
 
+class TestRectDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), origin=_origin, scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_equals_the_explicit_gap_formula(self, data, origin, scale):
+        """``RectFootprint.distance`` goes through ``gap_distances``, which sums
+        from 0; that adds nothing to ``sqrt(dx * dx + dy * dy)``, bit for bit."""
+        rect = data.draw(_rect(origin))
+        (x0, y0), (x1, y1) = (tuple(c * scale for c in corner) for corner in rect.box)
+        rect = RectFootprint((x0, y0), (x1, y1))
+        coordinate = st.floats(-1.0, 5.0) | st.sampled_from([-50.0, 50.0])
+        points = np.array(
+            data.draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=50))
+        )
+        points = (points + origin) * scale
+        dx = np.maximum(np.maximum(x0 - points[:, 0], 0.0), points[:, 0] - x1)
+        dy = np.maximum(np.maximum(y0 - points[:, 1], 0.0), points[:, 1] - y1)
+        assert np.array_equal(rect.distance(points), np.sqrt(dx * dx + dy * dy))
+
+
 class TestRasterizeAgainstFullGrid:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), origin=_origin, resolution=_resolution)

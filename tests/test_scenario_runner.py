@@ -30,7 +30,7 @@ from socioplan import (
 from socioplan import cost_assessment, scene_graph
 from socioplan.cost_assessment import entries_from_dict, load_assessment_fixtures
 from socioplan.cost_field import Costmap, footprint_of
-from socioplan.jsonio import FormatError, UnknownKeyWarning
+from socioplan.jsonio import FormatError, UnknownKeyWarning, canonical_json
 from socioplan.render import PX_PER_M
 from socioplan.scenario_runner import (
     ScenarioError,
@@ -53,6 +53,20 @@ def scenario():
 @pytest.fixture(scope="module")
 def replay_report(scenario):
     return run_scenario(scenario)
+
+
+SHIPPED_SVG_SHA256 = "f641bb9ef3743e2d698f490cae71c97b60f96a04b2207e984a3fbb2f71b81225"
+
+
+def _render_digest(report) -> str:
+    """sha256 of what `socioplan render` writes for ``report``."""
+    svg = render_svg(
+        report.conditions[-1].costmap,
+        [r.path for r in report.conditions],
+        report.scene,
+        labels=[r.condition.label for r in report.conditions],
+    )
+    return hashlib.sha256(svg.encode("utf-8")).hexdigest()
 
 
 class TestLoadScenario:
@@ -205,6 +219,15 @@ class TestReportSerialization:
     def test_shipped_report_fixture_round_trips(self):
         text = (DATA_DIR / "bedroom_report.json").read_text(encoding="utf-8")
         assert report_to_json(load_report(text)) == text
+
+    def test_report_in_the_indented_layout_loads_alike(self):
+        """Reports written before the compact layout still load and render."""
+        shipped = (DATA_DIR / "bedroom_report.json").read_text(encoding="utf-8")
+        indented = canonical_json(json.loads(shipped))
+        assert len(indented) > len(shipped)
+        report = load_report(indented)
+        assert report == load_report(shipped)
+        assert _render_digest(report) == SHIPPED_SVG_SHA256
 
     def test_timing_is_not_serialized(self, replay_report):
         data = json.loads(report_to_json(replay_report))
@@ -384,17 +407,8 @@ class TestRenderSvg:
         assert _heat_block(svg) == []
 
     def test_shipped_report_svg_bytes(self):
-        # What `socioplan render data/bedroom_report.json` writes.
         report = load_report((DATA_DIR / "bedroom_report.json").read_bytes())
-        svg = render_svg(
-            report.conditions[-1].costmap,
-            [r.path for r in report.conditions],
-            report.scene,
-            labels=[r.condition.label for r in report.conditions],
-        )
-        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == (
-            "f641bb9ef3743e2d698f490cae71c97b60f96a04b2207e984a3fbb2f71b81225"
-        )
+        assert _render_digest(report) == SHIPPED_SVG_SHA256
 
     def test_markup_in_tags_and_labels_is_escaped(self, replay_report):
         document = json.loads((DATA_DIR / "bedroom_scene.json").read_text())

@@ -3,7 +3,9 @@
 One op per workload and seed, built through ``bench/workloads.py`` and
 ``bench/ops.py`` as the benchmark builds it, must write a report and an SVG
 with the sha256 digests pinned here, so a change that claims byte-identical
-outputs is checked on the large scenes as well as on the shipped one.
+outputs is checked on the large scenes as well as on the shipped one. A
+report's digest is that of its document in the indented canonical layout,
+so the pins check its content whatever layout the report is written in.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 
 from socioplan import cost_assessment, load_scenario, scene_graph
 from socioplan.cost_assessment import entries_from_dict
+from socioplan.jsonio import canonical_json
 from socioplan.scene_graph import scene_from_dict
 
 REPO_DIR = Path(__file__).resolve().parent.parent
@@ -68,7 +71,13 @@ PINNED = {
 def test_op_outputs_are_pinned(tmp_path, workload, seed):
     op = ops.run_op(workloads.materialize(workload, seed, REPO_DIR, tmp_path))
     assert ops.check_op(op, None, None) == []
-    digests = (hashlib.sha256(op.report).hexdigest(), hashlib.sha256(op.svg.encode("utf-8")).hexdigest())
+    document = json.loads(op.report)
+    compact = json.dumps(document, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
+    assert op.report.decode("utf-8") == compact
+    digests = (
+        hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest(),
+        hashlib.sha256(op.svg.encode("utf-8")).hexdigest(),
+    )
     assert digests == PINNED[workload, seed]
 
 
