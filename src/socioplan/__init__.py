@@ -6,33 +6,24 @@ relations, extract the trajectory-relevant partial graph, assess each object
 with a (cost >= 1, clearance >= 0 m) pair via an LLM, rule model, or replay
 fixtures, synthesize a planar cost field, and search it for a minimum-cost
 path. A scenario runner compares graph-variant conditions end to end.
+
+The package root exports the library API that README's "Library use"
+section walks through; everything else stays in its module.
 """
 
 from .cost_assessment import (
     Assessment,
-    AssessmentStore,
     CostClearance,
-    HttpChatTransport,
-    RetryPolicy,
-    assess,
-    build_prompt,
-    llm_assess,
     load_assessment_fixtures,
-    parse_assessment,
     replay_assess,
     rule_based_assess,
 )
 from .cost_field import (
-    ActivityZone,
-    Contribution,
     Costmap,
-    FieldSpec,
-    OrientedRectFootprint,
     RectFootprint,
     combined_cost,
     field_spec_from_assessment,
     footprint_of,
-    make_activity_zones,
     point_cost,
     rasterize,
 )
@@ -45,11 +36,9 @@ from .human_augmentation import (
 from .jsonio import FormatError
 from .planner import (
     Path,
-    PlanIteration,
     PlanRequest,
     PlanningError,
     iterate_plan,
-    path_cost,
     plan,
 )
 from .render import render_svg
@@ -81,7 +70,6 @@ from .trajectory_context import (
     induce_partial_graph,
     relevant_objects,
     render_context_text,
-    resample,
 )
 
 __version__ = "0.1.0"

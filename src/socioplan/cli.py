@@ -122,7 +122,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
     output = []
     for condition in conditions:
         with condition_stage(condition, kind):
-            assessor = build_assessor(scenario, condition, kind)
+            assessor = build_assessor(scenario, condition, kind, strict=args.strict)
             variant = derive_condition_variant(base, condition)
             _, partial, assessed = relevant_context(variant, trajectory, scenario.query_radius_m)
             output.append(

@@ -464,17 +464,10 @@ def rule_based_assess(
 # --- replay assessor ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssessmentStore:
-    """Recorded assessments keyed by "scenario/condition"."""
-
-    entries: dict[str, dict[str, CostClearance]]
-
-    def key(self, scenario_key: str, condition: Condition) -> str:
-        return f"{scenario_key}/{condition.value}"
+Fixtures = dict[str, dict[str, CostClearance]]  # entries keyed "<scenario_key>/<condition>"
 
 
-def load_assessment_fixtures(document: bytes | str, *, strict: bool = False) -> AssessmentStore:
+def load_assessment_fixtures(document: bytes | str, *, strict: bool = False) -> Fixtures:
     data = parse_document(document, what="assessment fixture file")
     check_keys(
         data, required=("assessments",), optional=("schema_version",), path="$", strict=strict
@@ -482,35 +475,30 @@ def load_assessment_fixtures(document: bytes | str, *, strict: bool = False) -> 
     require_version(data, "$", FIXTURE_SCHEMA_VERSION)
     if not isinstance(data["assessments"], dict):
         raise FormatError("expected an object keyed by scenario/condition", "assessments")
-    store = {
+    return {
         key: entries_from_dict(raw_entries, f"assessments[{key!r}]", strict=strict)
         for key, raw_entries in data["assessments"].items()
     }
-    return AssessmentStore(entries=store)
 
 
-def fixtures_to_dict(store: AssessmentStore) -> dict:
-    return {
+def serialize_fixtures(store: Fixtures) -> str:
+    return canonical_json({
         "schema_version": FIXTURE_SCHEMA_VERSION,
-        "assessments": {key: entries_to_dict(entries) for key, entries in store.entries.items()},
-    }
-
-
-def serialize_fixtures(store: AssessmentStore) -> str:
-    return canonical_json(fixtures_to_dict(store))
+        "assessments": {key: entries_to_dict(entries) for key, entries in store.items()},
+    })
 
 
 def replay_assess(
-    store: AssessmentStore, scenario_key: str, condition: Condition, relevant: Iterable[str]
+    store: Fixtures, scenario_key: str, condition: Condition, relevant: Iterable[str]
 ) -> Assessment:
     """The recorded entries of the ``relevant`` ids for a scenario/condition
     pair, in recorded order; an id the recording lacks stays missing."""
-    key = store.key(scenario_key, condition)
-    if key not in store.entries:
+    key = f"{scenario_key}/{condition.value}"
+    if key not in store:
         raise FixtureKeyError(f'no recorded assessment for "{key}"')
     wanted = set(relevant)
     return Assessment(
-        entries={i: e for i, e in store.entries[key].items() if i in wanted},
+        entries={i: e for i, e in store[key].items() if i in wanted},
         provenance=Provenance(
             assessor="replay",
             parameters={"scenario_key": scenario_key, "condition": condition.value},

@@ -97,15 +97,15 @@ class OrientedRectFootprint:
         return ((cx - ex, cy - ey), (cx + ex, cy + ey))
 
     def distance(self, points: np.ndarray) -> np.ndarray:
+        """Planar distance (``gap_distances``) from each (N, 2) point to the
+        rectangle, on the point's signed (along, across) axis coordinates;
+        0 inside."""
         pts = np.asarray(points, dtype=float)
         ux, uy = self.axis
         rx = pts[:, 0] - self.center[0]
         ry = pts[:, 1] - self.center[1]
-        along = np.abs(rx * ux + ry * uy)
-        across = np.abs(-rx * uy + ry * ux)
-        dx = np.maximum(along - self.half_length, 0.0)
-        dy = np.maximum(across - self.half_width, 0.0)
-        return np.sqrt(dx * dx + dy * dy)
+        hl, hw = self.half_length, self.half_width
+        return gap_distances((rx * ux + ry * uy, -rx * uy + ry * ux), (-hl, -hw), (hl, hw))
 
 
 Footprint = RectFootprint | OrientedRectFootprint
@@ -213,14 +213,6 @@ def _raising(spec: FieldSpec, zones: Sequence[ActivityZone] = ()) -> list[Contri
     return [c for c in contributions if c.cost != 1.0]
 
 
-def _evaluate(points: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    values = np.ones(len(points), dtype=float)
-    for contribution in _raising(spec):
-        d = contribution.footprint.distance(points)
-        np.maximum(values, linear_falloff(d, contribution.cost, contribution.clearance), out=values)
-    return values
-
-
 def point_cost(
     point: Iterable[float],
     footprint: Footprint,
@@ -234,7 +226,11 @@ def point_cost(
 def combined_cost(point: Iterable[float], spec: FieldSpec) -> float:
     """Pointwise maximum over all contributions; 1 for an empty spec."""
     pts = np.asarray([tuple(float(c) for c in point)], dtype=float)
-    return float(_evaluate(pts, spec)[0])
+    values = np.ones(1)
+    for contribution in _raising(spec):
+        d = contribution.footprint.distance(pts)
+        np.maximum(values, linear_falloff(d, contribution.cost, contribution.clearance), out=values)
+    return float(values[0])
 
 
 def field_spec_from_assessment(graph: SceneGraph, assessment) -> FieldSpec:

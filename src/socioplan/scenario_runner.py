@@ -50,10 +50,13 @@ from .jsonio import (
     require_version,
     string,
     string_list,
+    unwritable,
     vector,
 )
 from .planner import PlanIteration, PlanningError, iterate_plan, path_from_cells
 from .scene_graph import (
+    HUMAN_TAG,
+    ObjectNode,
     RelationKind,
     SceneGraph,
     Vec3,
@@ -291,7 +294,7 @@ def load_scenario(path: str | FilePath, *, strict: bool = False) -> Scenario:
     return parse_scenario(path.read_bytes(), path.parent, strict=strict)
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
+def serialize_scenario(scenario: Scenario) -> str:
     data: dict = {
         "schema_version": SCENARIO_SCHEMA_VERSION,
         "name": scenario.name,
@@ -325,22 +328,21 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         data["waypoints"] = [list(p) for p in scenario.waypoints]
     if scenario.activity_zones:
         data["activity_zones"] = {verb: list(pair) for verb, pair in scenario.activity_zones}
-    return data
+    return canonical_json(data)
 
 
-def serialize_scenario(scenario: Scenario) -> str:
-    return canonical_json(scenario_to_dict(scenario))
-
-
-def build_assessor(scenario: Scenario, condition: Condition, kind: str) -> Assessor:
-    """The assessor of ``kind`` for one condition of a scenario."""
+def build_assessor(
+    scenario: Scenario, condition: Condition, kind: str, *, strict: bool = False
+) -> Assessor:
+    """The assessor of ``kind`` for one condition of a scenario; a replay
+    assessor reads its fixture file with ``strict``."""
     if kind == "rules":
         return rule_based_assess
     if kind == "replay":
         fixtures = scenario.fixtures_path()
         if fixtures is None:
             raise ScenarioError("replay assessor needs assessor.fixtures in the scenario")
-        store = load_assessment_fixtures(fixtures.read_bytes())
+        store = load_assessment_fixtures(fixtures.read_bytes(), strict=strict)
         key = scenario.assessor.scenario_key or scenario.name
         return lambda partial, trajectory, relevant, preferences: replay_assess(
             store, key, condition, relevant
@@ -406,10 +408,11 @@ def min_distance_to_human(scene: SceneGraph, polyline: Sequence[Vec2]) -> float 
 
 
 def human_footprint(scenario: Scenario) -> RectFootprint | None:
-    if scenario.human is None:
+    """``footprint_of`` the scenario's human box; None without a human."""
+    human = scenario.human
+    if human is None:
         return None
-    c, e = scenario.human.bbox_center, scenario.human.bbox_extent
-    return RectFootprint((c[0] - e[0] / 2.0, c[1] - e[1] / 2.0), (c[0] + e[0] / 2.0, c[1] + e[1] / 2.0))
+    return footprint_of(ObjectNode(human.id, HUMAN_TAG, human.bbox_center, human.bbox_extent))
 
 
 def load_base_scene(scenario: Scenario, *, strict: bool = False) -> SceneGraph:
@@ -457,7 +460,7 @@ def run_scenario(
                     scenario.start,
                     scenario.goal,
                     scenario.query_radius_m,
-                    build_assessor(scenario, condition, kind),
+                    build_assessor(scenario, condition, kind, strict=strict),
                     bounds=scenario.bounds,
                     resolution=scenario.resolution,
                     preferences=scenario.preferences,
@@ -468,7 +471,8 @@ def run_scenario(
     return RunReport(scenario.name, base, tuple(results), scenario.bounds, scenario.resolution)
 
 
-def report_to_dict(report: RunReport) -> dict:
+def report_to_json(report: RunReport) -> str:
+    """The report in the compact layout: sorted keys, no whitespace, one final newline."""
     conditions = []
     for result in report.conditions:
         conditions.append(
@@ -503,22 +507,31 @@ def report_to_dict(report: RunReport) -> dict:
                 },
             }
         )
-    return {
+    document = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "scenario": report.scenario_name,
         "map": {"bounds": [list(p) for p in report.bounds], "resolution": report.resolution},
         "scene": scene_to_dict(report.scene),
         "conditions": conditions,
     }
-
-
-def report_to_json(report: RunReport) -> str:
-    """The report in the compact layout: sorted keys, no whitespace, one final newline."""
-    return json.dumps(report_to_dict(report), sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
+    return json.dumps(document, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
 def _is_message(value: object) -> bool:
     return type(value) is list and len(value) == 2 and all(isinstance(s, str) for s in value)
+
+
+def _strings(value: object) -> Iterator[str]:
+    """Every string of a parsed JSON value, object keys included, at any depth the parser took."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            yield value
+        elif isinstance(value, dict):
+            stack += [*value, *value.values()]
+        elif isinstance(value, list):
+            stack += value
 
 
 def _zone_from_dict(raw: object, path: str, scene: SceneGraph, strict: bool) -> ActivityZone:
@@ -568,6 +581,12 @@ def _condition_from_dict(
     transcript = prov["transcript"]
     if not isinstance(transcript, list) or not all(map(_is_message, transcript)):
         raise FormatError("expected a list of [role, text] string pairs", f"{where}.transcript")
+    # The string rule, so that report_to_json can write what was read.
+    for j, message in enumerate(transcript):
+        if reason := unwritable("".join(message)):
+            raise FormatError(reason, f"{where}.transcript[{j}]")
+    if reason := unwritable("".join(_strings(prov["parameters"]))):
+        raise FormatError(reason, f"{where}.parameters")
     assessment = Assessment(
         entries=entries_from_dict(
             raw_assessment["entries"], f"{path}.assessment.entries", strict=strict
@@ -632,9 +651,9 @@ def load_report(document: bytes | str, *, strict: bool = False) -> RunReport:
     """Parse a report written by ``report_to_json`` and rebuild its costmaps.
 
     Raises FormatError with a path into the document for a missing field, a
-    value of the wrong type, counts, costs or cells out of range, a condition
-    that repeats an earlier one, a ``relevant`` list that repeats an id or
-    names other ids than its entries,
+    value of the wrong type, counts, costs or cells out of range, provenance
+    text that ``unwritable`` flags, a condition that repeats an earlier one,
+    a ``relevant`` list that repeats an id or names other ids than its entries,
     a path whose ``total_cost`` or ``length_m`` differs from that of its
     cells, and a ``stats.min_distance_to_human_m`` that differs from that of
     its polyline.
@@ -667,11 +686,6 @@ def load_report(document: bytes | str, *, strict: bool = False) -> RunReport:
 # --- comparison ---------------------------------------------------------------
 
 
-def format_value(value: float) -> str:
-    """Trailing-zero-free numbers: 1.0 -> "1", 0.5 -> "0.5"."""
-    return format(value, "g")
-
-
 def comparison_dict(report: RunReport) -> dict:
     """Machine-readable companion of the comparison table."""
     if len(report.conditions) < 2:
@@ -702,10 +716,8 @@ def compare_conditions(report: RunReport) -> str:
     for entry in data["conditions"]:
         row = [entry["label"]]
         for object_id in objects:
-            cc = entry["entries"].get(object_id)
-            row.append(
-                "-" if cc is None else f"{format_value(cc['cost'])} ({format_value(cc['clearance'])})"
-            )
+            cc = entry["entries"].get(object_id)  # :g drops trailing zeros, 1.0 -> "1"
+            row.append("-" if cc is None else f"{cc['cost']:g} ({cc['clearance']:g})")
         rows.append(row)
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = []

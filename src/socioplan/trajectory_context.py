@@ -16,6 +16,8 @@ DEFAULT_QUERY_RADIUS_M = 2.0
 # Relevance is sampled at waypoints only; trajectories are densified to this
 # spacing first so segment coverage is implied.
 DEFAULT_WAYPOINT_SPACING_M = 0.25
+# Most waypoints a trajectory densifies to; refused from the count, before any allocation.
+MAX_WAYPOINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -39,14 +41,23 @@ class Trajectory:
 def _densify(waypoints: Sequence[Vec3], max_spacing: float) -> np.ndarray:
     """(W, 3) waypoints, each segment a -> b split into ``steps = max(1,
     ceil(dist(a, b) / max_spacing))`` points ``a + (b - a) * (k / steps)``,
-    k = 1..steps; an infinite spacing keeps the waypoints as they are."""
+    k = 1..steps; an infinite spacing keeps the waypoints as they are.
+    ValueError when W would exceed ``MAX_WAYPOINTS``."""
     if max_spacing <= 0:
         raise ValueError("max_spacing must be > 0")
     points = np.array(waypoints, dtype=float).reshape(len(waypoints), 3)
     if not math.isfinite(max_spacing):
         return points
-    pairs = zip(waypoints, waypoints[1:])
-    steps = np.array([max(1, math.ceil(math.dist(a, b) / max_spacing)) for a, b in pairs], dtype=np.int64)
+    lengths = np.array([math.dist(a, b) for a, b in zip(waypoints, waypoints[1:])])
+    with np.errstate(over="ignore"):  # a step count beyond the float range is inf
+        steps = np.maximum(np.ceil(lengths / max_spacing), 1.0)
+        count = 1.0 + steps.sum()
+    if count > MAX_WAYPOINTS:
+        raise ValueError(
+            f"the trajectory densifies to {count:.6g} waypoints at {max_spacing!r} m;"
+            f" at most {MAX_WAYPOINTS:,} are allowed"
+        )
+    steps = steps.astype(np.int64)
     segment = np.repeat(np.arange(len(steps)), steps)
     k = np.arange(1, len(segment) + 1) - np.repeat(np.cumsum(steps) - steps, steps)
     a, b = points[segment], points[segment + 1]

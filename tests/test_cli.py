@@ -9,6 +9,7 @@ from socioplan import scenario_runner
 from socioplan.cli import main
 from socioplan.cost_assessment import entries_to_dict
 from socioplan.human_augmentation import Condition
+from socioplan.jsonio import UnknownKeyWarning
 from socioplan.planner import iterate_plan
 from socioplan.scenario_runner import build_assessor, load_base_scene, load_scenario, run_scenario
 
@@ -306,6 +307,14 @@ def _report_conditions_repeat(files):
     files["report"]["conditions"].append(files["report"]["conditions"][0])
 
 
+def _transcript_surrogate(files):
+    files["report"]["conditions"][0]["assessment"]["provenance"]["transcript"] = [["user", "a\ud800b"]]
+
+
+def _parameters_surrogate(files):
+    files["report"]["conditions"][0]["assessment"]["provenance"]["parameters"]["scenario_key"] = "\ud800"
+
+
 def _one_condition(files):
     files["scenario"]["conditions"] = ["no_human"]
 
@@ -320,6 +329,22 @@ def _fixture_lacks_the_bed(files):
 
 def _fixture_lacks_no_human(files):
     del files["fixtures"]["assessments"]["bedroom/no_human"]
+
+
+def _fixture_unknown_keys(files):
+    files["fixtures"]["extra_top"] = 1
+    files["fixtures"]["assessments"]["bedroom/no_human"]["bed"]["note"] = "x"
+
+
+def _waypoints_far_up(files):
+    files["scenario"]["waypoints"] = [[0.5, 0.5, 0.0], [0.5, 0.5, 1e9]]
+    files["scenario"]["assessor"] = {"kind": "rules"}
+
+
+def _map_of_coarse_terameters(files):
+    files["scenario"]["map"] = {"bounds": [[0.0, 0.0], [1e12, 1e12]], "resolution": 1e9}
+    files["scenario"]["goal"] = [1e12, 1e12]
+    files["scenario"]["assessor"] = {"kind": "rules"}
 
 
 _INPUTS = {
@@ -377,6 +402,8 @@ class TestMalformedInputs:
             ("plan", _conditions_repeat, "conditions[2]"),
             ("assess", _conditions_repeat, "conditions[2]"),
             ("render", _report_conditions_repeat, "conditions[3].condition"),
+            ("render", _transcript_surrogate, "conditions[0].assessment.provenance.transcript[0]"),
+            ("render", _parameters_surrogate, "conditions[0].assessment.provenance.parameters"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )
@@ -425,6 +452,36 @@ class TestMalformedInputs:
         assert main([command, str(tmp_path / _INPUTS["scenario"]), "--assessor", "replay"]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f'error: condition "no_human", stage "{stage}": {reason}'
+        ]
+
+    @pytest.mark.parametrize("command", ["assess", "plan"])
+    def test_strict_reaches_the_fixture_file(self, tmp_path, capsys, command):
+        _write_inputs(tmp_path, _fixture_unknown_keys)
+        scenario = str(tmp_path / _INPUTS["scenario"])
+        assert main(["--strict", command, scenario]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            'error: condition "no_human", stage "load": $: unknown field(s): extra_top'
+        ]
+        with pytest.warns(UnknownKeyWarning) as caught:
+            assert main([command, scenario]) == 0
+        assert {str(w.message) for w in caught} == {
+            "$: unknown field(s): extra_top",
+            "assessments['bedroom/no_human']['bed']: unknown field(s): note",
+        }
+
+    @pytest.mark.parametrize(
+        "mutate, count",
+        [(_waypoints_far_up, "4e+09"), (_map_of_coarse_terameters, "5.65685e+12")],
+    )
+    @pytest.mark.parametrize("command", ["assess", "plan"])
+    def test_trajectory_over_the_cap(self, tmp_path, capsys, command, mutate, count):
+        """A relevance trajectory far over ``MAX_WAYPOINTS`` is refused from its
+        count, before anything is allocated."""
+        _write_inputs(tmp_path, mutate)
+        assert main([command, str(tmp_path / _INPUTS["scenario"])]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f'error: condition "no_human", stage "setup": the trajectory densifies to {count}'
+            " waypoints at 0.25 m; at most 1,000,000 are allowed"
         ]
 
 

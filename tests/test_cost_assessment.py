@@ -10,15 +10,11 @@ from socioplan import (
     Condition,
     CostClearance,
     Trajectory,
-    assess,
-    build_prompt,
     derive_condition_variant,
     induce_partial_graph,
     insert_human,
-    llm_assess,
     load_assessment_fixtures,
     load_scene,
-    parse_assessment,
     relevant_objects,
     rule_based_assess,
     replay_assess,
@@ -32,7 +28,11 @@ from socioplan.cost_assessment import (
     RetryPolicy,
     TransportError,
     ValueOutOfRangeError,
+    assess,
+    build_prompt,
     check_entries,
+    llm_assess,
+    parse_assessment,
     serialize_fixtures,
 )
 from socioplan.scene_graph import SceneGraph
@@ -375,7 +375,7 @@ class TestReplayAssess:
         assert load_assessment_fixtures(serialize_fixtures(store)) == store
 
     def test_answers_the_ids_asked_for_in_recorded_order(self, store, data_dir):
-        recorded = list(store.entries["bedroom/human_with_relations"])
+        recorded = list(store["bedroom/human_with_relations"])
         asked = list(reversed(recorded[1:]))
         assessment = replay_assess(store, "bedroom", Condition.HUMAN_WITH_RELATIONS, asked)
         assert list(assessment.entries) == recorded[1:]
@@ -485,7 +485,7 @@ class TestHttpChatTransport:
     def transport(self, monkeypatch, urlopen):
         import urllib.request
 
-        from socioplan import HttpChatTransport
+        from socioplan.cost_assessment import HttpChatTransport
 
         monkeypatch.setattr(urllib.request, "urlopen", urlopen)
         return HttpChatTransport(model="m", url=self.URL, api_key="k", timeout_s=5.0)
@@ -524,7 +524,7 @@ class TestHttpChatTransport:
             self.transport(monkeypatch, urlopen)([])
 
     def test_url_without_a_scheme_is_a_transport_error(self):
-        from socioplan import HttpChatTransport
+        from socioplan.cost_assessment import HttpChatTransport
 
         with pytest.raises(TransportError, match="unknown url type"):
             HttpChatTransport(model="m", url="llm.invalid/v1")([])

@@ -8,16 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from socioplan import (
     Assessment,
-    Contribution,
     CostClearance,
-    FieldSpec,
-    OrientedRectFootprint,
     RectFootprint,
     combined_cost,
     field_spec_from_assessment,
     footprint_of,
     insert_human,
-    make_activity_zones,
     point_cost,
     rasterize,
 )
@@ -25,10 +21,14 @@ from socioplan.cost_assessment import Provenance
 from socioplan.cost_field import (
     MAX_GRID_CELLS,
     ActivityZone,
+    Contribution,
     Costmap,
+    FieldSpec,
+    OrientedRectFootprint,
     corridor_between,
     grid_shape,
     linear_falloff,
+    make_activity_zones,
 )
 
 from conftest import make_seated_human_spec, make_small_scene
@@ -317,6 +317,34 @@ class TestRectDistance:
         dx = np.maximum(np.maximum(x0 - points[:, 0], 0.0), points[:, 0] - x1)
         dy = np.maximum(np.maximum(y0 - points[:, 1], 0.0), points[:, 1] - y1)
         assert np.array_equal(rect.distance(points), np.sqrt(dx * dx + dy * dy))
+
+
+class TestOrientedRectDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), origin=_origin, scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_equals_the_explicit_gap_formula(self, data, origin, scale):
+        """``OrientedRectFootprint.distance`` runs ``gap_distances`` on signed
+        axis coordinates: ``(-h) - s`` is the float ``|s| - h`` for s < 0, and
+        the sign of a zero gap vanishes when squared, so the distance is the
+        explicit formula bit for bit, zero half sizes and the center included."""
+        angle = data.draw(st.floats(0.0, 2 * math.pi))
+        half = st.just(0.0) | st.floats(0.0, 2.0)
+        corridor = OrientedRectFootprint(
+            center=((origin[0] + data.draw(_offset)) * scale, (origin[1] + data.draw(_offset)) * scale),
+            axis=(math.cos(angle), math.sin(angle)),
+            half_length=data.draw(half) * scale,
+            half_width=data.draw(half) * scale,
+        )
+        coordinate = st.floats(-1.0, 5.0) | st.sampled_from([-50.0, 50.0])
+        points = np.array(
+            data.draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=50))
+        )
+        points = np.vstack([corridor.center, (points + origin) * scale])
+        ux, uy = corridor.axis
+        rx, ry = points[:, 0] - corridor.center[0], points[:, 1] - corridor.center[1]
+        dx = np.maximum(np.abs(rx * ux + ry * uy) - corridor.half_length, 0.0)
+        dy = np.maximum(np.abs(-rx * uy + ry * ux) - corridor.half_width, 0.0)
+        assert corridor.distance(points).tobytes() == np.sqrt(dx * dx + dy * dy).tobytes()
 
 
 class TestRasterizeAgainstFullGrid:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -26,3 +28,18 @@ def test_demo_runs_clean(script, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_every_export_is_documented():
+    """Each public, non-module name of the package root appears as a word in
+    README.md, a docs/*.md file or a demo."""
+    import socioplan
+
+    documents = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")), *DEMOS]
+    text = "\n".join(p.read_text(encoding="utf-8") for p in documents)
+    exported = [
+        name for name, value in vars(socioplan).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    ]
+    assert exported
+    assert [name for name in exported if not re.search(rf"\b{name}\b", text)] == []

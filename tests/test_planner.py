@@ -14,13 +14,12 @@ from socioplan import (
     PlanningError,
     insert_human,
     iterate_plan,
-    path_cost,
     plan,
     planner,
 )
 from socioplan.cost_assessment import CostClearance, rule_based_assess
 from socioplan.cost_field import Costmap, FieldSpec, rasterize
-from socioplan.planner import Path, path_from_cells
+from socioplan.planner import Path, path_cost, path_from_cells
 from socioplan.scene_graph import ObjectNode, SceneGraph
 
 from conftest import DATA_DIR, dijkstra_optimum, random_costmap, uniform_costmap

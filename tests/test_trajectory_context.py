@@ -13,9 +13,9 @@ from socioplan import (
     insert_human,
     relevant_objects,
     render_context_text,
-    resample,
     validate_scene,
 )
+from socioplan.trajectory_context import resample
 from socioplan.scene_graph import ObjectNode, SceneGraph, box_distances
 
 from conftest import make_seated_human_spec, make_small_scene
@@ -33,6 +33,23 @@ class TestTrajectory:
         assert all(g <= 0.25 + 1e-12 for g in gaps)
         assert dense.waypoints[0] == (0, 0, 0)
         assert dense.waypoints[-1] == (1.0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "waypoints",
+        [
+            ((0.5, 0.5, 0.0), (0.5, 0.5, 1e9)),  # 4e9 waypoints
+            ((0.0, 0.0, -1.7e308), (0.0, 0.0, 1.7e308)),  # a length beyond the float range
+            ((0.0, 0.0, 0.0), (2e5, 0.0, 0.0)) * 3,  # 8e5 waypoints a segment, 4e6 in all
+        ],
+        ids=["long", "infinite", "summed"],
+    )
+    def test_densified_length_is_capped(self, small_scene, waypoints):
+        """Far above ``MAX_WAYPOINTS``, resampling and relevance refuse from the
+        count, before anything is allocated."""
+        trajectory = Trajectory(waypoints)
+        for run in (lambda: resample(trajectory), lambda: relevant_objects(small_scene, trajectory)):
+            with pytest.raises(ValueError, match="at most 1,000,000 are allowed"):
+                run()
 
 
 def _loop_relevant_objects(graph, trajectory, radius):

@@ -21,6 +21,7 @@ import pytest
 
 from socioplan import cost_assessment, load_scenario, scene_graph
 from socioplan.cost_assessment import entries_from_dict
+from socioplan.cost_field import field_spec_from_assessment, rasterize
 from socioplan.jsonio import canonical_json
 from socioplan.scene_graph import scene_from_dict
 
@@ -93,3 +94,14 @@ def test_generated_documents_take_the_bulk_path(tmp_path, workload):
     with mock.patch.object(cost_assessment, "cost_clearance", side_effect=AssertionError):
         for condition in report["conditions"]:
             entries_from_dict(condition["assessment"]["entries"], "entries", strict=True)
+
+
+@pytest.mark.parametrize("workload", ["cluttered_house", "open_hall"])
+def test_generated_workloads_draw_corridors(tmp_path, workload):
+    """Each generated workload plans an activity corridor that raises cells,
+    so the digests pinned above cover ``OrientedRectFootprint.distance``."""
+    _, run_report, _ = ops.plan_step(workloads.materialize(workload, 1, REPO_DIR, tmp_path))
+    last = run_report.conditions[-1]
+    assert last.zones
+    spec = field_spec_from_assessment(run_report.scene, last.assessment)
+    assert rasterize(spec, (), run_report.bounds, run_report.resolution) != last.costmap
