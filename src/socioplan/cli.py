@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path as FilePath
 
 from .cost_assessment import assess, entries_to_dict
 from .human_augmentation import Condition, derive_condition_variant
-from .jsonio import FormatError, canonical_json
+from .jsonio import FormatError, UnknownKeyWarning, canonical_json
 from .planner import relevant_context, seed_trajectory
 from .render import render_svg
 from .scenario_runner import (
@@ -163,7 +164,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     text = report_to_json(report)
     if args.out:
         args.out.write_text(text, encoding="utf-8")
-    if args.format == "json" and not args.out:
+    if args.format == "json":
         print(text, end="")
     else:
         for result in report.conditions:
@@ -209,17 +210,26 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (FormatError, ScenarioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # e.g. a directory given as an input file or as -o
-        where = "" if exc.filename is None else f"{exc.filename}: "
-        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
-        return 1
+    """Run one command. Each distinct warning it raised is one ``warning:``
+    line on stderr (a fixture file is read once per condition), printed
+    before the ``error:`` line of a failed command."""
+    args = build_parser().parse_args(argv)
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UnknownKeyWarning)
+        try:
+            code = args.func(args)
+        except (FormatError, ScenarioError) as exc:
+            error = str(exc)
+        except OSError as exc:  # e.g. a directory given as an input file or as -o
+            where = "" if exc.filename is None else f"{exc.filename}: "
+            error = f"{where}{exc.strerror or exc}"
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error is None:
+        return code
+    print(f"error: {error}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -153,64 +153,59 @@ class FieldSpec:
 
 
 @dataclass(frozen=True)
-class ActivityZone:
-    """Corridor of the activity relation (human, verb, target)."""
+class ActivityZone(Contribution):
+    """The corridor of the activity relation (human, verb, target) as a
+    contribution: its footprint joins the two footprint centers."""
 
     human: str
     verb: str
     target: str
-    cost: float
-    clearance: float
-    corridor: OrientedRectFootprint
 
 
-def corridor_between(head: RectFootprint, tail: RectFootprint) -> OrientedRectFootprint | None:
-    """The corridor between two footprint centers; its width is the larger
-    planar side of the wider endpoint. None for coincident centers."""
+def activity_zone(
+    graph: SceneGraph, human: str, verb: str, target: str, cost: float, clearance: float
+) -> ActivityZone | None:
+    """The zone of the relation (human, verb, target) of ``graph``. Its
+    corridor runs between the two footprint centers and is as wide as the
+    larger planar side of the wider endpoint. None for coincident centers."""
+    head, tail = footprint_of(graph.node(human)), footprint_of(graph.node(target))
     hx, hy = head.center
     tx, ty = tail.center
     length = math.hypot(tx - hx, ty - hy)
     if length == 0.0:
         return None
-    return OrientedRectFootprint(
+    corridor = OrientedRectFootprint(
         center=((hx + tx) / 2.0, (hy + ty) / 2.0),
         axis=(tx - hx, ty - hy),
         half_length=length / 2.0,
         half_width=max(max(head.sides), max(tail.sides)) / 2.0,
     )
+    return ActivityZone(corridor, cost, clearance, human, verb, target)
 
 
 def make_activity_zones(
     partial: SceneGraph, config: Mapping[str, tuple[float, float]]
 ) -> list[ActivityZone]:
-    """One corridor per activity relation whose verb appears in ``config``;
+    """One zone per activity relation whose verb appears in ``config``;
     coincident footprints leave none. An empty config disables the feature
     (the default: costs attach to objects only, not to regions).
     """
-    zones: list[ActivityZone] = []
-    for rel in partial.relations:
-        if rel.kind is not RelationKind.ACTIVITY or rel.name not in config:
-            continue
-        corridor = corridor_between(
-            footprint_of(partial.node(rel.head_id)), footprint_of(partial.node(rel.tail_id))
-        )
-        if corridor is not None:
-            cost, clearance = config[rel.name]
-            zones.append(ActivityZone(rel.head_id, rel.name, rel.tail_id, cost, clearance, corridor))
-    return zones
+    zones = (
+        activity_zone(partial, rel.head_id, rel.name, rel.tail_id, *config[rel.name])
+        for rel in partial.relations
+        if rel.kind is RelationKind.ACTIVITY and rel.name in config
+    )
+    return [zone for zone in zones if zone is not None]
 
 
 # --- evaluation ---------------------------------------------------------------
 
 
 def _raising(spec: FieldSpec, zones: Sequence[ActivityZone] = ()) -> list[Contribution]:
-    """The object contributions, then the corridors, that can raise the
-    field: 1 + 0 * falloff is exactly 1 everywhere, so a cost of exactly 1
-    never raises the maximum."""
-    contributions = list(spec.contributions) + [
-        Contribution(z.corridor, z.cost, z.clearance) for z in zones
-    ]
-    return [c for c in contributions if c.cost != 1.0]
+    """The object contributions, then the zones, that can raise the field:
+    1 + 0 * falloff is exactly 1 everywhere, so a cost of exactly 1 never
+    raises the maximum."""
+    return [c for c in (*spec.contributions, *zones) if c.cost != 1.0]
 
 
 def point_cost(
@@ -333,15 +328,6 @@ def grid_shape(bounds: tuple[Vec2, Vec2], resolution: float) -> tuple[int, int]:
     return max(1, math.ceil(width)), max(1, math.ceil(height))
 
 
-def _cell_span(lo: float, hi: float, origin: float, resolution: float, count: int) -> tuple[int, int]:
-    """[first, stop) of the cells, clipped to ``count``, whose centers
-    ``origin + (i + 0.5) * resolution`` lie in [lo, hi]; centers up to half a
-    cell beyond either end may be kept too. An infinite end clips to the grid."""
-    first = min(max((lo - origin) / resolution, 0.0), count)
-    stop = min(max((hi - origin) / resolution + 1.0, 0.0), count)
-    return math.floor(first), math.floor(stop)
-
-
 def rasterize(
     spec: FieldSpec,
     zones: Sequence[ActivityZone],
@@ -350,15 +336,17 @@ def rasterize(
 ) -> Costmap:
     """Sample the combined field at every cell center over ``bounds``.
 
-    Each contribution is evaluated only on the cells of its window: its
-    footprint's box grown by its clearance plus one cell, clipped to the
-    grid. A cell center outside the window lies at least a cell beyond the
-    clearance, so even after rounding its distance is at least the clearance:
+    Each contribution is evaluated only on the cells of its window: those
+    whose centers lie in its footprint's box grown by its clearance plus one
+    cell, found by ``searchsorted`` on the sorted centers of each axis. A
+    center left out lies more than ``clearance + resolution`` beyond the box
+    on one axis, so even after rounding its distance exceeds the clearance:
     the contribution is exactly 1 there and the pointwise maximum does not
-    change. Inside, the points are slices of the same center coordinates and
-    run through the same elementwise operations as ``combined_cost``, so cell
-    values equal ``combined_cost`` at the exact center coordinates and there
-    is no interpolation error to account for.
+    change. An infinite margin (a clearance near the float maximum) selects
+    the whole axis. Inside, the points are slices of the same center
+    coordinates and run through the same elementwise operations as
+    ``combined_cost``, so cell values equal ``combined_cost`` at the exact
+    center coordinates and there is no interpolation error to account for.
     """
     (xmin, ymin), _ = bounds
     width, height = grid_shape(bounds, resolution)
@@ -368,8 +356,8 @@ def rasterize(
     for contribution in _raising(spec, zones):
         (x0, y0), (x1, y1) = contribution.footprint.box
         margin = contribution.clearance + resolution
-        i0, i1 = _cell_span(x0 - margin, x1 + margin, xmin, resolution, width)
-        j0, j1 = _cell_span(y0 - margin, y1 + margin, ymin, resolution, height)
+        i0, i1 = xs.searchsorted(x0 - margin), xs.searchsorted(x1 + margin, "right")
+        j0, j1 = ys.searchsorted(y0 - margin), ys.searchsorted(y1 + margin, "right")
         if i0 >= i1 or j0 >= j1:
             continue
         points = np.empty((j1 - j0, i1 - i0, 2))

@@ -32,7 +32,7 @@ from .cost_assessment import (
 from .cost_field import (
     ActivityZone,
     RectFootprint,
-    corridor_between,
+    activity_zone,
     field_spec_from_assessment,
     footprint_of,
     grid_shape,
@@ -535,7 +535,7 @@ def _strings(value: object) -> Iterator[str]:
 
 
 def _zone_from_dict(raw: object, path: str, scene: SceneGraph, strict: bool) -> ActivityZone:
-    """One stored zone; its corridor is rebuilt from the scene's footprints."""
+    """One stored zone, rebuilt by ``activity_zone`` from the scene."""
     relation = ("verb", "human", "target")
     check_keys(raw, required=relation + ("cost", "clearance"), optional=(), path=path, strict=strict)
     verb, human, target = (string(raw[k], f"{path}.{k}") for k in relation)
@@ -543,10 +543,10 @@ def _zone_from_dict(raw: object, path: str, scene: SceneGraph, strict: bool) -> 
     activities = {r.triple for r in scene.relations if r.kind is RelationKind.ACTIVITY}
     if (verb, human, target) not in activities:
         raise FormatError(f'the scene has no activity "{verb}" from "{human}" to "{target}"', path)
-    corridor = corridor_between(footprint_of(scene.node(human)), footprint_of(scene.node(target)))
-    if corridor is None:
+    zone = activity_zone(scene, human, verb, target, cc.cost, cc.clearance)
+    if zone is None:
         raise FormatError("human and target footprints share a center", path)
-    return ActivityZone(human, verb, target, cc.cost, cc.clearance, corridor)
+    return zone
 
 
 def _condition_from_dict(

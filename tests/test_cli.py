@@ -9,7 +9,6 @@ from socioplan import scenario_runner
 from socioplan.cli import main
 from socioplan.cost_assessment import entries_to_dict
 from socioplan.human_augmentation import Condition
-from socioplan.jsonio import UnknownKeyWarning
 from socioplan.planner import iterate_plan
 from socioplan.scenario_runner import build_assessor, load_base_scene, load_scenario, run_scenario
 
@@ -163,6 +162,24 @@ class TestPlanCommand:
         payload = json.loads(out_path.read_text())
         assert payload["scenario"] == "bedroom"
         assert len(payload["conditions"]) == 3
+
+    def test_json_format_prints_the_report_also_with_out(self, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        assert main(["plan", SCENARIO, "-o", str(out_path), "--format", "json"]) == 0
+        shipped = (DATA_DIR / "bedroom_report.json").read_bytes()
+        assert capsys.readouterr().out.encode() == out_path.read_bytes() == shipped
+
+    def test_unknown_keys_print_one_warning_line_each(self, tmp_path, capsys):
+        def unknown_keys(files):
+            files["scenario"]["extra"] = 1
+            files["scenario"]["human"]["note"] = "x"
+
+        _write_inputs(tmp_path, unknown_keys)
+        assert main(["plan", str(tmp_path / _INPUTS["scenario"])]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: $: unknown field(s): extra",
+            "warning: human: unknown field(s): note",
+        ]
 
 
 class TestCompareCommand:
@@ -341,6 +358,39 @@ def _waypoints_far_up(files):
     files["scenario"]["assessor"] = {"kind": "rules"}
 
 
+def _waypoints_empty(files):
+    files["scenario"]["waypoints"] = []
+
+
+def _zone_cost_below_one(files):
+    files["scenario"]["activity_zones"] = {"watching": [0.5, 0.5]}
+
+
+def _max_attempts_zero(files):
+    files["scenario"]["assessor"]["max_attempts"] = 0
+
+
+def _fixture_file_missing(files):
+    files["scenario"]["assessor"]["fixtures"] = "missing.json"
+
+
+def _unchanged(files):
+    pass
+
+
+def _scenario_not_utf8(files):
+    files["scenario"] = b"\xff" + json.dumps(files["scenario"]).encode()
+
+
+def _zone_verb_reading(files):
+    zone = {"verb": "reading", "human": "human", "target": "tv", "cost": 4.0, "clearance": 0.5}
+    files["report"]["conditions"][2]["zones"] = [zone]
+
+
+def _transcript_unpaired(files):
+    files["report"]["conditions"][0]["assessment"]["provenance"]["transcript"] = [["user"]]
+
+
 def _map_of_coarse_terameters(files):
     files["scenario"]["map"] = {"bounds": [[0.0, 0.0], [1e12, 1e12]], "resolution": 1e9}
     files["scenario"]["goal"] = [1e12, 1e12]
@@ -356,65 +406,118 @@ _INPUTS = {
 
 
 def _write_inputs(tmp_path, mutate):
-    """Write the shipped inputs into ``tmp_path`` after ``mutate`` edits them."""
+    """Write the shipped inputs into ``tmp_path`` after ``mutate`` edits them;
+    ``mutate`` may replace a document by the bytes to write."""
     files = {k: json.loads((DATA_DIR / name).read_text()) for k, name in _INPUTS.items()}
     mutate(files)
     for key, name in _INPUTS.items():
-        (tmp_path / name).write_text(json.dumps(files[key]))
+        data = files[key]
+        data = data if isinstance(data, bytes) else json.dumps(data).encode()
+        (tmp_path / name).write_bytes(data)
 
 
 class TestMalformedInputs:
-    """Each malformed input ends with exit 1 and one "error: <path>: ..." line."""
+    """Each malformed input ends with exit 1 and exactly one "error: <path>: ..." line."""
 
     @pytest.mark.parametrize(
-        "command, mutate, where",
+        "command, mutate, line",
         [
-            ("render", _drop_provenance, "conditions[0].assessment"),
-            ("render", _total_cost_off_its_cells, "conditions[0].path.total_cost"),
-            ("plan", _zones_as_list, "activity_zones"),
-            ("plan", _missing_human_target, "human"),
-            ("plan", _fixture_cost_below_one, "['bedroom/no_human']['armchair'].cost"),
-            ("render", _path_cell_off_the_map, "conditions[0].path"),
-            ("plan", _resolution_too_fine, "map.resolution"),
-            ("render", _entry_cost_text, "conditions[0].assessment.entries['bed'].cost"),
-            ("render", _path_cell_too_short, "conditions[0].path.cells"),
-            ("render", _rounds_text, "conditions[0].rounds"),
-            ("render", _stats_as_list, "conditions[0].stats"),
-            ("render", _conditions_as_object, "conditions"),
-            ("render", _map_bounds_of_three, "map.bounds[0]"),
-            ("render", _map_resolution_nan, "map.resolution"),
-            ("plan", _resolution_coarser_than_map, "map.resolution"),
-            ("render", _report_resolution_coarser_than_map, "map.resolution"),
-            ("plan", _spatial_relations_as_number, "human.spatial_relations"),
-            ("assess", _activity_relations_null, "human.activity_relations"),
-            ("compare", _spatial_relations_as_number, "human.spatial_relations"),
-            ("plan", _max_attempts_true, "assessor.max_attempts"),
-            ("plan", _human_extent_zero, "human"),
-            ("render", _distance_to_human_edited, "conditions[0].stats.min_distance_to_human_m"),
-            ("render", _relevant_ghosts, "conditions[0].relevant"),
-            ("render", _relevant_repeats, "conditions[0].relevant"),
-            ("plan", _zone_verb_misspelt, "activity_zones['wathcing']"),
-            ("assess", _zone_verb_misspelt, "activity_zones['wathcing']"),
-            ("plan", _zone_verb_empty, "activity_zones['']"),
-            ("plan", _waypoint_off_the_map, "waypoints[1]"),
-            ("assess", _waypoint_off_the_map, "waypoints[1]"),
-            ("compare", _conditions_repeat, "conditions[2]"),
-            ("plan", _conditions_repeat, "conditions[2]"),
-            ("assess", _conditions_repeat, "conditions[2]"),
-            ("render", _report_conditions_repeat, "conditions[3].condition"),
-            ("render", _transcript_surrogate, "conditions[0].assessment.provenance.transcript[0]"),
-            ("render", _parameters_surrogate, "conditions[0].assessment.provenance.parameters"),
+            ("render", _drop_provenance,
+             'conditions[0].assessment: missing required field "provenance"'),
+            ("render", _total_cost_off_its_cells,
+             "conditions[0].path.total_cost: differs from the total_cost of its cells,"
+             " 5.040985246679991"),
+            ("plan", _zones_as_list,
+             "activity_zones: expected an object mapping activity verbs to [cost, clearance]"),
+            ("plan", _missing_human_target,
+             'human: human relation target "ghost" does not name a node'),
+            ("plan", _fixture_cost_below_one,
+             'condition "no_human", stage "load": '
+             "assessments['bedroom/no_human']['armchair'].cost: cost 0.5 must be >= 1"),
+            ("render", _path_cell_off_the_map,
+             "conditions[0].path: cell (60, 2) lies outside the costmap"),
+            ("plan", _resolution_too_fine,
+             "map.resolution: resolution 1e-05 gives a 600000 x 500000 cell grid;"
+             " at most 1,000,000 cells are allowed"),
+            ("render", _entry_cost_text,
+             "conditions[0].assessment.entries['bed'].cost: expected a number, got str"),
+            ("render", _path_cell_too_short,
+             "conditions[0].path.cells: expected a non-empty list of 2-integer lists >= 0"),
+            ("render", _rounds_text, "conditions[0].rounds: expected an integer, got str"),
+            ("render", _stats_as_list, "conditions[0].stats: expected an object, got list"),
+            ("render", _conditions_as_object, "conditions: conditions must be a non-empty list"),
+            ("render", _map_bounds_of_three, "map.bounds[0]: expected a list of 2 numbers"),
+            ("render", _map_resolution_nan, "map.resolution: number must be finite"),
+            ("plan", _resolution_coarser_than_map,
+             "map.resolution: resolution 10000000000.0 is coarser than the map"),
+            ("render", _report_resolution_coarser_than_map,
+             "map.resolution: resolution 7.0 is coarser than the map"),
+            ("plan", _spatial_relations_as_number,
+             "human.spatial_relations: expected a list of [verb, target id] pairs"),
+            ("assess", _activity_relations_null,
+             "human.activity_relations: expected a list of [verb, target id] pairs"),
+            ("compare", _spatial_relations_as_number,
+             "human.spatial_relations: expected a list of [verb, target id] pairs"),
+            ("plan", _max_attempts_true, "assessor.max_attempts: expected an integer, got bool"),
+            ("plan", _human_extent_zero,
+             'human: node "human" has bbox_extent (0.5, 0.0, 0.9); every component must be > 0'),
+            ("render", _distance_to_human_edited,
+             "conditions[0].stats.min_distance_to_human_m: differs from its path's distance"
+             " to a human, 1.1999999999999997"),
+            ("render", _relevant_ghosts,
+             "conditions[0].relevant: ids differ from those of assessment.entries"),
+            ("render", _relevant_repeats, "conditions[0].relevant: an id repeats"),
+            ("plan", _zone_verb_misspelt,
+             "activity_zones['wathcing']: "
+             'no activity relation of the scene has the verb "wathcing"'),
+            ("assess", _zone_verb_misspelt,
+             "activity_zones['wathcing']: "
+             'no activity relation of the scene has the verb "wathcing"'),
+            ("plan", _zone_verb_empty, "activity_zones['']: must be non-empty"),
+            ("plan", _waypoint_off_the_map,
+             "waypoints[1]: waypoints[1] [100.0, 2.0, 0.0] lies outside map.bounds"),
+            ("assess", _waypoint_off_the_map,
+             "waypoints[1]: waypoints[1] [100.0, 2.0, 0.0] lies outside map.bounds"),
+            ("compare", _conditions_repeat, 'conditions[2]: condition "no_human" repeats'),
+            ("plan", _conditions_repeat, 'conditions[2]: condition "no_human" repeats'),
+            ("assess", _conditions_repeat, 'conditions[2]: condition "no_human" repeats'),
+            ("render", _report_conditions_repeat,
+             'conditions[3].condition: condition "no_human" repeats'),
+            ("render", _transcript_surrogate,
+             "conditions[0].assessment.provenance.transcript[0]:"
+             " holds U+D800, which no report or SVG can carry"),
+            ("render", _parameters_surrogate,
+             "conditions[0].assessment.provenance.parameters:"
+             " holds U+D800, which no report or SVG can carry"),
+            ("plan", _waypoints_empty, "waypoints: waypoints must be a non-empty list"),
+            ("plan", _zone_cost_below_one,
+             "activity_zones['watching']: zone cost 0.5 must be >= 1"),
+            ("plan", _max_attempts_zero, "assessor.max_attempts: must be >= 1"),
+            ("plan", _fixture_file_missing,
+             "assessor.fixtures: fixture file not found: <tmp>/missing.json"),
+            ("plan --assessor llm", _unchanged,
+             'condition "no_human", stage "setup":'
+             " llm assessor needs assessor.model in the scenario"),
+            ("plan", _scenario_not_utf8,
+             "$: scenario document is not valid UTF-8:"
+             " 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            ("render", _zone_verb_reading,
+             'conditions[2].zones[0]: the scene has no activity "reading" from "human" to "tv"'),
+            ("render", _transcript_unpaired,
+             "conditions[0].assessment.provenance.transcript:"
+             " expected a list of [role, text] string pairs"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )
-    def test_one_error_line(self, tmp_path, capsys, command, mutate, where):
+    def test_one_error_line(self, tmp_path, capsys, command, mutate, line):
         _write_inputs(tmp_path, mutate)
+        command, *options = command.split()
         target = _INPUTS["report"] if command == "render" else _INPUTS["scenario"]
         out = ["-o", str(tmp_path / "out")] if command == "render" else []
-        assert main([command, str(tmp_path / target), *out]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert f"{where}: " in err[0]
+        assert main([command, str(tmp_path / target), *out, *options]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {line.replace('<tmp>', str(tmp_path))}"
+        ]
 
     def test_repeated_condition_flag(self, capsys):
         scenario = str(DATA_DIR / _INPUTS["scenario"])
@@ -462,12 +565,12 @@ class TestMalformedInputs:
         assert capsys.readouterr().err.splitlines() == [
             'error: condition "no_human", stage "load": $: unknown field(s): extra_top'
         ]
-        with pytest.warns(UnknownKeyWarning) as caught:
-            assert main([command, scenario]) == 0
-        assert {str(w.message) for w in caught} == {
-            "$: unknown field(s): extra_top",
-            "assessments['bedroom/no_human']['bed']: unknown field(s): note",
-        }
+        # The fixture file is read once per condition; each warning prints once.
+        assert main([command, scenario]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: $: unknown field(s): extra_top",
+            "warning: assessments['bedroom/no_human']['bed']: unknown field(s): note",
+        ]
 
     @pytest.mark.parametrize(
         "mutate, count",

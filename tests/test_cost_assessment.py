@@ -133,6 +133,23 @@ class TestParseAssessment:
         with pytest.raises(ResponseFormatError, match="single key"):
             parse_assessment(response, ())
 
+    @pytest.mark.parametrize(
+        "assessments, message",
+        [
+            ({"bed": {"cost": 2, "clearance": 1}}, '"assessments" must be a list'),
+            ([{"object_id": "bed", "cost": 2}],
+             "assessments[0] must have exactly the keys object_id, cost, clearance"),
+            ([{"object_id": "", "cost": 2, "clearance": 1}],
+             "assessments[0].object_id must be a non-empty string"),
+        ],
+        ids=["not_a_list", "missing_key", "empty_object_id"],
+    )
+    def test_malformed_item_is_a_format_error(self, assessments, message):
+        response = json.dumps({"assessments": assessments})
+        with pytest.raises(ResponseFormatError) as info:
+            parse_assessment(response, ("bed",))
+        assert str(info.value) == message
+
     def test_duplicate_object_id_rejected(self):
         response = json.dumps(
             {

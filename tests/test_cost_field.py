@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from socioplan import (
     Assessment,
     CostClearance,
+    ObjectNode,
     RectFootprint,
+    SceneGraph,
     combined_cost,
     field_spec_from_assessment,
     footprint_of,
@@ -25,7 +27,7 @@ from socioplan.cost_field import (
     Costmap,
     FieldSpec,
     OrientedRectFootprint,
-    corridor_between,
+    activity_zone,
     grid_shape,
     linear_falloff,
     make_activity_zones,
@@ -133,23 +135,31 @@ class TestActivityZones:
             (human.center[0] + tv.center[0]) / 2.0,
             (human.center[1] + tv.center[1]) / 2.0,
         )
-        assert zone.corridor.center == pytest.approx(expected_center)
+        assert zone.footprint.center == pytest.approx(expected_center)
         expected_length = math.dist(human.center, tv.center)
-        assert 2.0 * zone.corridor.half_length == pytest.approx(expected_length)
-        assert 2.0 * zone.corridor.half_width == pytest.approx(
+        assert 2.0 * zone.footprint.half_length == pytest.approx(expected_length)
+        assert 2.0 * zone.footprint.half_width == pytest.approx(
             max(max(human.sides), max(tv.sides))
         )
         # zone cost applies between the endpoints
-        mid = zone.corridor.center
+        mid = zone.footprint.center
         raster = rasterize(FieldSpec(()), zones, ((0, 0), (6, 5)), 0.1)
         ix, iy = raster.cell_at(mid)
         assert raster.cells[iy, ix] > 1.0
 
-    def test_corridor_between_coincident_centers_is_none(self):
-        box = RectFootprint((1.0, 1.0), (2.0, 3.0))
-        assert corridor_between(box, RectFootprint((1.25, 1.5), (1.75, 2.5))) is None
-        corridor = corridor_between(box, RectFootprint((4.0, 2.0), (4.0, 2.0)))
-        assert corridor.axis == (1.0, 0.0) and corridor.half_width == 1.0
+    def test_activity_zone_of_coincident_centers_is_none(self):
+        graph = SceneGraph([
+            ObjectNode("human", "human", (1.5, 2.0, 0.5), (1.0, 2.0, 1.0)),
+            ObjectNode("tv", "tv", (1.5, 2.0, 0.5), (0.5, 1.0, 1.0)),  # the human's center
+            ObjectNode("lamp", "lamp", (4.0, 2.0, 0.5), (0.5, 0.5, 1.0)),
+        ])
+        assert activity_zone(graph, "human", "watching", "tv", 4.0, 0.5) is None
+        zone = activity_zone(graph, "human", "watching", "lamp", 4.0, 0.5)
+        assert zone.footprint.axis == (1.0, 0.0) and zone.footprint.half_width == 1.0
+
+    def test_activity_zone_is_checked_like_every_contribution(self):
+        with pytest.raises(ValueError, match="cost 0.5 must be >= 1"):
+            activity_zone(self.graph(), "human_1", "watching", "tv", 0.5, 0.5)
 
     def test_empty_config_disables_zones(self):
         assert make_activity_zones(self.graph(), {}) == []
@@ -251,10 +261,7 @@ def full_grid_cells(spec, zones, bounds, resolution):
     grid_x, grid_y = np.meshgrid(xs, ys)
     points = np.column_stack([grid_x.ravel(), grid_y.ravel()])
     values = np.ones(len(points))
-    contributions = list(spec.contributions) + [
-        Contribution(z.corridor, z.cost, z.clearance) for z in zones
-    ]
-    for c in contributions:
+    for c in (*spec.contributions, *zones):
         np.maximum(values, linear_falloff(c.footprint.distance(points), c.cost, c.clearance), out=values)
     return values.reshape(height, width)
 
@@ -287,7 +294,7 @@ def _zone(draw, origin=(0.0, 0.0)):
         half_length=draw(st.floats(0.0, 2.0)),
         half_width=draw(st.floats(0.0, 1.0)),
     )
-    return ActivityZone("human", "watching", "tv", draw(_cost), draw(_clearance), corridor)
+    return ActivityZone(corridor, draw(_cost), draw(_clearance), "human", "watching", "tv")
 
 
 def _map_bounds(origin):
@@ -297,7 +304,7 @@ def _map_bounds(origin):
 def _corridor(center, angle, half_length, half_width, cost=3.0, clearance=0.4):
     axis = (math.cos(angle), math.sin(angle))
     corridor = OrientedRectFootprint(center, axis, half_length, half_width)
-    return ActivityZone("human", "watching", "tv", cost, clearance, corridor)
+    return ActivityZone(corridor, cost, clearance, "human", "watching", "tv")
 
 
 class TestRectDistance:
@@ -407,7 +414,7 @@ class TestRasterizeAgainstFullGrid:
 
         spec = FieldSpec(tuple(Contribution(moved(c.footprint), c.cost, c.clearance) for c in contributions))
         zones = [
-            ActivityZone(z.human, z.verb, z.target, z.cost, z.clearance, moved(z.corridor))
+            ActivityZone(moved(z.footprint), z.cost, z.clearance, z.human, z.verb, z.target)
             for z in zones
         ]
         bounds = _map_bounds(origin)

@@ -119,6 +119,18 @@ class TestLoadScenario:
         assert second == first
         assert serialize_scenario(second) == text
 
+    def test_every_optional_field_round_trips(self, tmp_path):
+        for name in ("bedroom_scene.json", "bedroom_assessments.json"):
+            shutil.copy(DATA_DIR / name, tmp_path)
+        document = json.loads((DATA_DIR / "bedroom_scenario.json").read_text())
+        document["waypoints"] = [[0.8, 2.0, 0.0], [2.0, 1.0, 0.5], [3.4, 0.2, 0.0]]
+        document["activity_zones"] = {"watching": [4.0, 0.5]}
+        document["assessor"].update(scenario_key="bedroom", model="m", max_attempts=5)
+        text = canonical_json(document)
+        path = tmp_path / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        assert serialize_scenario(load_scenario(path, strict=True)) == text
+
 
 class TestRunScenario:
     def test_replay_report_matches_recorded_rows(self, replay_report):
@@ -269,7 +281,7 @@ class TestReportSerialization:
         ]
         loaded = load_report(text)
         assert loaded == report
-        assert loaded.conditions[-1].zones[0].corridor == with_relations.zones[0].corridor
+        assert loaded.conditions[-1].zones[0].footprint == with_relations.zones[0].footprint
 
     def test_version_1_report_rejected(self):
         data = json.loads(_SHIPPED_REPORT)
