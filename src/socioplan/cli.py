@@ -9,7 +9,7 @@ from pathlib import Path as FilePath
 
 from .cost_assessment import assess, entries_to_dict
 from .human_augmentation import Condition, derive_condition_variant
-from .jsonio import FormatError, UnknownKeyWarning, canonical_json
+from .jsonio import FormatError, UnknownKeyWarning, canonical_json, read_file
 from .planner import relevant_context, seed_trajectory
 from .render import render_svg
 from .scenario_runner import (
@@ -24,6 +24,7 @@ from .scenario_runner import (
     load_report,
     load_scenario,
     min_distance_to_human,
+    read_condition,
     report_to_json,
     run_scenario,
 )
@@ -95,10 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        graph = load_scene(args.scene.read_bytes(), strict=args.strict)
-    except FileNotFoundError:
-        raise FormatError(f"scene file not found: {args.scene}") from None
+    graph = load_scene(read_file(args.scene, "scene", "$"), strict=args.strict)
     # load_scene raises FormatError at the first broken invariant: a loaded graph is valid.
     nodes, relations = len(graph.nodes), len(graph.relations)
     if args.format == "json":
@@ -112,10 +110,9 @@ def _cmd_assess(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario, strict=args.strict)
     conditions = scenario.conditions
     if args.condition:
-        conditions = tuple(map(Condition, args.condition))
-        for i, condition in enumerate(conditions):
-            if condition in conditions[:i]:
-                raise FormatError(f'condition "{condition.value}" repeats', "--condition")
+        conditions = []
+        for value in args.condition:
+            conditions.append(read_condition(value, "--condition", conditions))
     kind = args.assessor or scenario.assessor.kind
     base = load_base_scene(scenario, strict=args.strict)
     trajectory = seed_trajectory(scenario.start, scenario.goal, scenario.waypoints)
@@ -189,10 +186,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    try:
-        report = load_report(args.report.read_bytes(), strict=args.strict)
-    except FileNotFoundError:
-        raise FormatError(f"report file not found: {args.report}") from None
+    report = load_report(read_file(args.report, "report", "$"), strict=args.strict)
     # Overlay every condition's path on the last condition's costmap (the
     # richest field when conditions are ordered none -> full).
     svg = render_svg(

@@ -340,13 +340,13 @@ def rasterize(
     whose centers lie in its footprint's box grown by its clearance plus one
     cell, found by ``searchsorted`` on the sorted centers of each axis. A
     center left out lies more than ``clearance + resolution`` beyond the box
-    on one axis, so even after rounding its distance exceeds the clearance:
-    the contribution is exactly 1 there and the pointwise maximum does not
-    change. An infinite margin (a clearance near the float maximum) selects
-    the whole axis. Inside, the points are slices of the same center
-    coordinates and run through the same elementwise operations as
-    ``combined_cost``, so cell values equal ``combined_cost`` at the exact
-    center coordinates and there is no interpolation error to account for.
+    on one axis: the extra cell absorbs rounding and keeps in each center
+    whose gap squares to 0, unless a whole cell does. So a left-out center's
+    contribution is exactly 1 and the pointwise maximum does not change. An
+    infinite margin (a clearance near the float maximum) selects the whole
+    axis. Inside, the points are slices of the same center coordinates and
+    run through the same elementwise operations as ``combined_cost``, so
+    cell values equal ``combined_cost`` at the exact centers.
     """
     (xmin, ymin), _ = bounds
     width, height = grid_shape(bounds, resolution)

@@ -7,6 +7,7 @@ import math
 import re
 import warnings
 from itertools import chain
+from pathlib import Path
 from typing import Any, Iterable
 
 
@@ -30,6 +31,14 @@ class UnknownKeyWarning(UserWarning):
 def canonical_json(value: Any) -> str:
     """Serialize with sorted keys and fixed layout; byte-stable for equal values."""
     return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def read_file(path: Path, kind: str, where: str) -> bytes:
+    """The bytes of ``path``; a missing file is a FormatError at ``where``."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise FormatError(f"{kind} file not found: {path}", where) from None
 
 
 def parse_document(document: bytes | str, *, what: str) -> Any:

@@ -219,9 +219,9 @@ def iterate_plan(
 
     Round 1 seeds relevance with ``seed_trajectory``; every later round
     re-extracts the relevant set from the latest path and replans. The loop
-    stops when the relevant set repeats or ``max_rounds`` is reached. The set
-    handed to the assessor is the partial graph's node set (radius hits plus
-    attached humans), so human context is never dropped.
+    stops when the relevant set repeats, in any order, or ``max_rounds`` is
+    reached. The set handed to the assessor is the partial graph's node set
+    (radius hits plus attached humans), so human context is never dropped.
 
     A round whose costmap equals the previous round's keeps the previous
     path instead of running A* again: ``plan`` depends only on start, goal
@@ -232,13 +232,13 @@ def iterate_plan(
         raise ValueError("max_rounds must be >= 1")
     variant = derive_condition_variant(graph, condition)
     trajectory = seed_trajectory(start, goal, waypoints)
-    previous: tuple[str, ...] | None = None
+    previous: frozenset[str] | None = None
     costmap: Costmap | None = None
     rounds = 0
     stop = "max_rounds"
     while rounds < max_rounds:
         ids, partial, assessed = relevant_context(variant, trajectory, radius)
-        if ids == previous:
+        if frozenset(ids) == previous:
             stop = "converged"
             break
         assessment = assess(assessor, partial, trajectory, assessed, preferences)
@@ -249,6 +249,6 @@ def iterate_plan(
             path = plan(PlanRequest(start=start, goal=goal, costmap=costmap))
         trajectory = Trajectory(tuple((x, y, 0.0) for x, y in path.polyline))
         rounds += 1
-        previous = ids
+        previous = frozenset(ids)
         relevant = assessed
     return PlanIteration(condition, path, assessment, rounds, relevant, costmap, zones, stop)

@@ -47,6 +47,7 @@ from .jsonio import (
     index_vectors,
     integer,
     parse_document,
+    read_file,
     require_version,
     string,
     string_list,
@@ -109,10 +110,16 @@ class Scenario:
     def scene_path(self) -> FilePath:
         return self.base_dir / self.scene
 
-    def fixtures_path(self) -> FilePath | None:
-        if self.assessor.fixtures is None:
-            return None
-        return self.base_dir / self.assessor.fixtures
+
+def read_condition(value: object, path: str, earlier: Sequence[Condition]) -> Condition:
+    """The condition ``value`` names at ``path``; it must be none of ``earlier``."""
+    name = string(value, path)
+    valid = [c.value for c in Condition]
+    if name not in valid:
+        raise FormatError(f'unknown condition "{name}" (valid: {", ".join(valid)})', path)
+    if Condition(name) in earlier:
+        raise FormatError(f'condition "{name}" repeats', path)
+    return Condition(name)
 
 
 def _parse_human(raw: dict, path: str, strict: bool) -> HumanSpec:
@@ -212,16 +219,9 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
     raw_conditions = data["conditions"]
     if not isinstance(raw_conditions, list) or not raw_conditions:
         raise FormatError("conditions must be a non-empty list", "conditions")
-    conditions = []
+    conditions: list[Condition] = []
     for i, value in enumerate(raw_conditions):
-        try:
-            condition = Condition(string(value, f"conditions[{i}]"))
-        except ValueError:
-            valid = ", ".join(c.value for c in Condition)
-            raise FormatError(f'unknown condition "{value}" (valid: {valid})', f"conditions[{i}]") from None
-        if condition in conditions:
-            raise FormatError(f'condition "{value}" repeats', f"conditions[{i}]")
-        conditions.append(condition)
+        conditions.append(read_condition(value, f"conditions[{i}]", conditions))
 
     (low, high), resolution = _parse_map(data["map"], strict)
 
@@ -263,7 +263,7 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
             raise FormatError(f"zone {field_name} {value!r} must be >= {floor:g}", zone_path)
         zones.append((verb, (cost, clearance)))
 
-    scenario = Scenario(
+    return Scenario(
         name=string(data["name"], "name"),
         scene=string(data["scene"], "scene"),
         conditions=tuple(conditions),
@@ -279,19 +279,11 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
         activity_zones=tuple(zones),
         base_dir=base_dir,
     )
-    if not scenario.scene_path().exists():
-        raise FormatError(f"scene file not found: {scenario.scene_path()}", "scene")
-    fixtures = scenario.fixtures_path()
-    if fixtures is not None and not fixtures.exists():
-        raise FormatError(f"fixture file not found: {fixtures}", "assessor.fixtures")
-    return scenario
 
 
 def load_scenario(path: str | FilePath, *, strict: bool = False) -> Scenario:
     path = FilePath(path)
-    if not path.exists():
-        raise FormatError(f"scenario file not found: {path}")
-    return parse_scenario(path.read_bytes(), path.parent, strict=strict)
+    return parse_scenario(read_file(path, "scenario", "$"), path.parent, strict=strict)
 
 
 def serialize_scenario(scenario: Scenario) -> str:
@@ -339,10 +331,10 @@ def build_assessor(
     if kind == "rules":
         return rule_based_assess
     if kind == "replay":
-        fixtures = scenario.fixtures_path()
-        if fixtures is None:
+        if scenario.assessor.fixtures is None:
             raise ScenarioError("replay assessor needs assessor.fixtures in the scenario")
-        store = load_assessment_fixtures(fixtures.read_bytes(), strict=strict)
+        fixtures = scenario.base_dir / scenario.assessor.fixtures
+        store = load_assessment_fixtures(read_file(fixtures, "fixture", "assessor.fixtures"), strict=strict)
         key = scenario.assessor.scenario_key or scenario.name
         return lambda partial, trajectory, relevant, preferences: replay_assess(
             store, key, condition, relevant
@@ -419,7 +411,7 @@ def load_base_scene(scenario: Scenario, *, strict: bool = False) -> SceneGraph:
     """The scenario's scene with its human, if any, inserted. The result
     holds every scene rule; a broken one is a FormatError at ``human``. Each
     ``activity_zones`` verb must name an activity relation of the result."""
-    scene = load_scene(scenario.scene_path().read_bytes(), strict=strict)
+    scene = load_scene(read_file(scenario.scene_path(), "scene", "scene"), strict=strict)
     if scenario.human is not None:
         try:
             scene = insert_human(scene, scenario.human)
@@ -550,11 +542,12 @@ def _zone_from_dict(raw: object, path: str, scene: SceneGraph, strict: bool) -> 
 
 
 def _condition_from_dict(
-    raw: object, path: str, scene: SceneGraph, grid: tuple[tuple[Vec2, Vec2], float], strict: bool
+    raw: object, path: str, scene: SceneGraph, grid: tuple[tuple[Vec2, Vec2], float], strict: bool,
+    earlier: Sequence[PlanIteration],
 ) -> PlanIteration:
-    """One entry of a report's ``conditions``. Its costmap is rebuilt from
-    the scene, its entries and zones on the report's map; its path's stored
-    ``total_cost`` and ``length_m`` must equal those of its cells on it, and
+    """One entry of a report's ``conditions``, with a condition none of ``earlier`` has. Its
+    costmap is rebuilt from the scene, its entries and zones on the report's map; its path's
+    stored ``total_cost`` and ``length_m`` must equal those of its cells on it, and
     ``stats.min_distance_to_human_m`` that of its polyline in the scene."""
 
     def fields(value: object, where: str, *required: str) -> dict:
@@ -564,10 +557,7 @@ def _condition_from_dict(
     raw = fields(
         raw, path, "condition", "rounds", "stop", "relevant", "assessment", "zones", "path", "stats"
     )
-    try:
-        condition = Condition(raw["condition"])
-    except ValueError:
-        raise FormatError(f'unknown condition "{raw["condition"]}"', f"{path}.condition") from None
+    condition = read_condition(raw["condition"], f"{path}.condition", [c.condition for c in earlier])
     if raw["stop"] not in ("converged", "max_rounds"):
         raise FormatError('expected "converged" or "max_rounds"', f"{path}.stop")
 
@@ -676,10 +666,7 @@ def load_report(document: bytes | str, *, strict: bool = False) -> RunReport:
     name = string(data["scenario"], "scenario")
     conditions: list[PlanIteration] = []
     for i, raw in enumerate(raw_conditions):
-        result = _condition_from_dict(raw, f"conditions[{i}]", scene, grid, strict)
-        if result.condition in {c.condition for c in conditions}:
-            raise FormatError(f'condition "{result.condition.value}" repeats', f"conditions[{i}].condition")
-        conditions.append(result)
+        conditions.append(_condition_from_dict(raw, f"conditions[{i}]", scene, grid, strict, conditions))
     return RunReport(name, scene, tuple(conditions), *grid)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from unittest import mock
 
 import pytest
 
@@ -9,6 +10,7 @@ from socioplan import scenario_runner
 from socioplan.cli import main
 from socioplan.cost_assessment import entries_to_dict
 from socioplan.human_augmentation import Condition
+from socioplan.jsonio import canonical_json
 from socioplan.planner import iterate_plan
 from socioplan.scenario_runner import build_assessor, load_base_scene, load_scenario, run_scenario
 
@@ -48,14 +50,14 @@ class TestValidate:
         assert "extra" in capsys.readouterr().err
 
 
-def _waypoint_scenario(tmp_path, replay=False):
+def _waypoint_scenario(tmp_path, replay=False, waypoints=((0.8, 2.4, 0.0), (1.0, 2.4, 0.0))):
     """The shipped scenario with the rules assessor, or its own replay one,
-    and a trajectory hugging the bed: only the bed (and the human attached
-    to it) is in range."""
+    and by default a trajectory hugging the bed: only the bed (and the human
+    attached to it) is in range."""
     for name in ("bedroom_scene.json", "bedroom_assessments.json"):
         shutil.copy(DATA_DIR / name, tmp_path)
     document = json.loads((DATA_DIR / "bedroom_scenario.json").read_text())
-    document["waypoints"] = [[0.8, 2.4, 0.0], [1.0, 2.4, 0.0]]
+    document["waypoints"] = [list(p) for p in waypoints]
     if not replay:
         document["assessor"] = {"kind": "rules"}
     path = tmp_path / "scenario.json"
@@ -141,6 +143,12 @@ class TestWaypointsSeedRoundOne:
 
 
 class TestPlanCommand:
+    def test_rules_run_needs_no_fixture_file(self, tmp_path, capsys):
+        _write_inputs(tmp_path, _fixture_file_missing)
+        scenario = str(tmp_path / _INPUTS["scenario"])
+        assert main(["--strict", "plan", scenario, "--assessor", "rules"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("goal", [[6.0, 5.0], [6.0, 0.2], [3.4, 5.0], [0.0, 0.0]])
     def test_goal_on_the_map_edge_plans(self, tmp_path, capsys, goal):
         def goal_on_edge(files):
@@ -209,6 +217,27 @@ class TestRenderCommand:
     def test_missing_report(self, capsys):
         assert main(["render", "missing.json", "-o", "/tmp/x.svg"]) == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_json_format(self, tmp_path, capsys):
+        svg_path = tmp_path / "out.svg"
+        assert main(["render", str(DATA_DIR / "bedroom_report.json"), "-o", str(svg_path),
+                     "--format", "json"]) == 0
+        assert capsys.readouterr().out == canonical_json({"ok": True, "out": str(svg_path)})
+        assert svg_path.read_text().count("<polyline") == 3
+
+
+class TestRelevantSetOrder:
+    @pytest.mark.parametrize("replay", [False, True], ids=["rules", "replay"])
+    def test_a_reordered_set_converges(self, tmp_path, replay):
+        """Waypoints from goal to start find (armchair, bed) in round 1; the
+        path from start to goal finds (bed, armchair), the same set, so the
+        loop stops without asking the assessor again."""
+        path = _waypoint_scenario(tmp_path, replay, waypoints=[(3.4, 0.2, 0.0), (0.8, 2.0, 0.0)])
+        name = "replay_assess" if replay else "rule_based_assess"
+        with mock.patch.object(scenario_runner, name, wraps=getattr(scenario_runner, name)) as spy:
+            report = run_scenario(load_scenario(path))
+        assert [(r.rounds, r.stop) for r in report.conditions] == [(1, "converged")] * 3
+        assert spy.call_count == 3
 
 
 def _drop_provenance(files):
@@ -378,6 +407,44 @@ def _unchanged(files):
     pass
 
 
+def _scene_file_missing(files):
+    files["scenario"]["scene"] = "nowhere.json"
+
+
+def _condition_number(files):
+    files["scenario"]["conditions"] = [5]
+
+
+def _condition_empty(files):
+    files["scenario"]["conditions"] = [""]
+
+
+def _condition_control(files):
+    files["scenario"]["conditions"] = ["\u0001"]
+
+
+def _report_condition_object(files):
+    files["report"]["conditions"][0]["condition"] = {}
+
+
+def _report_condition_unknown(files):
+    files["report"]["conditions"][0]["condition"] = "nobody"
+
+
+def _fixture_costs_at_float_max(files):
+    for entries in files["fixtures"]["assessments"].values():
+        for object_id in entries:
+            entries[object_id] = {"cost": 1.7e308, "clearance": 5.0}
+
+
+def _query_radius_zero(files):
+    files["scenario"]["query_radius_m"] = 0
+
+
+def _assessor_kind_oracle(files):
+    files["scenario"]["assessor"]["kind"] = "oracle"
+
+
 def _scenario_not_utf8(files):
     files["scenario"] = b"\xff" + json.dumps(files["scenario"]).encode()
 
@@ -494,7 +561,24 @@ class TestMalformedInputs:
              "activity_zones['watching']: zone cost 0.5 must be >= 1"),
             ("plan", _max_attempts_zero, "assessor.max_attempts: must be >= 1"),
             ("plan", _fixture_file_missing,
-             "assessor.fixtures: fixture file not found: <tmp>/missing.json"),
+             'condition "no_human", stage "load":'
+             " assessor.fixtures: fixture file not found: <tmp>/missing.json"),
+            ("plan", _scene_file_missing, "scene: scene file not found: <tmp>/nowhere.json"),
+            ("assess", _scene_file_missing, "scene: scene file not found: <tmp>/nowhere.json"),
+            ("plan", _condition_number, "conditions[0]: expected a string, got int"),
+            ("plan", _condition_empty, "conditions[0]: must be non-empty"),
+            ("plan", _condition_control,
+             "conditions[0]: holds U+0001, which no report or SVG can carry"),
+            ("render", _report_condition_object,
+             "conditions[0].condition: expected a string, got dict"),
+            ("render", _report_condition_unknown,
+             'conditions[0].condition: unknown condition "nobody"'
+             " (valid: no_human, human_no_relations, human_with_relations)"),
+            ("plan", _fixture_costs_at_float_max,
+             'condition "no_human", stage "plan": no path from start to goal'),
+            ("plan", _query_radius_zero, "query_radius_m: query_radius_m must be > 0"),
+            ("plan", _assessor_kind_oracle,
+             'assessor.kind: unknown assessor kind "oracle" (valid: rules, llm, replay)'),
             ("plan --assessor llm", _unchanged,
              'condition "no_human", stage "setup":'
              " llm assessor needs assessor.model in the scenario"),
@@ -616,6 +700,12 @@ def _human_id_taken(files):
     files["scenario"]["human"]["id"] = "bed"
 
 
+def _human_relation_to_a_human(files):
+    guest = dict(files["scene"]["nodes"][0], id="guest", tag="human")
+    files["scene"]["nodes"].append(guest)
+    files["scenario"]["human"]["spatial_relations"] = [["next to", "guest"]]
+
+
 _SCENE_BREAKS = [
     (_bed_extent_zero,
      'nodes[1].bbox_extent: node "bed" has bbox_extent (1.6, 0.0, 0.6); every component must be > 0'),
@@ -631,6 +721,7 @@ _HUMAN_BREAKS = [
      'human: node "human" has bbox_extent (0.5, 0.0, 0.9); every component must be > 0'),
     (_human_id_taken, 'human: node id "bed" already exists in the scene'),
     (_missing_human_target, 'human: human relation target "ghost" does not name a node'),
+    (_human_relation_to_a_human, 'human: human relation target "guest" must be a non-human node'),
 ]
 
 
@@ -707,6 +798,15 @@ class TestUnwritableLlmReply:
 class TestUnreadableInputs:
     """Input files that cannot be parsed or opened, and outputs that cannot be
     written, end with exit 1 and one "error:" line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, what", [("validate", "scene"), ("plan", "scenario"), ("render", "report")]
+    )
+    def test_missing_file(self, tmp_path, capsys, command, what):
+        missing = tmp_path / "missing.json"
+        out = ["-o", str(tmp_path / "out.svg")] if command == "render" else []
+        assert main([command, str(missing), *out]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: $: {what} file not found: {missing}"]
 
     @pytest.mark.parametrize(
         "command, what", [("validate", "scene"), ("plan", "scenario"), ("render", "report")]

@@ -421,6 +421,15 @@ class TestRasterizeAgainstFullGrid:
         costmap = rasterize(spec, zones, bounds, resolution)
         assert np.array_equal(costmap.cells, full_grid_cells(spec, zones, bounds, resolution))
 
+    def test_window_keeps_a_center_whose_gap_squares_to_zero(self):
+        """The center of cell (0, 0) is exactly (0, 0). Its 1e-323 gap to the box
+        squares to 0, within the 5e-324 clearance: the window's extra cell keeps it in."""
+        spec = FieldSpec((Contribution(RectFootprint((1e-323, 0.0), (0.5, 0.5)), 3.0, 5e-324),))
+        bounds = ((-0.05, -0.05), (0.95, 0.95))
+        costmap = rasterize(spec, (), bounds, 0.1)
+        assert costmap.cells[0, 0] == combined_cost((0.0, 0.0), spec) == 3.0
+        assert np.array_equal(costmap.cells, full_grid_cells(spec, (), bounds, 0.1))
+
     def test_cost_one_contributions_leave_ones(self):
         spec = FieldSpec(
             (

@@ -87,7 +87,7 @@ class TestLoadScenario:
         path.write_text(json.dumps(document))
         shutil.copy(DATA_DIR / "bedroom_assessments.json", tmp_path)
         with pytest.raises(FormatError, match="scene file not found"):
-            load_scenario(path)
+            run_scenario(load_scenario(path))
 
     def test_empty_conditions_rejected(self, tmp_path):
         document = json.loads((DATA_DIR / "bedroom_scenario.json").read_text())
