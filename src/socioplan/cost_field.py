@@ -18,6 +18,7 @@ every cell keeps the value a full-grid evaluation gives it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -307,9 +308,9 @@ class Costmap:
 def grid_shape(bounds: tuple[Vec2, Vec2], resolution: float) -> tuple[int, int]:
     """(width, height) in cells of the grid that covers ``bounds``.
 
-    Raises ValueError for a non-positive resolution, degenerate bounds, or a
-    grid of more than ``MAX_GRID_CELLS`` cells; it allocates nothing, so a
-    grid too large to build is refused from its size alone.
+    Raises ValueError for a non-positive resolution, degenerate bounds, a grid
+    of more than ``MAX_GRID_CELLS`` cells (refused from its size alone; nothing
+    is allocated) or a cell side whose square is below the smallest normal float.
     """
     (xmin, ymin), (xmax, ymax) = bounds
     if resolution <= 0:
@@ -325,6 +326,8 @@ def grid_shape(bounds: tuple[Vec2, Vec2], resolution: float) -> tuple[int, int]:
             f"resolution {resolution!r} gives a {width:.6g} x {height:.6g} cell grid;"
             f" at most {MAX_GRID_CELLS:,} cells are allowed"
         )
+    if resolution * resolution < sys.float_info.min:
+        raise ValueError(f"resolution {resolution!r} squares to below the smallest normal float")
     return max(1, math.ceil(width)), max(1, math.ceil(height))
 
 
@@ -341,12 +344,12 @@ def rasterize(
     cell, found by ``searchsorted`` on the sorted centers of each axis. A
     center left out lies more than ``clearance + resolution`` beyond the box
     on one axis: the extra cell absorbs rounding and keeps in each center
-    whose gap squares to 0, unless a whole cell does. So a left-out center's
-    contribution is exactly 1 and the pointwise maximum does not change. An
-    infinite margin (a clearance near the float maximum) selects the whole
-    axis. Inside, the points are slices of the same center coordinates and
-    run through the same elementwise operations as ``combined_cost``, so
-    cell values equal ``combined_cost`` at the exact centers.
+    whose gap squares to 0. So a left-out center's contribution is exactly 1
+    and the pointwise maximum does not change. An infinite margin (a
+    clearance near the float maximum) selects the whole axis. Inside, the
+    points are slices of the same center coordinates and run through the
+    same elementwise operations as ``combined_cost``, so cell values equal
+    ``combined_cost`` at the exact centers.
     """
     (xmin, ymin), _ = bounds
     width, height = grid_shape(bounds, resolution)

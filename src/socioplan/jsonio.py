@@ -8,7 +8,7 @@ import re
 import warnings
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Collection, Iterable, Iterator
 
 
 class FormatError(ValueError):
@@ -106,10 +106,18 @@ def integer(value: Any, path: str, minimum: int) -> int:
     return value
 
 
+def items(
+    value: Any, path: str, what: str, size: int | None = None, *, nonempty: bool = False
+) -> Iterator[tuple[Any, str]]:
+    """Each item of the list ``value`` with its path ``path[i]``; FormatError ``expected
+    <what>`` at ``path`` for a non-list, a length not ``size``, or with ``nonempty`` none."""
+    if not isinstance(value, list) or size not in (None, len(value)) or (nonempty and not value):
+        raise FormatError(f"expected {what}", path)
+    return ((item, f"{path}[{i}]") for i, item in enumerate(value))
+
+
 def vector(value: Any, path: str, length: int) -> tuple[float, ...]:
-    if not isinstance(value, list) or len(value) != length:
-        raise FormatError(f"expected a list of {length} numbers", path)
-    return tuple(finite_number(c, f"{path}[{i}]") for i, c in enumerate(value))
+    return tuple(finite_number(*c) for c in items(value, path, f"a list of {length} numbers", length))
 
 
 def index_vectors(value: Any, path: str, length: int) -> tuple[tuple[int, ...], ...]:
@@ -159,6 +167,12 @@ def plain_numbers(values: list) -> bool:
 
 
 def string_list(value: Any, path: str) -> list[str]:
-    if not isinstance(value, list):
-        raise FormatError("expected a list of strings", path)
-    return [string(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return [string(*item) for item in items(value, path, "a list of strings")]
+
+
+def choice(value: Any, path: str, what: str, valid: Collection[str]) -> str:
+    """The ``string`` at ``path``, which must be one of ``valid``."""
+    name = string(value, path)
+    if name not in valid:
+        raise FormatError(f'unknown {what} "{name}" (valid: {", ".join(valid)})', path)
+    return name

@@ -25,7 +25,6 @@ from .cost_assessment import (
     entries_to_dict,
     llm_assess,
     load_assessment_fixtures,
-    out_of_range,
     replay_assess,
     rule_based_assess,
 )
@@ -43,9 +42,11 @@ from .jsonio import (
     FormatError,
     canonical_json,
     check_keys,
+    choice,
     finite_number,
     index_vectors,
     integer,
+    items,
     parse_document,
     read_file,
     require_version,
@@ -113,13 +114,10 @@ class Scenario:
 
 def read_condition(value: object, path: str, earlier: Sequence[Condition]) -> Condition:
     """The condition ``value`` names at ``path``; it must be none of ``earlier``."""
-    name = string(value, path)
-    valid = [c.value for c in Condition]
-    if name not in valid:
-        raise FormatError(f'unknown condition "{name}" (valid: {", ".join(valid)})', path)
-    if Condition(name) in earlier:
-        raise FormatError(f'condition "{name}" repeats', path)
-    return Condition(name)
+    condition = Condition(choice(value, path, "condition", [c.value for c in Condition]))
+    if condition in earlier:
+        raise FormatError(f'condition "{condition.value}" repeats', path)
+    return condition
 
 
 def _parse_human(raw: dict, path: str, strict: bool) -> HumanSpec:
@@ -132,16 +130,10 @@ def _parse_human(raw: dict, path: str, strict: bool) -> HumanSpec:
     )
 
     def pairs(key: str) -> tuple[tuple[str, str], ...]:
-        items = raw.get(key, [])
-        if not isinstance(items, list):
-            raise FormatError("expected a list of [verb, target id] pairs", f"{path}.{key}")
-        out = []
-        for i, item in enumerate(items):
-            item_path = f"{path}.{key}[{i}]"
-            if not isinstance(item, list) or len(item) != 2:
-                raise FormatError("expected a [verb, target id] pair", item_path)
-            out.append((string(item[0], f"{item_path}[0]"), string(item[1], f"{item_path}[1]")))
-        return tuple(out)
+        return tuple(
+            tuple(string(*part) for part in items(*pair, "a [verb, target id] pair", 2))
+            for pair in items(raw.get(key, []), f"{path}.{key}", "a list of [verb, target id] pairs")
+        )
 
     return HumanSpec(
         id=string(raw["id"], f"{path}.id"),
@@ -160,11 +152,8 @@ def _parse_assessor(raw: dict, path: str, strict: bool) -> AssessorConfig:
         path=path,
         strict=strict,
     )
-    kind = string(raw["kind"], f"{path}.kind")
-    if kind not in ASSESSOR_KINDS:
-        raise FormatError(f'unknown assessor kind "{kind}" (valid: {", ".join(ASSESSOR_KINDS)})', f"{path}.kind")
     return AssessorConfig(
-        kind=kind,
+        kind=choice(raw["kind"], f"{path}.kind", "assessor kind", ASSESSOR_KINDS),
         fixtures=string(raw["fixtures"], f"{path}.fixtures") if "fixtures" in raw else None,
         scenario_key=string(raw["scenario_key"], f"{path}.scenario_key")
         if "scenario_key" in raw
@@ -179,11 +168,8 @@ def _parse_assessor(raw: dict, path: str, strict: bool) -> AssessorConfig:
 def _parse_map(raw: object, strict: bool) -> tuple[tuple[Vec2, Vec2], float]:
     """The ``map`` block of a scenario or a report: bounds and resolution."""
     check_keys(raw, required=("bounds", "resolution"), optional=(), path="map", strict=strict)
-    raw_bounds = raw["bounds"]
-    if not isinstance(raw_bounds, list) or len(raw_bounds) != 2:
-        raise FormatError("expected [[xmin, ymin], [xmax, ymax]]", "map.bounds")
-    low = vector(raw_bounds[0], "map.bounds[0]", 2)
-    high = vector(raw_bounds[1], "map.bounds[1]", 2)
+    what = "[[xmin, ymin], [xmax, ymax]]"
+    low, high = (vector(*p, 2) for p in items(raw["bounds"], "map.bounds", what, 2))
     if high[0] <= low[0] or high[1] <= low[1]:
         raise FormatError("bounds must span a non-degenerate rectangle", "map.bounds")
     resolution = finite_number(raw["resolution"], "map.resolution")
@@ -216,12 +202,10 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
     )
     require_version(data, "$", SCENARIO_SCHEMA_VERSION)
 
-    raw_conditions = data["conditions"]
-    if not isinstance(raw_conditions, list) or not raw_conditions:
-        raise FormatError("conditions must be a non-empty list", "conditions")
     conditions: list[Condition] = []
-    for i, value in enumerate(raw_conditions):
-        conditions.append(read_condition(value, f"conditions[{i}]", conditions))
+    what = "a non-empty list of condition names"
+    for value, where in items(data["conditions"], "conditions", what, nonempty=True):
+        conditions.append(read_condition(value, where, conditions))
 
     (low, high), resolution = _parse_map(data["map"], strict)
 
@@ -240,10 +224,8 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
 
     waypoints = None
     if "waypoints" in data:
-        raw_waypoints = data["waypoints"]
-        if not isinstance(raw_waypoints, list) or not raw_waypoints:
-            raise FormatError("waypoints must be a non-empty list", "waypoints")
-        waypoints = tuple(vector(p, f"waypoints[{i}]", 3) for i, p in enumerate(raw_waypoints))
+        what = "a non-empty list of [x, y, z] points"
+        waypoints = tuple(vector(*p, 3) for p in items(data["waypoints"], "waypoints", what, nonempty=True))
         for i, point in enumerate(waypoints):
             on_map(f"waypoints[{i}]", point)
 
@@ -255,13 +237,8 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
     zones: list[tuple[str, tuple[float, float]]] = []
     for verb, raw_zone in raw_zones.items():
         zone_path = f"activity_zones[{verb!r}]"
-        verb = string(verb, zone_path)
-        cost, clearance = vector(raw_zone, zone_path, 2)
-        bad = out_of_range(cost, clearance)
-        if bad:
-            field_name, value, floor = bad
-            raise FormatError(f"zone {field_name} {value!r} must be >= {floor:g}", zone_path)
-        zones.append((verb, (cost, clearance)))
+        cc = cost_clearance(dict(zip(("cost", "clearance"), vector(raw_zone, zone_path, 2))), zone_path)
+        zones.append((string(verb, zone_path), (cc.cost, cc.clearance)))
 
     return Scenario(
         name=string(data["name"], "name"),
@@ -558,8 +535,7 @@ def _condition_from_dict(
         raw, path, "condition", "rounds", "stop", "relevant", "assessment", "zones", "path", "stats"
     )
     condition = read_condition(raw["condition"], f"{path}.condition", [c.condition for c in earlier])
-    if raw["stop"] not in ("converged", "max_rounds"):
-        raise FormatError('expected "converged" or "max_rounds"', f"{path}.stop")
+    stop = choice(raw["stop"], f"{path}.stop", "stop", ("converged", "max_rounds"))
 
     raw_assessment = fields(raw["assessment"], f"{path}.assessment", "provenance", "entries")
     where = f"{path}.assessment.provenance"
@@ -600,12 +576,8 @@ def _condition_from_dict(
     if set(relevant) != set(assessment.entries):
         raise FormatError("ids differ from those of assessment.entries", where)
 
-    raw_zones = raw["zones"]
-    if not isinstance(raw_zones, list):
-        raise FormatError("expected a list of zone objects", f"{path}.zones")
-    zones = tuple(
-        _zone_from_dict(z, f"{path}.zones[{j}]", scene, strict) for j, z in enumerate(raw_zones)
-    )
+    raw_zones = items(raw["zones"], f"{path}.zones", "a list of zone objects")
+    zones = tuple(_zone_from_dict(*z, scene, strict) for z in raw_zones)
     costmap = rasterize(spec, zones, *grid)
 
     where = f"{path}.path"
@@ -633,7 +605,7 @@ def _condition_from_dict(
         relevant=relevant,
         costmap=costmap,
         zones=zones,
-        stop=raw["stop"],
+        stop=stop,
     )
 
 
@@ -660,13 +632,12 @@ def load_report(document: bytes | str, *, strict: bool = False) -> RunReport:
     )
     grid = _parse_map(data["map"], strict)
     scene = scene_from_dict(data["scene"], strict=strict)
-    raw_conditions = data["conditions"]
-    if not isinstance(raw_conditions, list) or not raw_conditions:
-        raise FormatError("conditions must be a non-empty list", "conditions")
+    what = "a non-empty list of condition objects"
+    raw_conditions = items(data["conditions"], "conditions", what, nonempty=True)
     name = string(data["scenario"], "scenario")
     conditions: list[PlanIteration] = []
-    for i, raw in enumerate(raw_conditions):
-        conditions.append(_condition_from_dict(raw, f"conditions[{i}]", scene, grid, strict, conditions))
+    for raw, where in raw_conditions:
+        conditions.append(_condition_from_dict(raw, where, scene, grid, strict, conditions))
     return RunReport(name, scene, tuple(conditions), *grid)
 
 

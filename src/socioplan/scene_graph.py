@@ -20,6 +20,8 @@ from .jsonio import (
     FormatError,
     canonical_json,
     check_keys,
+    choice,
+    items,
     parse_document,
     plain_numbers,
     plain_strings,
@@ -226,10 +228,7 @@ def scene_from_dict(data: object, *, strict: bool = False) -> SceneGraph:
 
 def _check_fields(raw_nodes: object, raw_relations: object, strict: bool) -> None:
     """The per-field reader of a scene's nodes and relations."""
-    if not isinstance(raw_nodes, list):
-        raise FormatError("expected a list of node objects", "nodes")
-    for i, raw in enumerate(raw_nodes):
-        path = f"nodes[{i}]"
+    for raw, path in items(raw_nodes, "nodes", "a list of node objects"):
         check_keys(raw, required=_NODE_REQUIRED, optional=_NODE_OPTIONAL, path=path, strict=strict)
         for key in ("id", "tag"):
             string(raw[key], f"{path}.{key}")
@@ -237,15 +236,11 @@ def _check_fields(raw_nodes: object, raw_relations: object, strict: bool) -> Non
             vector(raw[key], f"{path}.{key}", 3)
         for key in _NODE_OPTIONAL:
             string_list(raw.get(key, []), f"{path}.{key}")
-    if not isinstance(raw_relations, list):
-        raise FormatError("expected a list of relation objects", "relations")
-    for j, raw in enumerate(raw_relations):
-        path = f"relations[{j}]"
+    for raw, path in items(raw_relations, "relations", "a list of relation objects"):
         check_keys(raw, required=_RELATION_FIELDS, optional=(), path=path, strict=strict)
-        for key in _RELATION_FIELDS:
+        for key in ("name", "head", "tail"):
             string(raw[key], f"{path}.{key}")
-        if raw["kind"] not in _KINDS:
-            raise FormatError(f'unknown kind "{raw["kind"]}" (valid: {", ".join(_KINDS)})', f"{path}.kind")
+        choice(raw["kind"], f"{path}.kind", "kind", _KINDS)
 
 
 def node_to_dict(node: ObjectNode) -> dict:

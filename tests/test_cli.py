@@ -464,6 +464,58 @@ def _map_of_coarse_terameters(files):
     files["scenario"]["assessor"] = {"kind": "rules"}
 
 
+def _map_finer_than_normal(files):
+    files["scenario"]["map"] = {"bounds": [[0, 0], [1e-197, 1e-197]], "resolution": 1e-200}
+
+
+def _report_map_finer_than_normal(files):
+    files["report"]["map"] = {"bounds": [[0, 0], [1e-197, 1e-197]], "resolution": 1e-200}
+
+
+def _conditions_empty(files):
+    files["scenario"]["conditions"] = []
+
+
+def _spatial_relation_of_three(files):
+    files["scenario"]["human"]["spatial_relations"] = [["sitting on", "bed", "x"]]
+
+
+def _report_zones_as_object(files):
+    files["report"]["conditions"][0]["zones"] = {}
+
+
+def _nodes_as_object(files):
+    files["scene"]["nodes"] = {}
+
+
+def _relations_number(files):
+    files["scene"]["relations"] = 5
+
+
+def _map_bounds_as_object(files):
+    files["scenario"]["map"]["bounds"] = {"min": [0.0, 0.0], "max": [6.0, 5.0]}
+
+
+def _map_bounds_one_corner(files):
+    files["scenario"]["map"]["bounds"] = [[0.0, 0.0]]
+
+
+def _map_bounds_three_corners(files):
+    files["report"]["map"]["bounds"] = [[0.0, 0.0], [6.0, 5.0], [7.0, 7.0]]
+
+
+def _preferences_text(files):
+    files["scenario"]["preferences"] = "quiet"
+
+
+def _stop_unknown(files):
+    files["report"]["conditions"][0]["stop"] = "done"
+
+
+def _stop_number(files):
+    files["report"]["conditions"][0]["stop"] = 5
+
+
 _INPUTS = {
     "scene": "bedroom_scene.json",
     "fixtures": "bedroom_assessments.json",
@@ -512,7 +564,8 @@ class TestMalformedInputs:
              "conditions[0].path.cells: expected a non-empty list of 2-integer lists >= 0"),
             ("render", _rounds_text, "conditions[0].rounds: expected an integer, got str"),
             ("render", _stats_as_list, "conditions[0].stats: expected an object, got list"),
-            ("render", _conditions_as_object, "conditions: conditions must be a non-empty list"),
+            ("render", _conditions_as_object,
+             "conditions: expected a non-empty list of condition objects"),
             ("render", _map_bounds_of_three, "map.bounds[0]: expected a list of 2 numbers"),
             ("render", _map_resolution_nan, "map.resolution: number must be finite"),
             ("plan", _resolution_coarser_than_map,
@@ -556,9 +609,9 @@ class TestMalformedInputs:
             ("render", _parameters_surrogate,
              "conditions[0].assessment.provenance.parameters:"
              " holds U+D800, which no report or SVG can carry"),
-            ("plan", _waypoints_empty, "waypoints: waypoints must be a non-empty list"),
+            ("plan", _waypoints_empty, "waypoints: expected a non-empty list of [x, y, z] points"),
             ("plan", _zone_cost_below_one,
-             "activity_zones['watching']: zone cost 0.5 must be >= 1"),
+             "activity_zones['watching'].cost: cost 0.5 must be >= 1"),
             ("plan", _max_attempts_zero, "assessor.max_attempts: must be >= 1"),
             ("plan", _fixture_file_missing,
              'condition "no_human", stage "load":'
@@ -590,13 +643,30 @@ class TestMalformedInputs:
             ("render", _transcript_unpaired,
              "conditions[0].assessment.provenance.transcript:"
              " expected a list of [role, text] string pairs"),
+            ("plan", _map_finer_than_normal,
+             "map.resolution: resolution 1e-200 squares to below the smallest normal float"),
+            ("render", _report_map_finer_than_normal,
+             "map.resolution: resolution 1e-200 squares to below the smallest normal float"),
+            ("plan", _conditions_empty, "conditions: expected a non-empty list of condition names"),
+            ("plan", _spatial_relation_of_three,
+             "human.spatial_relations[0]: expected a [verb, target id] pair"),
+            ("render", _report_zones_as_object, "conditions[0].zones: expected a list of zone objects"),
+            ("validate", _nodes_as_object, "nodes: expected a list of node objects"),
+            ("validate", _relations_number, "relations: expected a list of relation objects"),
+            ("plan", _map_bounds_as_object, "map.bounds: expected [[xmin, ymin], [xmax, ymax]]"),
+            ("plan", _map_bounds_one_corner, "map.bounds: expected [[xmin, ymin], [xmax, ymax]]"),
+            ("render", _map_bounds_three_corners, "map.bounds: expected [[xmin, ymin], [xmax, ymax]]"),
+            ("plan", _preferences_text, "preferences: expected a list of strings"),
+            ("render", _stop_unknown,
+             'conditions[0].stop: unknown stop "done" (valid: converged, max_rounds)'),
+            ("render", _stop_number, "conditions[0].stop: expected a string, got int"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )
     def test_one_error_line(self, tmp_path, capsys, command, mutate, line):
         _write_inputs(tmp_path, mutate)
         command, *options = command.split()
-        target = _INPUTS["report"] if command == "render" else _INPUTS["scenario"]
+        target = _INPUTS[{"render": "report", "validate": "scene"}.get(command, "scenario")]
         out = ["-o", str(tmp_path / "out")] if command == "render" else []
         assert main([command, str(tmp_path / target), *out, *options]) == 1
         assert capsys.readouterr().err.splitlines() == [

@@ -430,6 +430,18 @@ class TestRasterizeAgainstFullGrid:
         assert costmap.cells[0, 0] == combined_cost((0.0, 0.0), spec) == 3.0
         assert np.array_equal(costmap.cells, full_grid_cells(spec, (), bounds, 0.1))
 
+    @pytest.mark.parametrize("clearance", [0.0, 1e-300, 3.3 * 2e-154], ids=["zero", "1e-300", "3.3-cells"])
+    def test_row_at_the_finest_resolution(self, clearance):
+        """At 2e-154 m, just above the floor of ``grid_shape``, gaps within a
+        cell still square to a normal float, so the windows keep every raised
+        cell of a 1,000-cell row."""
+        r = 2e-154
+        spec = FieldSpec((Contribution(RectFootprint((400 * r, 1.2 * r), (600 * r, 1.7 * r)), 5.0, clearance),))
+        bounds = ((0.0, 0.0), (1000 * r, 3 * r))
+        costmap = rasterize(spec, (), bounds, r)
+        assert costmap.cells.shape == (3, 1000) and (costmap.cells[1] > 1.0).sum() >= 200
+        assert np.array_equal(costmap.cells, full_grid_cells(spec, (), bounds, r))
+
     def test_cost_one_contributions_leave_ones(self):
         spec = FieldSpec(
             (
@@ -469,6 +481,13 @@ class TestGridShape:
             grid_shape(((0, 0), (1, 1)), -0.1)
         with pytest.raises(ValueError, match="non-degenerate"):
             grid_shape(((0, 1), (1, 1)), 0.1)
+
+    def test_cell_side_squaring_below_the_smallest_normal_float_rejected(self):
+        assert grid_shape(((0.0, 0.0), (1e-153, 1e-153)), 1.5e-154) == (7, 7)
+        with pytest.raises(ValueError, match=r"^resolution 1\.49e-154 squares to below the smallest normal float$"):
+            grid_shape(((0.0, 0.0), (1e-153, 1e-153)), 1.49e-154)
+        with pytest.raises(ValueError, match="squares to below the smallest normal float"):
+            grid_shape(((0.0, 0.0), (1e-197, 1e-197)), 1e-200)
 
 
 class TestCostmap:

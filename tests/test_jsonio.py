@@ -4,7 +4,15 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from socioplan.jsonio import FormatError, canonical_json, finite_number, parse_document, string
+from socioplan.jsonio import (
+    FormatError,
+    canonical_json,
+    choice,
+    finite_number,
+    items,
+    parse_document,
+    string,
+)
 from socioplan.render import _xml_text
 
 
@@ -34,3 +42,37 @@ class TestReaders:
         assert string(value, "tag") == value
         canonical_json(value).encode("utf-8")
         ET.fromstring(f"<t>{_xml_text(value)}</t>")  # XML 1.0 can carry it
+
+
+class TestItems:
+    def test_each_item_comes_with_its_path(self):
+        assert list(items(["a", 2], "p", "a pair", 2)) == [("a", "p[0]"), (2, "p[1]")]
+        assert list(items([], "p", "a list")) == []
+
+    @pytest.mark.parametrize(
+        "value, size, nonempty",
+        [({}, None, False), ("ab", None, False), (None, 2, False), ([1], 2, False),
+         ([1, 2, 3], 2, False), ([], None, True), ([], 2, True)],
+    )
+    def test_refused_with_what_at_the_path(self, value, size, nonempty):
+        with pytest.raises(FormatError) as info:  # on the call, before any item is taken
+            items(value, "human.pairs", "a [verb, target id] pair", size, nonempty=nonempty)
+        assert str(info.value) == "human.pairs: expected a [verb, target id] pair"
+
+
+class TestChoice:
+    VALID = ("converged", "max_rounds")
+
+    def test_returns_a_valid_name(self):
+        assert choice("max_rounds", "stop", "stop", self.VALID) == "max_rounds"
+
+    @pytest.mark.parametrize(
+        "value, reason",
+        [(5, "expected a string, got int"), (None, "expected a string, got NoneType"),
+         ("", "must be non-empty"), ("done", 'unknown stop "done" (valid: converged, max_rounds)'),
+         ("Converged", 'unknown stop "Converged" (valid: converged, max_rounds)')],
+    )
+    def test_refused_at_the_path(self, value, reason):
+        with pytest.raises(FormatError) as info:
+            choice(value, "conditions[1].stop", "stop", self.VALID)
+        assert str(info.value) == f"conditions[1].stop: {reason}"
