@@ -23,9 +23,12 @@ from .jsonio import (
     canonical_json,
     check_keys,
     finite_number,
+    items,
+    keyed,
     parse_document,
     plain_numbers,
     require_version,
+    string,
     unwritable,
 )
 from .scene_graph import RelationKind, SceneGraph
@@ -129,16 +132,14 @@ def entries_from_dict(
     Entries that pass one bulk check (keys exactly cost and clearance, and
     ``plain_numbers`` that ``out_of_range`` accepts), a sufficient condition
     only, skip the per-entry reader, the one source of error text and warnings."""
-    if not isinstance(raw_entries, dict):
-        raise FormatError("expected an object keyed by object id", path)
+    entries = keyed(raw_entries, path, "an object keyed by object id")
     raws = raw_entries.values()
     if not (
         all(type(raw) is dict and raw.keys() == {"cost", "clearance"} for raw in raws)
         and plain_numbers([value for raw in raws for value in raw.values()])
         and not any(out_of_range(raw["cost"], raw["clearance"]) for raw in raws)
     ):
-        for object_id, raw in raw_entries.items():
-            entry_path = f"{path}[{object_id!r}]"
+        for _, raw, entry_path in entries:
             check_keys(raw, required=("cost", "clearance"), optional=(), path=entry_path, strict=strict)
             cost_clearance(raw, entry_path)
     return {i: CostClearance(float(raw["cost"]), float(raw["clearance"])) for i, raw in raw_entries.items()}
@@ -223,39 +224,25 @@ def build_prompt(
 
 
 def parse_assessment(response: str, relevant: Iterable[str]) -> Assessment:
-    """Parse the strict response JSON, then enforce ranges and exact
-    coverage with ``check_entries``.
+    """Read the response with the ``jsonio`` readers, unknown keys refused, then
+    enforce ranges and exact coverage with ``check_entries``.
 
-    Raises ResponseFormatError, ValueOutOfRangeError, or CoverageError; each
-    is distinct so retry policies can react to the specific failure.
+    Raises ResponseFormatError (its text names the JSON path), ValueOutOfRangeError
+    or CoverageError; each is distinct so retry policies can react to the failure.
     """
+    entries: dict[str, CostClearance] = {}
+    keys = ("object_id", "cost", "clearance")
     try:
         data = parse_document(response, what="response")
+        check_keys(data, required=("assessments",), optional=(), path="$", strict=True)
+        for item, path in items(data["assessments"], "assessments", "a list of assessment objects"):
+            check_keys(item, required=keys, optional=(), path=path, strict=True)
+            object_id = string(item["object_id"], f"{path}.object_id")
+            if object_id in entries:
+                raise FormatError(f'duplicate object_id "{object_id}"', f"{path}.object_id")
+            entries[object_id] = CostClearance(*(finite_number(item[k], f"{path}.{k}") for k in keys[1:]))
     except FormatError as exc:
-        raise ResponseFormatError(exc.reason) from exc
-    if not isinstance(data, dict) or set(data) != {"assessments"}:
-        raise ResponseFormatError('response must be an object with the single key "assessments"')
-    items = data["assessments"]
-    if not isinstance(items, list):
-        raise ResponseFormatError('"assessments" must be a list')
-    entries: dict[str, CostClearance] = {}
-    for i, item in enumerate(items):
-        if not isinstance(item, dict) or set(item) != {"object_id", "cost", "clearance"}:
-            raise ResponseFormatError(
-                f"assessments[{i}] must have exactly the keys object_id, cost, clearance"
-            )
-        object_id = item["object_id"]
-        if not isinstance(object_id, str) or not object_id:
-            raise ResponseFormatError(f"assessments[{i}].object_id must be a non-empty string")
-        if object_id in entries:
-            raise ResponseFormatError(f'duplicate object_id "{object_id}"')
-        try:
-            cost, clearance = (
-                finite_number(item[k], f"assessments[{i}].{k}") for k in ("cost", "clearance")
-            )
-        except FormatError as exc:
-            raise ResponseFormatError(str(exc)) from exc
-        entries[object_id] = CostClearance(cost, clearance)
+        raise ResponseFormatError(str(exc)) from exc
     check_entries(entries, relevant)
     return Assessment(entries=entries, provenance=Provenance(assessor="parse"))
 
@@ -325,20 +312,19 @@ def llm_assess(
 ) -> Assessment:
     """Query the LLM and validate its answer, re-querying on invalid responses.
 
-    Each retry appends the validation error to the conversation so the model
-    can repair its output. Transport failures are not retried; nor is a reply
-    holding a character no report can carry, which is a TransportError. Raises
-    RetriesExhaustedError (carrying the last parse error) when every attempt
-    fails validation.
+    Each request sends the whole transcript, so the recorded transcript is what
+    the model was sent plus its last reply. A retry appends the reply and the
+    validation error, which names the JSON path, so the model can repair its
+    output. Transport failures are not retried; nor is a reply no report can
+    carry, a TransportError. Raises RetriesExhaustedError (carrying the last
+    parse error) when every attempt fails validation.
     """
     if policy.max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    prompt = build_prompt(partial, trajectory, preferences)
-    messages: list[dict] = [{"role": "user", "content": prompt}]
-    transcript: list[tuple[str, str]] = [("user", prompt)]
+    transcript: list[tuple[str, str]] = [("user", build_prompt(partial, trajectory, preferences))]
     last_error: AssessmentError | None = None
     for attempt in range(1, policy.max_attempts + 1):
-        reply = transport(messages)
+        reply = transport([{"role": role, "content": text} for role, text in transcript])
         if not isinstance(reply, str):
             raise TransportError(f"transport must return text, got {type(reply).__name__}")
         if reason := unwritable(reply):  # the transcript goes into the report
@@ -353,8 +339,6 @@ def llm_assess(
                 "Respond again with JSON only, in exactly the required shape, "
                 "covering every listed object id exactly once."
             )
-            messages.append({"role": "assistant", "content": reply})
-            messages.append({"role": "user", "content": feedback})
             transcript.append(("user", feedback))
             continue
         provenance = Provenance(
@@ -473,11 +457,10 @@ def load_assessment_fixtures(document: bytes | str, *, strict: bool = False) -> 
         data, required=("assessments",), optional=("schema_version",), path="$", strict=strict
     )
     require_version(data, "$", FIXTURE_SCHEMA_VERSION)
-    if not isinstance(data["assessments"], dict):
-        raise FormatError("expected an object keyed by scenario/condition", "assessments")
+    what = "an object keyed by scenario/condition"
     return {
-        key: entries_from_dict(raw_entries, f"assessments[{key!r}]", strict=strict)
-        for key, raw_entries in data["assessments"].items()
+        key: entries_from_dict(raw_entries, path, strict=strict)
+        for key, raw_entries, path in keyed(data["assessments"], "assessments", what)
     }
 
 

@@ -116,6 +116,14 @@ def items(
     return ((item, f"{path}[{i}]") for i, item in enumerate(value))
 
 
+def keyed(value: Any, path: str, what: str) -> Iterator[tuple[str, Any, str]]:
+    """Each entry of the object ``value`` as (key, item, ``path[key!r]``); FormatError
+    ``expected <what>`` at ``path`` for a non-object."""
+    if not isinstance(value, dict):
+        raise FormatError(f"expected {what}", path)
+    return ((key, item, f"{path}[{key!r}]") for key, item in value.items())
+
+
 def vector(value: Any, path: str, length: int) -> tuple[float, ...]:
     return tuple(finite_number(*c) for c in items(value, path, f"a list of {length} numbers", length))
 

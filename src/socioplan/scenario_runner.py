@@ -47,6 +47,7 @@ from .jsonio import (
     index_vectors,
     integer,
     items,
+    keyed,
     parse_document,
     read_file,
     require_version,
@@ -229,14 +230,9 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
         for i, point in enumerate(waypoints):
             on_map(f"waypoints[{i}]", point)
 
-    raw_zones = data.get("activity_zones", {})
-    if not isinstance(raw_zones, dict):
-        raise FormatError(
-            "expected an object mapping activity verbs to [cost, clearance]", "activity_zones"
-        )
     zones: list[tuple[str, tuple[float, float]]] = []
-    for verb, raw_zone in raw_zones.items():
-        zone_path = f"activity_zones[{verb!r}]"
+    what = "an object mapping activity verbs to [cost, clearance]"
+    for verb, raw_zone, zone_path in keyed(data.get("activity_zones", {}), "activity_zones", what):
         cc = cost_clearance(dict(zip(("cost", "clearance"), vector(raw_zone, zone_path, 2))), zone_path)
         zones.append((string(verb, zone_path), (cc.cost, cc.clearance)))
 
@@ -542,8 +538,7 @@ def _condition_from_dict(
     prov = fields(
         raw_assessment["provenance"], where, "assessor", "parameters", "attempts", "transcript"
     )
-    if not isinstance(prov["parameters"], dict):
-        raise FormatError("expected an object", f"{where}.parameters")
+    parameters = {k: v for k, v, _ in keyed(prov["parameters"], f"{where}.parameters", "an object")}
     transcript = prov["transcript"]
     if not isinstance(transcript, list) or not all(map(_is_message, transcript)):
         raise FormatError("expected a list of [role, text] string pairs", f"{where}.transcript")
@@ -551,7 +546,7 @@ def _condition_from_dict(
     for j, message in enumerate(transcript):
         if reason := unwritable("".join(message)):
             raise FormatError(reason, f"{where}.transcript[{j}]")
-    if reason := unwritable("".join(_strings(prov["parameters"]))):
+    if reason := unwritable("".join(_strings(parameters))):
         raise FormatError(reason, f"{where}.parameters")
     assessment = Assessment(
         entries=entries_from_dict(
@@ -559,7 +554,7 @@ def _condition_from_dict(
         ),
         provenance=Provenance(
             assessor=string(prov["assessor"], f"{where}.assessor"),
-            parameters=dict(prov["parameters"]),
+            parameters=parameters,
             attempts=integer(prov["attempts"], f"{where}.attempts", 1),
             transcript=tuple((role, text) for role, text in transcript),
         ),

@@ -516,6 +516,21 @@ def _stop_number(files):
     files["report"]["conditions"][0]["stop"] = 5
 
 
+def _map_bounds_swapped(files):
+    files["scenario"]["map"]["bounds"] = [[6.0, 5.0], [0.0, 0.0]]
+
+
+def _zone_target_on_the_human(files):
+    nodes = {n["id"]: n for n in files["report"]["scene"]["nodes"]}
+    nodes["tv"]["bbox_center"] = list(nodes["human"]["bbox_center"])
+    zone = {"verb": "watching", "human": "human", "target": "tv", "cost": 2.0, "clearance": 0.5}
+    files["report"]["conditions"][2]["zones"] = [zone]
+
+
+def _parameters_control_in_list(files):
+    files["report"]["conditions"][0]["assessment"]["provenance"]["parameters"]["notes"] = ["\u0001"]
+
+
 _INPUTS = {
     "scene": "bedroom_scene.json",
     "fixtures": "bedroom_assessments.json",
@@ -660,6 +675,13 @@ class TestMalformedInputs:
             ("render", _stop_unknown,
              'conditions[0].stop: unknown stop "done" (valid: converged, max_rounds)'),
             ("render", _stop_number, "conditions[0].stop: expected a string, got int"),
+            ("plan", _map_bounds_swapped,
+             "map.bounds: bounds must span a non-degenerate rectangle"),
+            ("render", _zone_target_on_the_human,
+             "conditions[2].zones[0]: human and target footprints share a center"),
+            ("render", _parameters_control_in_list,
+             "conditions[0].assessment.provenance.parameters:"
+             " holds U+0001, which no report or SVG can carry"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )

@@ -130,19 +130,45 @@ class TestParseAssessment:
 
     def test_unexpected_top_level_keys_rejected(self):
         response = json.dumps({"assessments": [], "note": "hi"})
-        with pytest.raises(ResponseFormatError, match="single key"):
+        with pytest.raises(ResponseFormatError) as info:
             parse_assessment(response, ())
+        assert str(info.value) == "$: unknown field(s): note"
+
+    @pytest.mark.parametrize(
+        "response, message",
+        [
+            ("[1]", "$: expected an object, got list"),
+            ("{}", '$: missing required field "assessments"'),
+            ("not json", "$: response is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ],
+        ids=["list", "no_assessments", "not_json"],
+    )
+    def test_reply_error_names_the_root_path(self, response, message):
+        with pytest.raises(ResponseFormatError) as info:
+            parse_assessment(response, ())
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "assessments, message",
         [
-            ({"bed": {"cost": 2, "clearance": 1}}, '"assessments" must be a list'),
+            ({"bed": {"cost": 2, "clearance": 1}},
+             "assessments: expected a list of assessment objects"),
             ([{"object_id": "bed", "cost": 2}],
-             "assessments[0] must have exactly the keys object_id, cost, clearance"),
+             'assessments[0]: missing required field "clearance"'),
             ([{"object_id": "", "cost": 2, "clearance": 1}],
-             "assessments[0].object_id must be a non-empty string"),
+             "assessments[0].object_id: must be non-empty"),
+            ([{"object_id": "bed", "cost": 2, "clearance": 1, "why": "near"}],
+             "assessments[0]: unknown field(s): why"),
+            ([5], "assessments[0]: expected an object, got int"),
+            ([{"object_id": 7, "cost": 2, "clearance": 1}],
+             "assessments[0].object_id: expected a string, got int"),
+            ([{"object_id": "\u0001", "cost": 2, "clearance": 1}],
+             "assessments[0].object_id: holds U+0001, which no report or SVG can carry"),
+            ([{"object_id": "bed", "cost": 2, "clearance": 1}] * 2,
+             'assessments[1].object_id: duplicate object_id "bed"'),
         ],
-        ids=["not_a_list", "missing_key", "empty_object_id"],
+        ids=["not_a_list", "missing_key", "empty_object_id", "extra_key", "item_not_object",
+             "object_id_number", "object_id_control", "duplicate_object_id"],
     )
     def test_malformed_item_is_a_format_error(self, assessments, message):
         response = json.dumps({"assessments": assessments})
@@ -246,6 +272,20 @@ class TestLlmAssess:
         roles = [role for role, _ in assessment.provenance.transcript]
         assert roles == ["user", "assistant", "user", "assistant"]
 
+    def test_transcript_is_what_was_sent(self, partial_and_trajectory):
+        partial, trajectory = partial_and_trajectory
+        extra_key = VALID_RESPONSE.replace('"clearance": 1.5}', '"clearance": 1.5, "why": "near"}', 1)
+        transport = scripted_transport(["not json", extra_key, VALID_RESPONSE])
+        assessment = llm_assess(transport, partial, trajectory, RELEVANT, [])
+        turns = [{"role": role, "content": text} for role, text in assessment.provenance.transcript]
+        assert len(transport.calls) == 3
+        for k, request in enumerate(transport.calls, 1):
+            assert request == turns[: 2 * k - 1]
+        assert turns == transport.calls[-1] + [{"role": "assistant", "content": VALID_RESPONSE}]
+        first_feedback, second_feedback = turns[2]["content"], turns[4]["content"]
+        assert "invalid: $: response is not valid JSON: " in first_feedback
+        assert "invalid: assessments[0]: unknown field(s): why. " in second_feedback
+
     def test_hostile_then_valid_takes_two_attempts(self, partial_and_trajectory):
         partial, trajectory = partial_and_trajectory
         hostile = VALID_RESPONSE.replace('"cost": 3', '"cost": ' + "9" * 401)
@@ -261,6 +301,20 @@ class TestLlmAssess:
             llm_assess(transport, partial, trajectory, RELEVANT, [], RetryPolicy(max_attempts=3))
         assert info.value.attempts == 3
         assert isinstance(info.value.last_error, ResponseFormatError)
+
+    def test_zero_attempts_rejected(self, partial_and_trajectory):
+        partial, trajectory = partial_and_trajectory
+        transport = scripted_transport([VALID_RESPONSE])
+        with pytest.raises(ValueError) as info:
+            llm_assess(transport, partial, trajectory, RELEVANT, [], RetryPolicy(0))
+        assert str(info.value) == "max_attempts must be >= 1"
+        assert transport.calls == []
+
+    def test_a_reply_that_is_not_text_is_a_transport_error(self, partial_and_trajectory):
+        partial, trajectory = partial_and_trajectory
+        with pytest.raises(TransportError) as info:
+            llm_assess(lambda messages: 5, partial, trajectory, RELEVANT, [])
+        assert str(info.value) == "transport must return text, got int"
 
     def test_transport_errors_are_not_retried(self, partial_and_trajectory):
         partial, trajectory = partial_and_trajectory
@@ -539,6 +593,14 @@ class TestHttpChatTransport:
 
         with pytest.raises(TransportError, match="timed out"):
             self.transport(monkeypatch, urlopen)([])
+
+    def test_no_endpoint_is_a_transport_error(self, monkeypatch):
+        from socioplan.cost_assessment import LLM_URL_ENV, HttpChatTransport
+
+        monkeypatch.delenv(LLM_URL_ENV, raising=False)
+        with pytest.raises(TransportError) as info:
+            HttpChatTransport(model="m")([])
+        assert str(info.value) == "no LLM endpoint configured; set SOCIOPLAN_LLM_URL"
 
     def test_url_without_a_scheme_is_a_transport_error(self):
         from socioplan.cost_assessment import HttpChatTransport

@@ -307,6 +307,22 @@ def _corridor(center, angle, half_length, half_width, cost=3.0, clearance=0.4):
     return ActivityZone(corridor, cost, clearance, "human", "watching", "tv")
 
 
+class TestFootprintArguments:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: RectFootprint((1, 0), (0, 1)), "footprint min corner must not exceed max corner"),
+            (lambda: OrientedRectFootprint((0, 0), (0, 0), 1.0, 1.0), "axis must be a non-zero vector"),
+            (lambda: OrientedRectFootprint((0, 0), (1, 0), 1.0, -0.5), "half sizes must be >= 0"),
+        ],
+        ids=["rect_corners_swapped", "oriented_zero_axis", "oriented_negative_half_size"],
+    )
+    def test_invalid_footprint_rejected(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+
 class TestRectDistance:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), origin=_origin, scale=st.sampled_from([1e-3, 1.0, 1e3]))
@@ -505,6 +521,21 @@ class TestCostmap:
         with pytest.raises(ValueError, match=">= 1"):
             Costmap(origin=(0, 0), resolution=1.0, width=2, height=1,
                     cells=np.array([[1.0, 0.5]]))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"origin": (math.nan, 0)}, "origin [nan, 0.0] must be two finite numbers"),
+            ({"cells": np.ones((2, 1))}, "cells shape (2, 1) != (height, width)"),
+            ({"resolution": 0.0}, "resolution and dimensions must be > 0"),
+        ],
+        ids=["nan_origin", "cells_not_height_by_width", "zero_resolution"],
+    )
+    def test_malformed_grid_rejected(self, change, message):
+        grid = {"origin": (0, 0), "resolution": 1.0, "width": 2, "height": 1, "cells": np.ones((1, 2))}
+        with pytest.raises(ValueError) as info:
+            Costmap(**{**grid, **change})
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_cells_rejected(self, bad):

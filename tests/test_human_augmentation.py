@@ -40,6 +40,14 @@ class TestInsertHuman:
         with pytest.raises(ValueError, match="ghost"):
             insert_human(small_scene, spec)
 
+    def test_empty_verb_is_an_error(self, small_scene):
+        spec = HumanSpec(
+            id="human_1", bbox_center=(0, 0, 0), bbox_extent=(1, 1, 1), spatial_relations=(("", "bed"),)
+        )
+        with pytest.raises(ValueError) as info:
+            insert_human(small_scene, spec)
+        assert str(info.value) == 'empty relation verb for target "bed"'
+
     def test_duplicate_id_is_an_error(self, small_scene):
         spec = HumanSpec(id="bed", bbox_center=(0, 0, 0), bbox_extent=(1, 1, 1))
         with pytest.raises(ValueError, match="already exists"):

@@ -10,6 +10,7 @@ from socioplan.jsonio import (
     choice,
     finite_number,
     items,
+    keyed,
     parse_document,
     string,
 )
@@ -58,6 +59,18 @@ class TestItems:
         with pytest.raises(FormatError) as info:  # on the call, before any item is taken
             items(value, "human.pairs", "a [verb, target id] pair", size, nonempty=nonempty)
         assert str(info.value) == "human.pairs: expected a [verb, target id] pair"
+
+
+class TestKeyed:
+    def test_each_entry_comes_with_its_key_and_path(self):
+        assert list(keyed({"bed": 1, "": 2}, "p", "an object")) == [("bed", 1, "p['bed']"), ("", 2, "p['']")]
+        assert list(keyed({}, "p", "an object")) == []
+
+    @pytest.mark.parametrize("value", [[], "ab", None, 5])
+    def test_refused_with_what_at_the_path(self, value):
+        with pytest.raises(FormatError) as info:  # on the call, before any entry is taken
+            keyed(value, "activity_zones", "an object mapping verbs")
+        assert str(info.value) == "activity_zones: expected an object mapping verbs"
 
 
 class TestChoice:

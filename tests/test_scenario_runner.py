@@ -181,6 +181,14 @@ class TestRunScenario:
             assert stat == min_distance_to_footprint(result.path.polyline, footprint)
             assert stat == min_distance_to_human(replay_report.scene, result.path.polyline)
 
+    def test_unknown_assessor_kind_is_a_setup_error(self, scenario):
+        with pytest.raises(ScenarioError) as info:
+            run_scenario(scenario, assessor_kind="x")
+        assert str(info.value) == 'condition "no_human", stage "setup": unknown assessor kind "x"'
+
+    def test_no_human_footprint_without_a_human(self, scenario):
+        assert human_footprint(dataclasses.replace(scenario, human=None)) is None
+
     def test_min_distance_is_to_the_nearest_human_of_the_scene(self, replay_report):
         scene = replay_report.scene
         polyline = replay_report.conditions[0].path.polyline

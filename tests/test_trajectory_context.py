@@ -26,6 +26,11 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="at least one"):
             Trajectory(())
 
+    def test_waypoints_must_be_3_vectors(self):
+        with pytest.raises(ValueError) as info:
+            Trajectory(((0, 0),))
+        assert str(info.value) == "waypoints must be 3-vectors"
+
     def test_resample_spacing_bound(self):
         trajectory = Trajectory(((0, 0, 0), (1.0, 0, 0)))
         dense = resample(trajectory, 0.25)
@@ -143,6 +148,11 @@ class TestRelevantObjects:
     def test_non_positive_radius_rejected(self, small_scene):
         with pytest.raises(ValueError, match="> 0"):
             relevant_objects(small_scene, Trajectory(((0, 0, 0),)), 0.0)
+
+    def test_non_positive_spacing_rejected(self, small_scene):
+        with pytest.raises(ValueError) as info:
+            relevant_objects(small_scene, Trajectory(((0, 0, 0),)), 1.0, max_spacing=0)
+        assert str(info.value) == "max_spacing must be > 0"
 
     def test_empty_scene_has_no_relevant_objects(self):
         trajectory = Trajectory(((0, 0, 0), (3.0, 4.0, 0.0)))
