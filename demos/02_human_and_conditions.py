@@ -16,6 +16,7 @@ from socioplan import (
     insert_human,
     load_scene,
     render_context_text,
+    relevant_objects,
     rule_based_assess,
     Trajectory,
 )
@@ -42,7 +43,7 @@ preferences = ["Don't disturb anyone watching a football match"]
 
 for condition in Condition:
     variant = derive_condition_variant(graph, condition)
-    _, partial, assessed = relevant_context(variant, trajectory, radius=1.5)
+    partial, assessed = relevant_context(variant, relevant_objects(variant, trajectory, radius=1.5))
     assessment = rule_based_assess(partial, trajectory, assessed, preferences)
     print(f"\n{condition.label}: relevant = {list(assessed)}")
     for object_id, cc in sorted(assessment.entries.items()):
@@ -50,6 +51,6 @@ for condition in Condition:
 
 # The canonical text block fed to assessors (and to the LLM prompt):
 variant = derive_condition_variant(graph, Condition.HUMAN_WITH_RELATIONS)
-_, partial, _ = relevant_context(variant, trajectory, radius=1.5)
+partial, _ = relevant_context(variant, relevant_objects(variant, trajectory, radius=1.5))
 print("\ncontext text for the with-relations partial graph:\n")
 print(render_context_text(partial, trajectory, preferences))

@@ -29,6 +29,7 @@ from .scenario_runner import (
     run_scenario,
 )
 from .scene_graph import load_scene
+from .trajectory_context import relevant_objects
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -122,7 +123,8 @@ def _cmd_assess(args: argparse.Namespace) -> int:
         with condition_stage(condition, kind):
             assessor = build_assessor(scenario, condition, kind, strict=args.strict)
             variant = derive_condition_variant(base, condition)
-            _, partial, assessed = relevant_context(variant, trajectory, scenario.query_radius_m)
+            ids = relevant_objects(variant, trajectory, scenario.query_radius_m)
+            partial, assessed = relevant_context(variant, ids)
             output.append(
                 (condition, assess(assessor, partial, trajectory, assessed, scenario.preferences))
             )

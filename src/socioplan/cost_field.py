@@ -11,8 +11,9 @@ footprint. Every field value is therefore >= 1.
 
 A contribution is exactly 1, and cannot raise the maximum, wherever
 ``d >= clearance`` (``d > 0`` when ``clearance`` is 0) and everywhere when its
-cost is 1; so ``rasterize`` evaluates each one only inside its window and
-every cell keeps the value a full-grid evaluation gives it.
+cost is 1; so ``field_spec_from_assessment`` leaves out cost-1 entries,
+``rasterize`` evaluates each one only inside its window, and every cell
+keeps the value a full-grid evaluation of all entries and zones gives it.
 """
 
 from __future__ import annotations
@@ -202,13 +203,6 @@ def make_activity_zones(
 # --- evaluation ---------------------------------------------------------------
 
 
-def _raising(spec: FieldSpec, zones: Sequence[ActivityZone] = ()) -> list[Contribution]:
-    """The object contributions, then the zones, that can raise the field:
-    1 + 0 * falloff is exactly 1 everywhere, so a cost of exactly 1 never
-    raises the maximum."""
-    return [c for c in (*spec.contributions, *zones) if c.cost != 1.0]
-
-
 def point_cost(
     point: Iterable[float],
     footprint: Footprint,
@@ -220,22 +214,23 @@ def point_cost(
 
 
 def combined_cost(point: Iterable[float], spec: FieldSpec) -> float:
-    """Pointwise maximum over all contributions; 1 for an empty spec."""
+    """Pointwise maximum over ``spec.contributions``; 1 for an empty spec."""
     pts = np.asarray([tuple(float(c) for c in point)], dtype=float)
     values = np.ones(1)
-    for contribution in _raising(spec):
+    for contribution in spec.contributions:
         d = contribution.footprint.distance(pts)
         np.maximum(values, linear_falloff(d, contribution.cost, contribution.clearance), out=values)
     return float(values[0])
 
 
 def field_spec_from_assessment(graph: SceneGraph, assessment) -> FieldSpec:
-    """Contributions from assessed objects' footprints, in sorted-id order."""
-    contributions = tuple(
-        Contribution(footprint_of(graph.node(object_id)), cc.cost, cc.clearance)
-        for object_id, cc in sorted(assessment.entries.items())
+    """Contributions of the assessed objects above cost 1 (a cost-1 entry is
+    1 everywhere), in sorted-id order. Every entry must name a node of
+    ``graph``, whatever its cost; ValueError otherwise."""
+    entries = [(graph.node(i), cc) for i, cc in sorted(assessment.entries.items())]
+    return FieldSpec(
+        Contribution(footprint_of(n), cc.cost, cc.clearance) for n, cc in entries if cc.cost != 1
     )
-    return FieldSpec(contributions)
 
 
 # --- costmap ------------------------------------------------------------------
@@ -337,7 +332,8 @@ def rasterize(
     bounds: tuple[Vec2, Vec2],
     resolution: float,
 ) -> Costmap:
-    """Sample the combined field at every cell center over ``bounds``.
+    """Sample the field of ``spec.contributions`` and ``zones`` at every cell
+    center over ``bounds``; a cost-1 zone costs only its window.
 
     Each contribution is evaluated only on the cells of its window: those
     whose centers lie in its footprint's box grown by its clearance plus one
@@ -356,7 +352,7 @@ def rasterize(
     xs = xmin + (np.arange(width, dtype=float) + 0.5) * resolution
     ys = ymin + (np.arange(height, dtype=float) + 0.5) * resolution
     values = np.ones((height, width), dtype=float)
-    for contribution in _raising(spec, zones):
+    for contribution in (*spec.contributions, *zones):
         (x0, y0), (x1, y1) = contribution.footprint.box
         margin = contribution.clearance + resolution
         i0, i1 = xs.searchsorted(x0 - margin), xs.searchsorted(x1 + margin, "right")

@@ -165,16 +165,13 @@ def plan(request: PlanRequest) -> Path:
     )
 
 
-def relevant_context(
-    variant: SceneGraph, trajectory: Trajectory, radius: float
-) -> tuple[tuple[str, ...], SceneGraph, tuple[str, ...]]:
-    """Relevance extraction for one trajectory: the ids within ``radius``,
-    the partial graph they induce, and the ids handed to the assessor (the
-    relevant ids, then the humans the partial graph pulled in, sorted)."""
-    ids = relevant_objects(variant, trajectory, radius)
+def relevant_context(variant: SceneGraph, ids: tuple[str, ...]) -> tuple[SceneGraph, tuple[str, ...]]:
+    """The context of the relevant ``ids`` (from ``relevant_objects``): the
+    partial graph they induce, and the ids handed to the assessor (``ids``,
+    then the humans the partial graph pulled in, sorted)."""
     partial = induce_partial_graph(variant, ids)
     found = set(ids)
-    return ids, partial, ids + tuple(i for i in sorted(partial.nodes) if i not in found)
+    return partial, ids + tuple(i for i in sorted(partial.nodes) if i not in found)
 
 
 def seed_trajectory(start: Vec2, goal: Vec2, waypoints: Sequence[Vec3] | None) -> Trajectory:
@@ -220,8 +217,10 @@ def iterate_plan(
     Round 1 seeds relevance with ``seed_trajectory``; every later round
     re-extracts the relevant set from the latest path and replans. The loop
     stops when the relevant set repeats, in any order, or ``max_rounds`` is
-    reached. The set handed to the assessor is the partial graph's node set
-    (radius hits plus attached humans), so human context is never dropped.
+    reached; the repeat is checked first, so only a round that assesses
+    induces a partial graph. The set handed to the assessor is the partial
+    graph's node set (radius hits plus attached humans), so human context
+    is never dropped.
 
     A round whose costmap equals the previous round's keeps the previous
     path instead of running A* again: ``plan`` depends only on start, goal
@@ -237,10 +236,11 @@ def iterate_plan(
     rounds = 0
     stop = "max_rounds"
     while rounds < max_rounds:
-        ids, partial, assessed = relevant_context(variant, trajectory, radius)
+        ids = relevant_objects(variant, trajectory, radius)
         if frozenset(ids) == previous:
             stop = "converged"
             break
+        partial, assessed = relevant_context(variant, ids)
         assessment = assess(assessor, partial, trajectory, assessed, preferences)
         spec = field_spec_from_assessment(partial, assessment)
         zones = tuple(make_activity_zones(partial, activity_zones or {}))

@@ -272,6 +272,15 @@ def _entry_cost_text(files):
     files["report"]["conditions"][0]["assessment"]["entries"]["bed"]["cost"] = "x"
 
 
+def _entry_ghost(cost):
+    def mutate(files):
+        entries = files["report"]["conditions"][0]["assessment"]["entries"]
+        entries["ghost"] = {"cost": cost, "clearance": 0.0}
+
+    mutate.__name__ = f"_entry_ghost_at_cost_{cost:g}"
+    return mutate
+
+
 def _path_cell_too_short(files):
     files["report"]["conditions"][0]["path"]["cells"] = [[1]]
 
@@ -575,6 +584,10 @@ class TestMalformedInputs:
              " at most 1,000,000 cells are allowed"),
             ("render", _entry_cost_text,
              "conditions[0].assessment.entries['bed'].cost: expected a number, got str"),
+            ("render", _entry_ghost(1.0),
+             'conditions[0].assessment.entries: unknown object id "ghost"'),
+            ("render", _entry_ghost(2.0),
+             'conditions[0].assessment.entries: unknown object id "ghost"'),
             ("render", _path_cell_too_short,
              "conditions[0].path.cells: expected a non-empty list of 2-integer lists >= 0"),
             ("render", _rounds_text, "conditions[0].rounds: expected an integer, got str"),

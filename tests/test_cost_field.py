@@ -16,6 +16,7 @@ from socioplan import (
     field_spec_from_assessment,
     footprint_of,
     insert_human,
+    load_scene,
     point_cost,
     rasterize,
 )
@@ -32,6 +33,7 @@ from socioplan.cost_field import (
     linear_falloff,
     make_activity_zones,
 )
+from socioplan.scenario_runner import load_scenario
 
 from conftest import make_seated_human_spec, make_small_scene
 
@@ -40,6 +42,23 @@ POINT_MASS = RectFootprint((0.0, 0.0), (0.0, 0.0))  # degenerate: distance = |p|
 
 def at_distance(d: float) -> tuple[float, float]:
     return (d, 0.0)
+
+
+BEDROOM_ENTRIES = {
+    "armchair": CostClearance(1.0, 0.0),
+    "bed": CostClearance(3.0, 1.5),
+    "human": CostClearance(5.0, 2.0),
+}
+
+
+def assessment_of(entries) -> Assessment:
+    return Assessment(entries=entries, provenance=Provenance(assessor="test"))
+
+
+def bedroom_with_human(data_dir) -> SceneGraph:
+    """The shipped bedroom scene with the scenario's human inserted."""
+    scenario = load_scenario(data_dir / "bedroom_scenario.json")
+    return insert_human(load_scene(scenario.scene_path().read_bytes()), scenario.human)
 
 
 class TestPointCost:
@@ -193,21 +212,8 @@ class TestRasterize:
 
     def test_max_cell_equals_strongest_contribution(self, data_dir):
         # Exhaustive scan: the human's cost dominates the rasterized map.
-        from socioplan import load_scene
-        from socioplan.scenario_runner import load_scenario
-
-        scenario = load_scenario(data_dir / "bedroom_scenario.json")
-        scene = load_scene(scenario.scene_path().read_bytes())
-        graph = insert_human(scene, scenario.human)
-        assessment = Assessment(
-            entries={
-                "bed": CostClearance(3.0, 1.5),
-                "human": CostClearance(5.0, 2.0),
-                "armchair": CostClearance(1.0, 0.0),
-            },
-            provenance=Provenance(assessor="test"),
-        )
-        spec = field_spec_from_assessment(graph, assessment)
+        graph = bedroom_with_human(data_dir)
+        spec = field_spec_from_assessment(graph, assessment_of(BEDROOM_ENTRIES))
         costmap = rasterize(spec, (), ((0, 0), (6, 5)), 0.1)
         assert float(costmap.cells.max()) == 5.0
 
@@ -305,6 +311,23 @@ def _corridor(center, angle, half_length, half_width, cost=3.0, clearance=0.4):
     axis = (math.cos(angle), math.sin(angle))
     corridor = OrientedRectFootprint(center, axis, half_length, half_width)
     return ActivityZone(corridor, cost, clearance, "human", "watching", "tv")
+
+
+class TestFieldSpecFromAssessment:
+    def test_holds_only_the_entries_above_cost_one(self, data_dir):
+        graph = bedroom_with_human(data_dir)
+        spec = field_spec_from_assessment(graph, assessment_of(BEDROOM_ENTRIES))
+        assert spec.contributions == (
+            Contribution(footprint_of(graph.node("bed")), 3.0, 1.5),
+            Contribution(footprint_of(graph.node("human")), 5.0, 2.0),
+        )
+
+    def test_unknown_id_refused_at_any_cost(self, data_dir):
+        graph = bedroom_with_human(data_dir)
+        for cost in (1.0, 2.0):
+            entries = {**BEDROOM_ENTRIES, "ghost": CostClearance(cost, 0.0)}
+            with pytest.raises(ValueError, match='"ghost"'):
+                field_spec_from_assessment(graph, assessment_of(entries))
 
 
 class TestFootprintArguments:

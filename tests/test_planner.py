@@ -18,9 +18,12 @@ from socioplan import (
     planner,
 )
 from socioplan.cost_assessment import CostClearance, rule_based_assess
+from socioplan.cli import main
 from socioplan.cost_field import Costmap, FieldSpec, rasterize
 from socioplan.planner import Path, path_cost, path_from_cells
+from socioplan.scenario_runner import load_scenario, run_scenario
 from socioplan.scene_graph import ObjectNode, SceneGraph
+from socioplan.trajectory_context import induce_partial_graph
 
 from conftest import DATA_DIR, dijkstra_optimum, random_costmap, uniform_costmap
 
@@ -493,6 +496,48 @@ class TestIteratePlan:
                 resolution=0.1,
                 max_rounds=0,
             )
+
+
+class TestOnePartialGraphPerRound:
+    """A round that finds its relevant set repeated stops before inducing a
+    partial graph, so each condition induces one graph per assessed round."""
+
+    @pytest.fixture
+    def induced(self, monkeypatch):
+        calls = []
+
+        def counting_induce(graph, ids):
+            calls.append(ids)
+            return induce_partial_graph(graph, ids)
+
+        monkeypatch.setattr(planner, "induce_partial_graph", counting_induce)
+        return calls
+
+    def test_iterate_plan_induces_once_per_round(self, induced):
+        graph = insert_human(
+            SceneGraph(nodes=[ObjectNode("plant", "plant", (1.8, 4.6, 0.5), (0.4, 0.4, 1.0))]),
+            HumanSpec(id="human_1", bbox_center=(1.2, 2.0, 0.9), bbox_extent=(0.5, 0.5, 1.8)),
+        )
+        stops = set()
+        for max_rounds in (1, 2, 3, 5):
+            induced.clear()
+            outcome = iterate_plan(
+                graph, Condition.HUMAN_NO_RELATIONS, (0.5, 2.0), (5.5, 2.0), 0.9,
+                rule_based_assess, bounds=((0.0, 0.0), (6.0, 5.0)), resolution=0.1,
+                max_rounds=max_rounds,
+            )
+            assert len(induced) == outcome.rounds
+            stops.add(outcome.stop)
+        assert stops == {"converged", "max_rounds"}
+
+    def test_bedroom_run_induces_once_per_assessed_round(self, induced):
+        report = run_scenario(load_scenario(DATA_DIR / "bedroom_scenario.json"))
+        assert len(induced) == sum(result.rounds for result in report.conditions) == 3
+
+    def test_assess_command_induces_once_per_condition(self, induced, capsys):
+        assert main(["assess", str(DATA_DIR / "bedroom_scenario.json")]) == 0
+        capsys.readouterr()
+        assert len(induced) == len(Condition) == 3
 
 
 class TestIteratePlanReusesPath:
