@@ -67,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--condition",
         action="append",
-        choices=[c.value for c in Condition],
-        help="restrict to specific conditions (repeatable)",
+        help="restrict to specific conditions (repeatable): "
+        + ", ".join(c.value for c in Condition),
     )
     _add_run_options(p)
     _add_format(p)
@@ -115,13 +115,13 @@ def _cmd_assess(args: argparse.Namespace) -> int:
         for value in args.condition:
             conditions.append(read_condition(value, "--condition", conditions))
     kind = args.assessor or scenario.assessor.kind
-    base = load_base_scene(scenario, strict=args.strict)
+    base = load_base_scene(scenario)
     trajectory = seed_trajectory(scenario.start, scenario.goal, scenario.waypoints)
 
     output = []
     for condition in conditions:
         with condition_stage(condition, kind):
-            assessor = build_assessor(scenario, condition, kind, strict=args.strict)
+            assessor = build_assessor(scenario, condition, kind)
             variant = derive_condition_variant(base, condition)
             ids = relevant_objects(variant, trajectory, scenario.query_radius_m)
             partial, assessed = relevant_context(variant, ids)
@@ -155,7 +155,7 @@ def _run(args: argparse.Namespace) -> RunReport:
     count = len(scenario.conditions)
     if args.command == "compare" and count < 2:
         raise FormatError(f"compare needs at least 2 conditions, got {count}", "conditions")
-    return run_scenario(scenario, assessor_kind=args.assessor, strict=args.strict)
+    return run_scenario(scenario, assessor_kind=args.assessor)
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .scene_graph import HUMAN_TAG, ObjectNode, Relation, RelationKind, SceneGraph, Vec3
+from .scene_graph import HUMAN_TAG, ObjectNode, Relation, RelationKind, SceneGraph, Vec3, validate_scene
 
 
 class Condition(enum.Enum):
@@ -54,15 +54,23 @@ class HumanSpec:
             self, "activity_relations", tuple((v, t) for v, t in self.activity_relations)
         )
 
+    @property
+    def node(self) -> ObjectNode:
+        """The human's ``ObjectNode``, tagged ``HUMAN_TAG``."""
+        return ObjectNode(self.id, HUMAN_TAG, self.bbox_center, self.bbox_extent)
+
 
 def insert_human(graph: SceneGraph, spec: HumanSpec) -> SceneGraph:
     """Return a new graph with a human node and its relations added.
 
     The input graph is never mutated. Raises ValueError for an empty relation
     verb or a missing or human-tagged target, then ``SceneGraph``'s FormatError
-    for a taken id; ``validate_scene`` checks the other rules (an empty id).
+    for a taken id, then ``validate_scene``'s FormatError for a broken rule of
+    the added part (the human, its targets and its relations), such as an
+    empty id, a ``bbox_extent`` component <= 0 or a repeated (verb, target)
+    pair. A valid input graph thus gives a valid result.
     """
-    relations = list(graph.relations)
+    added: list[Relation] = []
     for kind, pairs in (
         (RelationKind.SPATIAL, spec.spatial_relations),
         (RelationKind.ACTIVITY, spec.activity_relations),
@@ -74,14 +82,13 @@ def insert_human(graph: SceneGraph, spec: HumanSpec) -> SceneGraph:
                 raise ValueError(f'human relation target "{target}" does not name a node')
             if graph.node(target).is_human:
                 raise ValueError(f'human relation target "{target}" must be a non-human node')
-            relations.append(Relation(name=verb, head_id=spec.id, tail_id=target, kind=kind))
-    human = ObjectNode(
-        id=spec.id,
-        tag=HUMAN_TAG,
-        bbox_center=spec.bbox_center,
-        bbox_extent=spec.bbox_extent,
-    )
-    return SceneGraph(nodes=(*graph, human), relations=tuple(relations))
+            added.append(Relation(name=verb, head_id=spec.id, tail_id=target, kind=kind))
+    human = spec.node
+    result = SceneGraph(nodes=(*graph, human), relations=graph.relations + tuple(added))
+    # No base relation has the new id as its head, so only the added part can break a rule.
+    targets = {r.tail_id: graph.node(r.tail_id) for r in added}
+    validate_scene(SceneGraph(nodes=(*targets.values(), human), relations=added))
+    return result
 
 
 def derive_condition_variant(graph: SceneGraph, condition: Condition) -> SceneGraph:

@@ -57,17 +57,7 @@ from .jsonio import (
     vector,
 )
 from .planner import PlanIteration, PlanningError, iterate_plan, path_from_cells
-from .scene_graph import (
-    HUMAN_TAG,
-    ObjectNode,
-    RelationKind,
-    SceneGraph,
-    Vec3,
-    load_scene,
-    scene_from_dict,
-    scene_to_dict,
-    validate_scene,
-)
+from .scene_graph import RelationKind, SceneGraph, Vec3, load_scene, scene_from_dict, scene_to_dict
 
 Vec2 = tuple[float, float]
 
@@ -85,14 +75,16 @@ class ScenarioError(Exception):
 class AssessorConfig:
     kind: str
     fixtures: str | None = None  # replay: fixture file, relative to the scenario
-    scenario_key: str | None = None  # replay: defaults to the scenario name
     model: str | None = None  # llm: model name
     max_attempts: int = DEFAULT_MAX_ATTEMPTS  # llm: retry budget
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One runnable experiment: scene, human, conditions, and planner setup."""
+    """One runnable experiment: scene, human, conditions, and planner setup.
+    ``base_dir`` and ``strict`` record how the file was read, so equality
+    ignores them: its scene and replay fixture files are found from
+    ``base_dir`` and read with ``strict``, and its name keys the fixtures."""
 
     name: str
     scene: str
@@ -108,6 +100,7 @@ class Scenario:
     waypoints: tuple[Vec3, ...] | None = None
     activity_zones: tuple[tuple[str, tuple[float, float]], ...] = ()
     base_dir: FilePath = field(default=FilePath("."), compare=False)
+    strict: bool = field(default=False, compare=False)
 
     def scene_path(self) -> FilePath:
         return self.base_dir / self.scene
@@ -149,16 +142,13 @@ def _parse_assessor(raw: dict, path: str, strict: bool) -> AssessorConfig:
     check_keys(
         raw,
         required=("kind",),
-        optional=("fixtures", "scenario_key", "model", "max_attempts"),
+        optional=("fixtures", "model", "max_attempts"),
         path=path,
         strict=strict,
     )
     return AssessorConfig(
         kind=choice(raw["kind"], f"{path}.kind", "assessor kind", ASSESSOR_KINDS),
         fixtures=string(raw["fixtures"], f"{path}.fixtures") if "fixtures" in raw else None,
-        scenario_key=string(raw["scenario_key"], f"{path}.scenario_key")
-        if "scenario_key" in raw
-        else None,
         model=string(raw["model"], f"{path}.model") if "model" in raw else None,
         max_attempts=integer(
             raw.get("max_attempts", DEFAULT_MAX_ATTEMPTS), f"{path}.max_attempts", 1
@@ -251,6 +241,7 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
         waypoints=waypoints,
         activity_zones=tuple(zones),
         base_dir=base_dir,
+        strict=strict,
     )
 
 
@@ -273,8 +264,6 @@ def serialize_scenario(scenario: Scenario) -> str:
     }
     if scenario.assessor.fixtures is not None:
         data["assessor"]["fixtures"] = scenario.assessor.fixtures
-    if scenario.assessor.scenario_key is not None:
-        data["assessor"]["scenario_key"] = scenario.assessor.scenario_key
     if scenario.assessor.model is not None:
         data["assessor"]["model"] = scenario.assessor.model
     if scenario.assessor.max_attempts != DEFAULT_MAX_ATTEMPTS:
@@ -296,21 +285,19 @@ def serialize_scenario(scenario: Scenario) -> str:
     return canonical_json(data)
 
 
-def build_assessor(
-    scenario: Scenario, condition: Condition, kind: str, *, strict: bool = False
-) -> Assessor:
+def build_assessor(scenario: Scenario, condition: Condition, kind: str) -> Assessor:
     """The assessor of ``kind`` for one condition of a scenario; a replay
-    assessor reads its fixture file with ``strict``."""
+    assessor reads its fixture file with ``scenario.strict`` and replays
+    the entries keyed by the scenario's name."""
     if kind == "rules":
         return rule_based_assess
     if kind == "replay":
         if scenario.assessor.fixtures is None:
             raise ScenarioError("replay assessor needs assessor.fixtures in the scenario")
-        fixtures = scenario.base_dir / scenario.assessor.fixtures
-        store = load_assessment_fixtures(read_file(fixtures, "fixture", "assessor.fixtures"), strict=strict)
-        key = scenario.assessor.scenario_key or scenario.name
+        fixtures = read_file(scenario.base_dir / scenario.assessor.fixtures, "fixture", "assessor.fixtures")
+        store = load_assessment_fixtures(fixtures, strict=scenario.strict)
         return lambda partial, trajectory, relevant, preferences: replay_assess(
-            store, key, condition, relevant
+            store, scenario.name, condition, relevant
         )
     if kind == "llm":
         if scenario.assessor.model is None:
@@ -374,21 +361,18 @@ def min_distance_to_human(scene: SceneGraph, polyline: Sequence[Vec2]) -> float 
 
 def human_footprint(scenario: Scenario) -> RectFootprint | None:
     """``footprint_of`` the scenario's human box; None without a human."""
-    human = scenario.human
-    if human is None:
-        return None
-    return footprint_of(ObjectNode(human.id, HUMAN_TAG, human.bbox_center, human.bbox_extent))
+    return None if scenario.human is None else footprint_of(scenario.human.node)
 
 
-def load_base_scene(scenario: Scenario, *, strict: bool = False) -> SceneGraph:
-    """The scenario's scene with its human, if any, inserted. The result
-    holds every scene rule; a broken one is a FormatError at ``human``. Each
-    ``activity_zones`` verb must name an activity relation of the result."""
-    scene = load_scene(read_file(scenario.scene_path(), "scene", "scene"), strict=strict)
+def load_base_scene(scenario: Scenario) -> SceneGraph:
+    """The scenario's scene, read with ``scenario.strict``, with its human, if
+    any, inserted. ``insert_human`` refuses a human that breaks a scene rule,
+    as a FormatError at ``human``. Each ``activity_zones`` verb must name an
+    activity relation of the result."""
+    scene = load_scene(read_file(scenario.scene_path(), "scene", "scene"), strict=scenario.strict)
     if scenario.human is not None:
         try:
             scene = insert_human(scene, scenario.human)
-            validate_scene(scene)
         except ValueError as exc:  # a FormatError's path is into the graph, not the scenario
             raise FormatError(exc.reason if isinstance(exc, FormatError) else str(exc), "human") from None
     verbs = {r.name for r in scene.relations if r.kind is RelationKind.ACTIVITY}
@@ -400,21 +384,16 @@ def load_base_scene(scenario: Scenario, *, strict: bool = False) -> SceneGraph:
     return scene
 
 
-def run_scenario(
-    scenario: Scenario,
-    *,
-    assessor_kind: str | None = None,
-    strict: bool = False,
-) -> RunReport:
+def run_scenario(scenario: Scenario, *, assessor_kind: str | None = None) -> RunReport:
     """Run every requested condition: derive the graph variant and iterate
     assess-and-plan with the assessor of ``assessor_kind``, by default the
-    scenario's.
+    scenario's. The scene and fixture files are read with ``scenario.strict``.
 
     Deterministic for the rules and replay assessors. Errors are re-raised
     by ``condition_stage``.
     """
     kind = assessor_kind or scenario.assessor.kind
-    base = load_base_scene(scenario, strict=strict)
+    base = load_base_scene(scenario)
     results = []
     for condition in scenario.conditions:
         with condition_stage(condition, kind):
@@ -425,7 +404,7 @@ def run_scenario(
                     scenario.start,
                     scenario.goal,
                     scenario.query_radius_m,
-                    build_assessor(scenario, condition, kind, strict=strict),
+                    build_assessor(scenario, condition, kind),
                     bounds=scenario.bounds,
                     resolution=scenario.resolution,
                     preferences=scenario.preferences,

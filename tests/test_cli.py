@@ -84,6 +84,13 @@ class TestAssess:
         out = capsys.readouterr().out
         assert "no_human" in out and "with_relations" not in out
 
+    def test_unknown_condition_is_one_error_line(self, capsys):
+        assert main(["assess", SCENARIO, "--condition", "bogus"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            'error: --condition: unknown condition "bogus" '
+            "(valid: no_human, human_no_relations, human_with_relations)"
+        ]
+
     def test_explicit_waypoints_are_used(self, tmp_path, capsys):
         path = _waypoint_scenario(tmp_path)
         assert main(["assess", str(path), "--condition", "human_with_relations",

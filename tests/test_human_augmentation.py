@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from socioplan import (
     Condition,
+    FormatError,
     HumanSpec,
     RelationKind,
     derive_condition_variant,
@@ -52,6 +55,30 @@ class TestInsertHuman:
         spec = HumanSpec(id="bed", bbox_center=(0, 0, 0), bbox_extent=(1, 1, 1))
         with pytest.raises(ValueError, match="already exists"):
             insert_human(small_scene, spec)
+
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            (
+                {"bbox_extent": (0.5, 0.0, 0.9)},
+                'node "human_1" has bbox_extent (0.5, 0.0, 0.9); every component must be > 0',
+            ),
+            (
+                {"spatial_relations": (("sitting on", "bed"), ("sitting on", "bed"))},
+                "duplicate relation triple ('sitting on', 'human_1', 'bed')",
+            ),
+        ],
+        ids=["zero-extent", "repeated-pair"],
+    )
+    def test_a_broken_scene_rule_is_refused(self, small_scene, change, reason):
+        spec = dataclasses.replace(make_seated_human_spec(), **change)
+        with pytest.raises(FormatError) as info:
+            insert_human(small_scene, spec)
+        assert info.value.reason == reason
+
+    def test_the_human_node_is_the_spec_node(self, small_scene):
+        spec = make_seated_human_spec()
+        assert insert_human(small_scene, spec).node(spec.id) == spec.node
 
     def test_input_graph_is_unchanged(self, small_scene):
         nodes_before = dict(small_scene.nodes)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import functools
 import hashlib
 import json
 import shutil
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from unittest import mock
@@ -125,11 +127,79 @@ class TestLoadScenario:
         document = json.loads((DATA_DIR / "bedroom_scenario.json").read_text())
         document["waypoints"] = [[0.8, 2.0, 0.0], [2.0, 1.0, 0.5], [3.4, 0.2, 0.0]]
         document["activity_zones"] = {"watching": [4.0, 0.5]}
-        document["assessor"].update(scenario_key="bedroom", model="m", max_attempts=5)
+        document["assessor"].update(model="m", max_attempts=5)
         text = canonical_json(document)
         path = tmp_path / "scenario.json"
         path.write_text(text, encoding="utf-8")
         assert serialize_scenario(load_scenario(path, strict=True)) == text
+
+    def test_scenario_key_is_an_unknown_field(self, tmp_path):
+        """The replay key is the scenario's name; ``assessor.scenario_key`` is no field."""
+        for name in ("bedroom_scene.json", "bedroom_assessments.json"):
+            shutil.copy(DATA_DIR / name, tmp_path)
+        document = json.loads((DATA_DIR / "bedroom_scenario.json").read_text())
+        document["assessor"]["scenario_key"] = "bedroom"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(FormatError) as info:
+            load_scenario(path, strict=True)
+        assert str(info.value) == "assessor: unknown field(s): scenario_key"
+        with pytest.warns(UnknownKeyWarning, match=r"^assessor: unknown field\(s\): scenario_key$"):
+            scenario = load_scenario(path)
+        shipped = (DATA_DIR / "bedroom_report.json").read_text(encoding="utf-8")
+        assert report_to_json(run_scenario(scenario)) == shipped
+
+
+class TestStrictScenario:
+    """``load_scenario(path, strict=True)`` makes the whole run strict."""
+
+    @pytest.mark.parametrize(
+        "name, error, message",
+        [
+            ("bedroom_scene.json", FormatError, "$: unknown field(s): extra"),
+            ("bedroom_assessments.json", ScenarioError,
+             'condition "no_human", stage "load": $: unknown field(s): extra'),
+        ],
+        ids=["scene", "fixtures"],
+    )
+    def test_an_unknown_key_in_a_file_the_run_reads(self, tmp_path, name, error, message):
+        for copied in ("bedroom_scenario.json", "bedroom_scene.json", "bedroom_assessments.json"):
+            shutil.copy(DATA_DIR / copied, tmp_path)
+        document = json.loads((tmp_path / name).read_text())
+        document["extra"] = 1
+        (tmp_path / name).write_text(json.dumps(document))
+        path = tmp_path / "bedroom_scenario.json"
+        with pytest.raises(error) as info:
+            run_scenario(load_scenario(path, strict=True))
+        assert str(info.value) == message
+        cause = info.value if error is FormatError else info.value.__cause__
+        assert isinstance(cause, FormatError) and cause.reason == "unknown field(s): extra"
+        with pytest.warns(UnknownKeyWarning, match="extra"):
+            run_scenario(load_scenario(path))
+
+    def test_strict_is_how_the_file_was_read(self, scenario):
+        strict = dataclasses.replace(scenario, strict=True)
+        assert strict == scenario
+        assert serialize_scenario(strict) == serialize_scenario(scenario)
+
+
+class TestLoadBaseScene:
+    def test_validates_the_scene_and_only_the_added_part(self, scenario):
+        """The shipped scene's 4 nodes, then the human and its targets, the bed and the TV."""
+        real = scene_graph.validate_scene
+        validated = []
+
+        def spy(graph):
+            validated.append(len(graph.nodes))
+            return real(graph)
+
+        with contextlib.ExitStack() as stack:
+            for name, module in list(sys.modules.items()):
+                if name.startswith("socioplan") and hasattr(module, "validate_scene"):
+                    stack.enter_context(mock.patch.object(module, "validate_scene", spy))
+            base = load_base_scene(scenario)
+        assert validated == [4, 3]
+        assert len(base.nodes) == 5
 
 
 class TestRunScenario:
