@@ -401,17 +401,15 @@ def rule_based_assess(
     """
     entries = {object_id: NO_IMPACT for object_id in relevant}  # rule 1
 
-    human_ids = [i for i in partial.human_ids()]
-    human_relations = [r for r in partial.relations if r.head_id in set(human_ids)]
+    humans = set(partial.human_ids())
+    human_relations = [r for r in partial.relations if r.head_id in humans]
 
-    for human_id in human_ids:  # rule 2
-        if human_id in entries:
-            entries[human_id] = HUMAN_PRESENT
+    for human_id in humans & entries.keys():  # rule 2
+        entries[human_id] = HUMAN_PRESENT
 
-    if human_ids and not human_relations:  # rule 3
-        for human_id in human_ids:
-            if human_id in entries:
-                entries[human_id] = HUMAN_UNEXPLAINED
+    if humans and not human_relations:  # rule 3
+        for human_id in humans & entries.keys():
+            entries[human_id] = HUMAN_UNEXPLAINED
         for object_id in relevant:
             node = partial.node(object_id)
             if node.is_human or not _sittable(partial, object_id):

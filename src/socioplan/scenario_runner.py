@@ -173,8 +173,9 @@ def _parse_map(raw: object, strict: bool) -> tuple[tuple[Vec2, Vec2], float]:
     return (low, high), resolution
 
 
-def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = False) -> Scenario:
-    data = parse_document(document, what="scenario document")
+def load_scenario(path: str | FilePath, *, strict: bool = False) -> Scenario:
+    path = FilePath(path)
+    data = parse_document(read_file(path, "scenario", "$"), what="scenario document")
     check_keys(
         data,
         required=(
@@ -240,14 +241,9 @@ def parse_scenario(document: bytes | str, base_dir: FilePath, *, strict: bool = 
         preferences=tuple(string_list(data.get("preferences", []), "preferences")),
         waypoints=waypoints,
         activity_zones=tuple(zones),
-        base_dir=base_dir,
+        base_dir=path.parent,
         strict=strict,
     )
-
-
-def load_scenario(path: str | FilePath, *, strict: bool = False) -> Scenario:
-    path = FilePath(path)
-    return parse_scenario(read_file(path, "scenario", "$"), path.parent, strict=strict)
 
 
 def serialize_scenario(scenario: Scenario) -> str:

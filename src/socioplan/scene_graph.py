@@ -135,7 +135,7 @@ def validate_scene(graph: SceneGraph) -> None:
     for i, node in enumerate(graph):
         if not node.id:
             raise FormatError("node id must be non-empty", f"nodes[{i}].id")
-        if min(node.bbox_extent) <= 0:
+        if not all(e > 0 for e in node.bbox_extent):
             raise FormatError(
                 f'node "{node.id}" has bbox_extent {node.bbox_extent}; every component must be > 0',
                 f"nodes[{i}].bbox_extent",
@@ -243,21 +243,20 @@ def _check_fields(raw_nodes: object, raw_relations: object, strict: bool) -> Non
         choice(raw["kind"], f"{path}.kind", "kind", _KINDS)
 
 
-def node_to_dict(node: ObjectNode) -> dict:
-    return {
-        "id": node.id,
-        "tag": node.tag,
-        "bbox_center": list(node.bbox_center),
-        "bbox_extent": list(node.bbox_extent),
-        "affordances": sorted(node.affordances),
-        "attributes": sorted(node.attributes),
-    }
-
-
 def scene_to_dict(graph: SceneGraph) -> dict:
     return {
         "schema_version": SCENE_SCHEMA_VERSION,
-        "nodes": [node_to_dict(n) for n in graph],
+        "nodes": [
+            {
+                "id": n.id,
+                "tag": n.tag,
+                "bbox_center": list(n.bbox_center),
+                "bbox_extent": list(n.bbox_extent),
+                "affordances": sorted(n.affordances),
+                "attributes": sorted(n.attributes),
+            }
+            for n in graph
+        ],
         "relations": [
             {"name": r.name, "head": r.head_id, "tail": r.tail_id, "kind": r.kind.value}
             for r in graph.relations

@@ -107,34 +107,31 @@ def relevant_objects(
 
 
 def induce_partial_graph(graph: SceneGraph, ids: Iterable[str]) -> SceneGraph:
-    """Subgraph of ``ids`` plus any humans related to them.
+    """Subgraph of ``ids`` plus the humans related to them.
 
-    Keeps every relation among the given nodes and every relation linking a
-    pulled-in human to a given node, so human context survives extraction.
-    The result is always a valid scene graph.
+    A node is pulled in when it is tagged human, is not in ``ids`` and shares
+    a relation, in either direction, with a node in ``ids``. A relation is kept
+    when both of its ends are kept and at least one is in ``ids``. Nodes and
+    relations keep the graph's order, and the result is always a valid scene
+    graph. ValueError names the smallest id that is not in the graph.
     """
-    wanted = set(ids)
-    for node_id in wanted:
-        if node_id not in graph:
-            raise ValueError(f'unknown object id "{node_id}"')
-    extras: set[str] = set()
-    for rel in graph.relations:
-        for human_end, other_end in ((rel.head_id, rel.tail_id), (rel.tail_id, rel.head_id)):
-            if human_end in wanted or human_end not in graph:
-                continue
-            if graph.node(human_end).is_human and other_end in wanted:
-                extras.add(human_end)
+    wanted, nodes = set(ids), graph.nodes
+    if unknown := sorted(wanted.difference(nodes)):
+        raise ValueError(f'unknown object id "{unknown[0]}"')
+    extras = {
+        end
+        for r in graph.relations
+        if r.head_id in wanted or r.tail_id in wanted
+        for end in (r.head_id, r.tail_id)
+        if end not in wanted and end in nodes and nodes[end].is_human
+    }
     keep = wanted | extras
-
-    def keep_relation(head: str, tail: str) -> bool:
-        if head in wanted and tail in wanted:
-            return True
-        # Human-attachment edges: one pulled-in human, one requested node.
-        return (head in extras and tail in wanted) or (head in wanted and tail in extras)
-
-    nodes = {i: n for i, n in graph.nodes.items() if i in keep}
-    relations = tuple(r for r in graph.relations if keep_relation(r.head_id, r.tail_id))
-    return SceneGraph(nodes=nodes, relations=relations)
+    relations = tuple(
+        r
+        for r in graph.relations
+        if r.head_id in keep and r.tail_id in keep and (r.head_id in wanted or r.tail_id in wanted)
+    )
+    return SceneGraph(nodes={i: n for i, n in nodes.items() if i in keep}, relations=relations)
 
 
 def _vec(values: Sequence[float]) -> str:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -64,11 +65,19 @@ class TestInsertHuman:
                 'node "human_1" has bbox_extent (0.5, 0.0, 0.9); every component must be > 0',
             ),
             (
+                {"bbox_extent": (math.nan, 0.5, 0.9)},
+                'node "human_1" has bbox_extent (nan, 0.5, 0.9); every component must be > 0',
+            ),
+            (
+                {"bbox_extent": (0.5, math.nan, 0.9)},
+                'node "human_1" has bbox_extent (0.5, nan, 0.9); every component must be > 0',
+            ),
+            (
                 {"spatial_relations": (("sitting on", "bed"), ("sitting on", "bed"))},
                 "duplicate relation triple ('sitting on', 'human_1', 'bed')",
             ),
         ],
-        ids=["zero-extent", "repeated-pair"],
+        ids=["zero-extent", "nan-x-extent", "nan-y-extent", "repeated-pair"],
     )
     def test_a_broken_scene_rule_is_refused(self, small_scene, change, reason):
         spec = dataclasses.replace(make_seated_human_spec(), **change)

@@ -143,9 +143,13 @@ class TestValidateScene:
             validate_scene(graph)
         assert info.value.path == "nodes[0].id"
 
-    def test_non_positive_extent(self):
-        node = ObjectNode("box", "box", (0, 0, 0), (1, 1, 1))
-        object.__setattr__(node, "bbox_extent", (1.0, 0.0, 1.0))  # bypass loader checks
+    @pytest.mark.parametrize(
+        "extent",
+        [(1.0, 0.0, 1.0), (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0)],
+        ids=["zero", "nan-x", "nan-y"],
+    )
+    def test_non_positive_extent(self, extent):
+        node = ObjectNode("box", "box", (0, 0, 0), extent)  # built in code: no loader checks
         with pytest.raises(FormatError, match='"box"') as info:
             validate_scene(SceneGraph(nodes=[node]))
         assert info.value.path == "nodes[0].bbox_extent"

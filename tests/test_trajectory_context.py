@@ -16,7 +16,7 @@ from socioplan import (
     validate_scene,
 )
 from socioplan.trajectory_context import resample
-from socioplan.scene_graph import ObjectNode, SceneGraph, box_distances
+from socioplan.scene_graph import ObjectNode, Relation, RelationKind, SceneGraph, box_distances
 
 from conftest import make_seated_human_spec, make_small_scene
 
@@ -257,6 +257,57 @@ class TestRelevanceReferences:
             )
 
 
+def _graph(ids, triples):
+    """Nodes named ``h*`` are humans; every relation is spatial."""
+    nodes = [ObjectNode(i, "human" if i.startswith("h") else "bed", (0, 0, 0), (1, 1, 1)) for i in ids]
+    return SceneGraph(nodes, tuple(Relation(n, h, t, RelationKind.SPATIAL) for n, h, t in triples))
+
+
+def _loop_induce(graph, ids):
+    """Reference: the per-orientation loop and three-case relation rule
+    ``induce_partial_graph`` replaced."""
+    wanted = set(ids)
+    extras = set()
+    for rel in graph.relations:
+        for human_end, other_end in ((rel.head_id, rel.tail_id), (rel.tail_id, rel.head_id)):
+            if human_end in wanted or human_end not in graph:
+                continue
+            if graph.node(human_end).is_human and other_end in wanted:
+                extras.add(human_end)
+    keep = wanted | extras
+
+    def keep_relation(head, tail):
+        if head in wanted and tail in wanted:
+            return True
+        return (head in extras and tail in wanted) or (head in wanted and tail in extras)
+
+    nodes = {i: n for i, n in graph.nodes.items() if i in keep}
+    relations = tuple(r for r in graph.relations if keep_relation(r.head_id, r.tail_id))
+    return SceneGraph(nodes=nodes, relations=relations)
+
+
+@st.composite
+def _partial_graph_cases(draw):
+    """A graph of 0-12 nodes, each a human with odds 3 in 10, with up to 20
+    relations of every kind in either direction, some naming a missing node,
+    and a subset of its ids."""
+    count = draw(st.integers(0, 12))
+    ids = [f"n{i}" for i in range(count)]
+    nodes = [
+        ObjectNode(i, "human" if draw(st.integers(0, 9)) < 3 else "chair", (0, 0, 0), (1, 1, 1))
+        for i in ids
+    ]
+    ends = st.sampled_from([*ids, "missing1", "missing2"])
+    relations = draw(
+        st.lists(
+            st.builds(Relation, st.sampled_from(["on", "near"]), ends, ends, st.sampled_from(RelationKind)),
+            max_size=20,
+        )
+    )
+    wanted = draw(st.sets(st.sampled_from(ids))) if ids else set()
+    return SceneGraph(nodes, tuple(relations)), wanted
+
+
 class TestInducePartialGraph:
     def test_attached_human_is_pulled_in(self, scene_with_human):
         partial = induce_partial_graph(scene_with_human, {"bed", "armchair"})
@@ -286,6 +337,38 @@ class TestInducePartialGraph:
     def test_partial_graph_always_valid(self, ids):
         graph = insert_human(make_small_scene(), make_seated_human_spec())
         assert validate_scene(induce_partial_graph(graph, ids)) is None
+
+    def test_human_linked_as_tail_is_pulled_in(self):
+        graph = _graph(["bed", "h1"], [("looks at", "bed", "h1")])
+        partial = induce_partial_graph(graph, ["bed"])
+        assert tuple(partial.nodes) == ("bed", "h1")
+        assert [r.triple for r in partial.relations] == [("looks at", "bed", "h1")]
+
+    def test_relation_between_pulled_in_humans_is_dropped(self):
+        graph = _graph(
+            ["bed", "h1", "h2"],
+            [("sitting on", "h1", "bed"), ("next to", "h1", "h2"), ("lying on", "h2", "bed")],
+        )
+        partial = induce_partial_graph(graph, ["bed"])
+        assert tuple(partial.nodes) == ("bed", "h1", "h2")
+        assert [r.triple for r in partial.relations] == [
+            ("sitting on", "h1", "bed"),
+            ("lying on", "h2", "bed"),
+        ]
+
+    def test_unknown_ids_name_the_smallest(self, small_scene):
+        ghosts = [f"ghost{i}" for i in range(8)]
+        for ids in (ghosts[::-1], set(ghosts), ["bed", *ghosts[::-1]]):
+            with pytest.raises(ValueError, match='^unknown object id "ghost0"$'):
+                induce_partial_graph(small_scene, ids)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_partial_graph_cases())
+    def test_matches_two_pass_loop(self, case):
+        graph, ids = case
+        partial, expected = induce_partial_graph(graph, ids), _loop_induce(graph, ids)
+        assert tuple(partial.nodes) == tuple(expected.nodes)
+        assert partial.relations == expected.relations
 
 
 def _relations_line(text: str, object_id: str) -> str:
