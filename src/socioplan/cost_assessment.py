@@ -21,13 +21,13 @@ from .human_augmentation import Condition
 from .jsonio import (
     FormatError,
     canonical_json,
+    check_document,
     check_keys,
     finite_number,
     items,
     keyed,
     parse_document,
     plain_numbers,
-    require_version,
     string,
     unwritable,
 )
@@ -451,10 +451,7 @@ Fixtures = dict[str, dict[str, CostClearance]]  # entries keyed "<scenario_key>/
 
 def load_assessment_fixtures(document: bytes | str, *, strict: bool = False) -> Fixtures:
     data = parse_document(document, what="assessment fixture file")
-    check_keys(
-        data, required=("assessments",), optional=("schema_version",), path="$", strict=strict
-    )
-    require_version(data, "$", FIXTURE_SCHEMA_VERSION)
+    check_document(data, FIXTURE_SCHEMA_VERSION, ("assessments",), strict=strict)
     what = "an object keyed by scenario/condition"
     return {
         key: entries_from_dict(raw_entries, path, strict=strict)

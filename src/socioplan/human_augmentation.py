@@ -63,12 +63,12 @@ class HumanSpec:
 def insert_human(graph: SceneGraph, spec: HumanSpec) -> SceneGraph:
     """Return a new graph with a human node and its relations added.
 
-    The input graph is never mutated. Raises ValueError for an empty relation
-    verb or a missing or human-tagged target, then ``SceneGraph``'s FormatError
-    for a taken id, then ``validate_scene``'s FormatError for a broken rule of
-    the added part (the human, its targets and its relations), such as an
-    empty id, a ``bbox_extent`` component <= 0 or a repeated (verb, target)
-    pair. A valid input graph thus gives a valid result.
+    The input graph is never mutated. Raises ValueError for a missing or
+    human-tagged target, then ``SceneGraph``'s FormatError for a taken id, then
+    ``validate_scene``'s FormatError for a broken rule of the added part (the
+    human, its targets and its relations), such as an empty verb, a non-finite
+    number, a ``bbox_extent`` component <= 0 or a repeated (verb, target) pair.
+    A valid input graph thus gives a valid result.
     """
     added: list[Relation] = []
     for kind, pairs in (
@@ -76,8 +76,6 @@ def insert_human(graph: SceneGraph, spec: HumanSpec) -> SceneGraph:
         (RelationKind.ACTIVITY, spec.activity_relations),
     ):
         for verb, target in pairs:
-            if not verb:
-                raise ValueError(f'empty relation verb for target "{target}"')
             if target not in graph:
                 raise ValueError(f'human relation target "{target}" does not name a node')
             if graph.node(target).is_human:

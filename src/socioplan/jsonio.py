@@ -77,13 +77,17 @@ def check_keys(
         warnings.warn(f"{path}: {message}", UnknownKeyWarning, stacklevel=3)
 
 
-def require_version(obj: dict, path: str, expected: int) -> None:
-    version = obj.get("schema_version", expected)
-    if version != expected:
+def check_document(
+    data: Any, version: int, required: Iterable[str], optional: Iterable[str] = (), *, strict: bool
+) -> None:
+    """A document's header: an object's ``schema_version`` (absent reads as ``version``)
+    first, so an older document fails on its version, then ``check_keys`` at ``$``."""
+    if isinstance(data, dict) and data.get("schema_version", version) != version:
         raise FormatError(
-            f"unsupported schema_version {version!r} (expected {expected})",
-            f"{path}.schema_version",
+            f"unsupported schema_version {data['schema_version']!r} (expected {version})",
+            "$.schema_version",
         )
+    check_keys(data, required=required, optional=("schema_version", *optional), path="$", strict=strict)
 
 
 def finite_number(value: Any, path: str) -> float:

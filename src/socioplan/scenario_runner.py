@@ -41,6 +41,7 @@ from .human_augmentation import Condition, HumanSpec, insert_human
 from .jsonio import (
     FormatError,
     canonical_json,
+    check_document,
     check_keys,
     choice,
     finite_number,
@@ -50,7 +51,6 @@ from .jsonio import (
     keyed,
     parse_document,
     read_file,
-    require_version,
     string,
     string_list,
     unwritable,
@@ -176,23 +176,13 @@ def _parse_map(raw: object, strict: bool) -> tuple[tuple[Vec2, Vec2], float]:
 def load_scenario(path: str | FilePath, *, strict: bool = False) -> Scenario:
     path = FilePath(path)
     data = parse_document(read_file(path, "scenario", "$"), what="scenario document")
-    check_keys(
+    check_document(
         data,
-        required=(
-            "name",
-            "scene",
-            "conditions",
-            "start",
-            "goal",
-            "query_radius_m",
-            "map",
-            "assessor",
-        ),
-        optional=("schema_version", "human", "preferences", "waypoints", "activity_zones"),
-        path="$",
+        SCENARIO_SCHEMA_VERSION,
+        ("name", "scene", "conditions", "start", "goal", "query_radius_m", "map", "assessor"),
+        ("human", "preferences", "waypoints", "activity_zones"),
         strict=strict,
     )
-    require_version(data, "$", SCENARIO_SCHEMA_VERSION)
 
     conditions: list[Condition] = []
     what = "a non-empty list of condition names"
@@ -591,14 +581,8 @@ def load_report(document: bytes | str, *, strict: bool = False) -> RunReport:
     its polyline.
     """
     data = parse_document(document, what="report document")
-    if isinstance(data, dict):  # an older report fails on its version, not its fields
-        require_version(data, "$", REPORT_SCHEMA_VERSION)
-    check_keys(
-        data,
-        required=("scenario", "map", "scene", "conditions"),
-        optional=("schema_version",),
-        path="$",
-        strict=strict,
+    check_document(
+        data, REPORT_SCHEMA_VERSION, ("scenario", "map", "scene", "conditions"), strict=strict
     )
     grid = _parse_map(data["map"], strict)
     scene = scene_from_dict(data["scene"], strict=strict)

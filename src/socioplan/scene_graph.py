@@ -19,13 +19,13 @@ import numpy as np
 from .jsonio import (
     FormatError,
     canonical_json,
+    check_document,
     check_keys,
     choice,
     items,
     parse_document,
     plain_numbers,
     plain_strings,
-    require_version,
     string,
     string_list,
     vector,
@@ -130,11 +130,19 @@ class SceneGraph:
 
 
 def validate_scene(graph: SceneGraph) -> None:
-    """Check the scene-graph invariants; FormatError at the first broken one.
-    Paths count nodes and relations in graph (= document) order."""
+    """Hold a graph built in code to the scene file's rules: the reader's field
+    checks on ``scene_to_dict(graph)``, then ``_check_graph``. FormatError at the
+    first broken one; paths count nodes and relations in graph (= document) order."""
+    data = scene_to_dict(graph)
+    if not _plain(data["nodes"], data["relations"]):
+        _check_fields(data["nodes"], data["relations"], strict=True)
+    _check_graph(graph)
+
+
+def _check_graph(graph: SceneGraph) -> None:
+    """The scene's graph rules: each extent > 0, then each relation's head, tail,
+    distinct ends, unique triple and, for an activity, a human head."""
     for i, node in enumerate(graph):
-        if not node.id:
-            raise FormatError("node id must be non-empty", f"nodes[{i}].id")
         if not all(e > 0 for e in node.bbox_extent):
             raise FormatError(
                 f'node "{node.id}" has bbox_extent {node.bbox_extent}; every component must be > 0',
@@ -201,19 +209,12 @@ def scene_from_dict(data: object, *, strict: bool = False) -> SceneGraph:
     """Validate a parsed scene document and build the graph.
 
     Raises FormatError with a path into the document for missing fields and
-    wrong types, then a repeated node id, then the first rule ``validate_scene``
+    wrong types, then a repeated node id, then the first rule ``_check_graph``
     finds broken. Unknown keys are rejected in strict mode, warned otherwise.
     A document that passes one bulk check (``_plain``), a sufficient condition
     only, skips the per-field reader, the one source of error text and warnings.
     """
-    check_keys(
-        data,
-        required=("nodes",),
-        optional=("relations", "schema_version"),
-        path="$",
-        strict=strict,
-    )
-    require_version(data, "$", SCENE_SCHEMA_VERSION)
+    check_document(data, SCENE_SCHEMA_VERSION, ("nodes",), ("relations",), strict=strict)
     raw_nodes, raw_relations = data["nodes"], data.get("relations", [])
     if not _plain(raw_nodes, raw_relations):
         _check_fields(raw_nodes, raw_relations, strict)
@@ -222,7 +223,7 @@ def scene_from_dict(data: object, *, strict: bool = False) -> SceneGraph:
                     n.get("attributes", ())) for n in raw_nodes],
         tuple(Relation(r["name"], r["head"], r["tail"], _KINDS[r["kind"]]) for r in raw_relations),
     )
-    validate_scene(graph)
+    _check_graph(graph)
     return graph
 
 

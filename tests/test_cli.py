@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import socioplan
 from socioplan import scenario_runner
 from socioplan.cli import main
 from socioplan.cost_assessment import entries_to_dict
@@ -40,6 +45,10 @@ class TestValidate:
         bad.write_text("{}")
         assert main(["validate", str(bad)]) == 1
         assert "nodes" in capsys.readouterr().err
+
+    def test_strict_accepts_the_shipped_scene(self, capsys):
+        assert main(["--strict", "validate", SCENE]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_strict_rejects_unknown_keys(self, tmp_path, capsys):
         document = json.loads((DATA_DIR / "bedroom_scene.json").read_text())
@@ -78,6 +87,14 @@ class TestAssess:
         by_condition = {c["condition"]: c for c in payload["conditions"]}
         assert by_condition["human_with_relations"]["entries"]["armchair"]["cost"] == 1.0
         assert by_condition["human_no_relations"]["entries"]["armchair"]["cost"] == 3.0
+
+    def test_replay_assesses_what_the_fixtures_hold(self, capsys):
+        assert main(["--strict", "assess", SCENARIO, "--format", "json"]) == 0
+        conditions = json.loads(capsys.readouterr().out)["conditions"]
+        fixtures = json.loads((DATA_DIR / "bedroom_assessments.json").read_text())["assessments"]
+        assert len(conditions) == 3
+        for condition in conditions:
+            assert condition["entries"] == fixtures[f"bedroom/{condition['condition']}"]
 
     def test_condition_filter(self, capsys):
         assert main(["assess", SCENARIO, "--condition", "no_human"]) == 0
@@ -184,6 +201,20 @@ class TestPlanCommand:
         shipped = (DATA_DIR / "bedroom_report.json").read_bytes()
         assert capsys.readouterr().out.encode() == out_path.read_bytes() == shipped
 
+    def test_no_byte_depends_on_the_hash_seed(self, tmp_path):
+        """Set iteration order follows PYTHONHASHSEED; each child imports the
+        ``socioplan`` this test imports."""
+        package_parent = str(Path(socioplan.__file__).resolve().parent.parent)
+        shipped = (DATA_DIR / "bedroom_report.json").read_bytes()
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": package_parent}
+            cli = [sys.executable, "-m", "socioplan.cli", "--strict", "plan", SCENARIO]
+            run = subprocess.run([*cli, "--format", "json"], env=env, capture_output=True, check=True)
+            assert run.stdout == shipped
+            rules = ["--assessor", "rules", "-o", str(tmp_path / f"rules_{seed}.json")]
+            subprocess.run([*cli, *rules], env=env, capture_output=True, check=True)
+        assert (tmp_path / "rules_0.json").read_bytes() == (tmp_path / "rules_1.json").read_bytes()
+
     def test_unknown_keys_print_one_warning_line_each(self, tmp_path, capsys):
         def unknown_keys(files):
             files["scenario"]["extra"] = 1
@@ -203,6 +234,14 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "Human w/ relations" in out
         assert "10 (2)" in out
+
+    def test_readme_table_is_the_output(self, capsys):
+        """The table is the code block after the README line that introduces it."""
+        lines = (DATA_DIR.parent / "README.md").read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("`socioplan compare` on the shipped"))
+        fences = [i for i in range(start, len(lines)) if lines[i].startswith("```")]
+        assert main(["--strict", "compare", SCENARIO]) == 0
+        assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines[fences[0] + 1 : fences[1]])
 
     def test_json_companion(self, capsys):
         assert main(["compare", SCENARIO, "--format", "json"]) == 0
@@ -375,6 +414,10 @@ def _transcript_surrogate(files):
 
 def _parameters_surrogate(files):
     files["report"]["conditions"][0]["assessment"]["provenance"]["parameters"]["scenario_key"] = "\ud800"
+
+
+def _parameters_as_list(files):
+    files["report"]["conditions"][0]["assessment"]["provenance"]["parameters"] = []
 
 
 def _one_condition(files):
@@ -702,6 +745,7 @@ class TestMalformedInputs:
             ("render", _parameters_control_in_list,
              "conditions[0].assessment.provenance.parameters:"
              " holds U+0001, which no report or SVG can carry"),
+            ("render", _parameters_as_list, "conditions[0].assessment.provenance.parameters: expected an object"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )
@@ -714,6 +758,14 @@ class TestMalformedInputs:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {line.replace('<tmp>', str(tmp_path))}"
         ]
+
+    def test_strict_refuses_a_scenario_key(self, tmp_path, capsys):
+        def scenario_key(files):
+            files["scenario"]["assessor"]["scenario_key"] = "bedroom"
+
+        _write_inputs(tmp_path, scenario_key)
+        assert main(["--strict", "plan", str(tmp_path / _INPUTS["scenario"])]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: assessor: unknown field(s): scenario_key"]
 
     def test_repeated_condition_flag(self, capsys):
         scenario = str(DATA_DIR / _INPUTS["scenario"])

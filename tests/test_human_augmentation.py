@@ -48,9 +48,9 @@ class TestInsertHuman:
         spec = HumanSpec(
             id="human_1", bbox_center=(0, 0, 0), bbox_extent=(1, 1, 1), spatial_relations=(("", "bed"),)
         )
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(FormatError) as info:
             insert_human(small_scene, spec)
-        assert str(info.value) == 'empty relation verb for target "bed"'
+        assert str(info.value) == "relations[0].name: must be non-empty"
 
     def test_duplicate_id_is_an_error(self, small_scene):
         spec = HumanSpec(id="bed", bbox_center=(0, 0, 0), bbox_extent=(1, 1, 1))
@@ -64,14 +64,8 @@ class TestInsertHuman:
                 {"bbox_extent": (0.5, 0.0, 0.9)},
                 'node "human_1" has bbox_extent (0.5, 0.0, 0.9); every component must be > 0',
             ),
-            (
-                {"bbox_extent": (math.nan, 0.5, 0.9)},
-                'node "human_1" has bbox_extent (nan, 0.5, 0.9); every component must be > 0',
-            ),
-            (
-                {"bbox_extent": (0.5, math.nan, 0.9)},
-                'node "human_1" has bbox_extent (0.5, nan, 0.9); every component must be > 0',
-            ),
+            ({"bbox_extent": (math.nan, 0.5, 0.9)}, "number must be finite"),
+            ({"bbox_extent": (0.5, math.nan, 0.9)}, "number must be finite"),
             (
                 {"spatial_relations": (("sitting on", "bed"), ("sitting on", "bed"))},
                 "duplicate relation triple ('sitting on', 'human_1', 'bed')",
@@ -84,6 +78,21 @@ class TestInsertHuman:
         with pytest.raises(FormatError) as info:
             insert_human(small_scene, spec)
         assert info.value.reason == reason
+
+    @pytest.mark.parametrize(
+        "change, line",
+        [
+            ({"bbox_center": (math.nan, 1, 1)}, "nodes[2].bbox_center[0]: number must be finite"),
+            ({"id": "h\x01"}, "nodes[2].id: holds U+0001, which no report or SVG can carry"),
+        ],
+        ids=["nan-center", "control-id"],
+    )
+    def test_a_field_the_scene_file_refuses_is_refused(self, small_scene, change, line):
+        """Paths count the added part: the targets, the bed and the TV, then the human."""
+        spec = dataclasses.replace(make_seated_human_spec(), **change)
+        with pytest.raises(FormatError) as info:
+            insert_human(small_scene, spec)
+        assert str(info.value) == line
 
     def test_the_human_node_is_the_spec_node(self, small_scene):
         spec = make_seated_human_spec()

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from socioplan.cost_assessment import load_assessment_fixtures
 from socioplan.jsonio import (
     FormatError,
     canonical_json,
+    check_document,
     choice,
     finite_number,
     items,
@@ -15,6 +18,10 @@ from socioplan.jsonio import (
     string,
 )
 from socioplan.render import _xml_text
+from socioplan.scenario_runner import load_report, load_scenario
+from socioplan.scene_graph import load_scene
+
+from conftest import DATA_DIR
 
 
 class TestReaders:
@@ -71,6 +78,33 @@ class TestKeyed:
         with pytest.raises(FormatError) as info:  # on the call, before any entry is taken
             keyed(value, "activity_zones", "an object mapping verbs")
         assert str(info.value) == "activity_zones: expected an object mapping verbs"
+
+
+class TestCheckDocument:
+    def test_a_list_is_not_a_document(self):
+        with pytest.raises(FormatError) as info:
+            check_document([{"schema_version": 7}], 1, ("nodes",), strict=False)
+        assert str(info.value) == "$: expected an object, got list"
+
+    @pytest.mark.parametrize(
+        "name, field, expected, read",
+        [
+            ("bedroom_scene.json", "nodes", 1, lambda path: load_scene(path.read_bytes())),
+            ("bedroom_scenario.json", "name", 1, load_scenario),
+            ("bedroom_assessments.json", "assessments", 1,
+             lambda path: load_assessment_fixtures(path.read_bytes())),
+            ("bedroom_report.json", "scene", 2, lambda path: load_report(path.read_bytes())),
+        ],
+        ids=["scene", "scenario", "fixtures", "report"],
+    )
+    def test_each_reader_checks_the_version_before_the_fields(self, tmp_path, name, field, expected, read):
+        data = json.loads((DATA_DIR / name).read_text())
+        data["schema_version"] = 7
+        del data[field]
+        (tmp_path / name).write_text(json.dumps(data))
+        with pytest.raises(FormatError) as info:
+            read(tmp_path / name)
+        assert str(info.value) == f"$.schema_version: unsupported schema_version 7 (expected {expected})"
 
 
 class TestChoice:

@@ -1,13 +1,11 @@
 from __future__ import annotations
 
-import contextlib
 import copy
 import dataclasses
 import functools
 import hashlib
 import json
 import shutil
-import sys
 import warnings
 import xml.etree.ElementTree as ET
 from unittest import mock
@@ -186,17 +184,14 @@ class TestStrictScenario:
 class TestLoadBaseScene:
     def test_validates_the_scene_and_only_the_added_part(self, scenario):
         """The shipped scene's 4 nodes, then the human and its targets, the bed and the TV."""
-        real = scene_graph.validate_scene
+        real = scene_graph._check_graph
         validated = []
 
         def spy(graph):
             validated.append(len(graph.nodes))
             return real(graph)
 
-        with contextlib.ExitStack() as stack:
-            for name, module in list(sys.modules.items()):
-                if name.startswith("socioplan") and hasattr(module, "validate_scene"):
-                    stack.enter_context(mock.patch.object(module, "validate_scene", spy))
+        with mock.patch.object(scene_graph, "_check_graph", spy):
             base = load_base_scene(scenario)
         assert validated == [4, 3]
         assert len(base.nodes) == 5

@@ -133,6 +133,11 @@ def _with_relations(scene: SceneGraph, *relations: Relation) -> SceneGraph:
     return SceneGraph(nodes=scene.nodes, relations=scene.relations + relations)
 
 
+def _box(**change) -> SceneGraph:
+    """A one-node graph, built in code, of a unit box with ``change`` applied."""
+    return SceneGraph(nodes=[replace(ObjectNode("box", "box", (0, 0, 0), (1, 1, 1)), **change)])
+
+
 class TestValidateScene:
     def test_valid_fixture_returns_none(self, small_scene):
         assert validate_scene(small_scene) is None
@@ -144,15 +149,41 @@ class TestValidateScene:
         assert info.value.path == "nodes[0].id"
 
     @pytest.mark.parametrize(
-        "extent",
-        [(1.0, 0.0, 1.0), (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0)],
+        "extent, path, reason",
+        [
+            ((1.0, 0.0, 1.0), "nodes[0].bbox_extent",
+             'node "box" has bbox_extent (1.0, 0.0, 1.0); every component must be > 0'),
+            ((math.nan, 1.0, 1.0), "nodes[0].bbox_extent[0]", "number must be finite"),
+            ((1.0, math.nan, 1.0), "nodes[0].bbox_extent[1]", "number must be finite"),
+        ],
         ids=["zero", "nan-x", "nan-y"],
     )
-    def test_non_positive_extent(self, extent):
-        node = ObjectNode("box", "box", (0, 0, 0), extent)  # built in code: no loader checks
-        with pytest.raises(FormatError, match='"box"') as info:
+    def test_non_positive_extent(self, extent, path, reason):
+        node = ObjectNode("box", "box", (0, 0, 0), extent)  # built in code, not read from a file
+        with pytest.raises(FormatError) as info:
             validate_scene(SceneGraph(nodes=[node]))
-        assert info.value.path == "nodes[0].bbox_extent"
+        assert (info.value.path, info.value.reason) == (path, reason)
+
+    @pytest.mark.parametrize(
+        "graph, line",
+        [
+            (_box(bbox_center=(math.nan, 0, 0)), "nodes[0].bbox_center[0]: number must be finite"),
+            (_box(bbox_extent=(math.inf, 1, 1)), "nodes[0].bbox_extent[0]: number must be finite"),
+            (_box(bbox_center=(0, 0)), "nodes[0].bbox_center: expected a list of 3 numbers"),
+            (_box(tag=""), "nodes[0].tag: must be non-empty"),
+            (_box(affordances={""}), "nodes[0].affordances[0]: must be non-empty"),
+            (_box(id="a\x01"), "nodes[0].id: holds U+0001, which no report or SVG can carry"),
+            (_with_relations(make_small_scene(), Relation("", "tv", "bed", RelationKind.SPATIAL)),
+             "relations[1].name: must be non-empty"),
+        ],
+        ids=["nan-center", "inf-extent", "2d-center", "empty-tag", "empty-affordance", "control-id",
+             "empty-relation-name"],
+    )
+    def test_a_field_the_scene_file_refuses(self, graph, line):
+        for check in (lambda: validate_scene(graph), lambda: load_scene(serialize_scene(graph))):
+            with pytest.raises(FormatError) as info:
+                check()
+            assert str(info.value) == line
 
     @pytest.mark.parametrize(
         "relation, path, message",
@@ -179,6 +210,53 @@ class TestValidateScene:
         with pytest.raises(FormatError) as info:
             validate_scene(graph)
         assert info.value.path == "nodes[1].bbox_extent"
+
+
+def _scene_graphs(faulty: bool) -> st.SearchStrategy[SceneGraph]:
+    """Graphs built in code; with ``faulty``, fields may hold what a scene file
+    refuses: NaN, infinities, boxes of 2 or 4 numbers, empty or unprintable text."""
+
+    def pick(good: list, bad: list) -> st.SearchStrategy:
+        return st.sampled_from(good + bad if faulty else good)
+
+    names = pick(["a", "b", "c"], ["", "d\x01", "\ud800"])
+    numbers = st.floats(0, 2) | pick([1.0], [math.nan, math.inf, -math.inf, -1.0])
+    boxes = st.lists(numbers, min_size=2 if faulty else 3, max_size=4 if faulty else 3)
+    nodes = st.builds(
+        ObjectNode,
+        id=names,
+        tag=pick(["box", "human"], ["", "t\x1f"]),
+        bbox_center=boxes,
+        bbox_extent=boxes,
+        affordances=st.frozensets(pick(["sit", "open"], ["", "x\x01"]), max_size=2),
+        attributes=st.frozensets(pick(["soft"], ["", "\ud800"]), max_size=2),
+    )
+    relations = st.builds(
+        Relation,
+        name=pick(["on", "near"], ["", "n\x01"]),
+        head_id=names,
+        tail_id=names,
+        kind=st.sampled_from(RelationKind),
+    )
+    return st.builds(
+        SceneGraph, st.lists(nodes, max_size=3, unique_by=lambda n: n.id), st.lists(relations, max_size=2)
+    )
+
+
+class TestValidateAgreesWithTheFile:
+    @given(graph=st.booleans().flatmap(_scene_graphs))
+    def test_validate_scene_and_load_scene_agree(self, graph):
+        """A graph built in code passes ``validate_scene`` exactly when its own
+        file loads back, to an equal graph; else both give the same error."""
+        document = serialize_scene(graph)
+        try:
+            validate_scene(graph)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as info:
+                load_scene(document)
+            assert str(info.value) == str(exc)
+        else:
+            assert load_scene(document) == graph
 
 
 class TestDistance:
