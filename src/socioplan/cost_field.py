@@ -30,7 +30,7 @@ from .scene_graph import ObjectNode, RelationKind, SceneGraph, gap_distances
 
 Vec2 = tuple[float, float]
 
-# Largest grid rasterize builds; A* keeps four lists of about this many cells.
+# Largest grid rasterize builds; A* keeps three lists of about this many cells.
 MAX_GRID_CELLS = 1_000_000
 _EDGE_SLACK = 1e-9  # cells of a side that grid_shape rounds away and cell_at still takes
 

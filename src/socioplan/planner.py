@@ -94,20 +94,76 @@ def path_from_cells(cells: tuple[tuple[int, int], ...], costmap: Costmap) -> Pat
 
 
 def plan(request: PlanRequest) -> Path:
-    """Minimum-total-cost 8-connected path from start to goal.
+    """Minimum-total-cost 8-connected path from start to goal; the costmap
+    alone fixes its cells.
 
-    A* with the admissible heuristic "Euclidean distance x global minimum
-    cell cost (= 1 by the costmap invariant)". Nodes are reopened whenever a
-    cheaper route appears, and ties break deterministically on
-    (f, h, cell index), so results are exact optima and platform-stable.
+    A step between neighbours u and v weighs ``w(u, v) = length x (cost[u] +
+    cost[v]) / 2``, computed as in ``path_from_cells``. Let ``d`` be the least
+    float fixed point of ``d[v] = min_u fl(d[u] + w(u, v))`` with ``d[start]
+    = 0``: the values textbook Dijkstra computes. Rounding is monotone and
+    every weight is positive, so ``d`` lies at or below every float route sum.
+    The path is read off ``d`` backwards. From the goal, each step goes to the
+    *tied predecessor* of the current cell v, a neighbour u with ``d[u] <
+    d[v] == fl(d[u] + w(u, v))``, that has the least ``(d[u] + e(u), e(u),
+    index)``: ``e(u)`` is u's Euclidean distance to the goal in meters and the
+    index orders cells by ``(iy, ix)``. Each step lowers ``d``, so the walk
+    ends at the start, and ``total_cost``, summed from the start along the
+    cells, is ``d[goal]``: the float optimum. Only a step whose weight
+    vanishes beside the total (about 2**53 times smaller) can leave a cell
+    with no tied predecessor; PlanningError then.
+
+    ``d`` comes from A* with reopening. Heap entries are ``(f, index, g)``
+    with ``f = g + H``; an entry whose g exceeds its cell's is stale; a cell
+    is pushed again whenever its g improves. The goal is not expanded. Once
+    it is popped at g, the search stops at the first entry with ``f >
+    fl(g x (1 + 1e-9))``. ``H`` is the octile distance to the goal, ``r x (D
+    + k x m)`` in floats: D and m are the longer and shorter offsets in
+    cells, ``k = fl(sqrt 2) - 1`` and ``r = resolution x (1 - 1e-12)``. With
+    ``u = 2**-53``:
+
+    1. *H is consistent under rounding up to the square grid of MAX_GRID_CELLS,
+       and admissible at any size.* In exact arithmetic ``r x (D + k x m)``
+       changes by at most r between straight neighbours and ``r x (1 + k)``
+       between diagonal ones, which undercut the step lengths ``resolution``
+       and ``fl(resolution x sqrt 2)`` by more than ``0.99e-12 x resolution``.
+       The float H rounds three times, each by at most ``u x H``, so two
+       neighbours' H move against each other by at most ``6u x Hmax``. That
+       stays inside the slack while the grid's octile extent is under 1,480
+       cells: at most 1,415 on the 1,000 x 1,000 grid of MAX_GRID_CELLS, border
+       included. (A thinner grid of that many cells may miss by a few ulps of
+       H; that costs a reopening, and point 2 needs only admissibility.) Each
+       rounding is relative, so H stays below ``(1 - 0.99e-12) x resolution x``
+       the octile distance, the length of the shortest route to the goal; and
+       every weight is at least its step's length, as every cost is >= 1.
+    2. *Reopening and the 1e-9 margin leave every tied predecessor at its fixed
+       point.* Each stored g is a float route sum, so g >= d. Let p start a
+       route of tied steps (each step's sum rounds to d of the next cell) to
+       the goal that repeats no cell: n < MAX_GRID_CELLS steps whose weights
+       add up to R. ``d[goal]`` is the float sum of ``d[p]`` and those weights,
+       so ``d[p] + R <= d[goal] / (1 - n u) < d[goal] x (1 + 1.2e-10)``; by
+       point 1, ``fl(d[p] + H(p)) <= (1 + u)(d[p] + R)`` lies below the stop
+       bound, which is at least ``d[goal] x (1 + 1e-9 - 3u)``. Now let q be the
+       goal, a walked cell or a tied predecessor of one: each has a tied route
+       to the goal, and so does every cell of a tied route from the start to q
+       (Dijkstra's, say). Before q, that route has d at most ``d[q]``, below
+       ``d[goal]`` unless q is the goal, so it avoids the unexpanded goal. If p
+       is its first cell not expanded at ``d[p]``, p's predecessor was, and an
+       entry ``(fl(d[p] + H(p)), p, d[p])`` was pushed. It never goes stale, so
+       it still waits in the heap below the bound, and the search has not
+       stopped. So at the stop all of the route before q was expanded at d, and
+       ``g[q] = d[q]``.
+    3. *So the cells depend only on the costmap.* A neighbour u of a walked
+       cell v with ``fl(g[u] + w) == g[v]`` has ``fl(d[u] + w) <= d[v]``, which
+       makes it a tied predecessor under d, where ``g[u] = d[u]``. So the walk
+       over g is the walk over d: Dijkstra, or A* with any order of pops, gives
+       the same cells. Hart, Nilsson and Raphael (1968) give the
+       exact-arithmetic form of points 1 and 2.
 
     The search runs on flat lists over the grid padded by one border cell of
     infinite cost: cell ``(ix, iy)`` has index ``(iy + 1) * (width + 2) + ix
     + 1``. A step onto the border weighs ``inf`` and is never taken, so no
     step needs a bounds check. The padded index orders cells by ``(iy, ix)``
-    exactly as ``iy * width + ix`` does, and the heuristic and step weights
-    keep the arithmetic of ``path_cost``, so expansion order, tie-breaks and
-    every float are those of a search keyed by ``(ix, iy)``.
+    exactly as ``iy * width + ix`` does.
     """
     costmap = request.costmap
     try:
@@ -122,9 +178,10 @@ def plan(request: PlanRequest) -> Path:
     resolution = costmap.resolution
     stride = costmap.width + 2
     cost = np.pad(costmap.cells, 1, constant_values=math.inf).ravel().tolist()
-    dx = np.arange(-1, costmap.width + 1) - goal[0]
-    dy = np.arange(-1, costmap.height + 1) - goal[1]
-    heuristic = (resolution * np.sqrt(np.add.outer(dy * dy, dx * dx))).ravel().tolist()
+    ax = np.abs(np.arange(-1, costmap.width + 1) - goal[0])
+    ay = np.abs(np.arange(-1, costmap.height + 1) - goal[1])
+    octile = np.maximum.outer(ay, ax) + (SQRT2 - 1.0) * np.minimum.outer(ay, ax)
+    heuristic = (resolution * (1.0 - 1e-12) * octile).ravel().tolist()
     steps = tuple(
         (oy * stride + ox, resolution * (SQRT2 if ox and oy else 1.0)) for ox, oy in _NEIGHBORS
     )
@@ -132,34 +189,50 @@ def plan(request: PlanRequest) -> Path:
     start_index = (start[1] + 1) * stride + start[0] + 1
     goal_index = (goal[1] + 1) * stride + goal[0] + 1
     g = [math.inf] * len(cost)
-    parent = [-1] * len(cost)
     g[start_index] = 0.0
-    h0 = heuristic[start_index]
-    frontier = [(h0, h0, start_index, 0.0)]
+    frontier = [(heuristic[start_index], start_index, 0.0)]
+    bound = math.inf
     push, pop = heapq.heappush, heapq.heappop
     while frontier:
-        _, _, index, g_pushed = pop(frontier)
+        f, index, g_pushed = pop(frontier)
+        if f > bound:
+            break
         if g_pushed > g[index]:
             continue  # stale entry
         if index == goal_index:
-            break
+            bound = g_pushed * (1.0 + 1e-9)
+            continue
         cost_here = cost[index]
         for offset, length in steps:
             neighbor = index + offset
             tentative = g_pushed + length * ((cost_here + cost[neighbor]) / 2.0)
             if tentative < g[neighbor]:
                 g[neighbor] = tentative
-                parent[neighbor] = index
-                h = heuristic[neighbor]
-                push(frontier, (tentative + h, h, neighbor, tentative))
-    else:
+                push(frontier, (tentative + heuristic[neighbor], neighbor, tentative))
+    if g[goal_index] == math.inf:
         # Every cell is finite, so every cell is reachable; only costs that
         # overflow to inf (cells near the float maximum) end up here.
         raise PlanningError("no path from start to goal")
 
     chain = [goal_index]
     while chain[-1] != start_index:
-        chain.append(parent[chain[-1]])
+        here = chain[-1]
+        g_here, cost_here = g[here], cost[here]
+        best = None
+        for offset, length in steps:
+            neighbor = here - offset
+            g_there = g[neighbor]
+            if g_there < g_here and g_there + length * ((cost[neighbor] + cost_here) / 2.0) == g_here:
+                dx, dy = neighbor % stride - 1 - goal[0], neighbor // stride - 1 - goal[1]
+                euclid = resolution * math.sqrt(dx * dx + dy * dy)
+                key = (g_there + euclid, euclid, neighbor)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            raise PlanningError(
+                "a step's cost vanishes beside the path's total; costs span too wide a range"
+            )
+        chain.append(best[2])
     return path_from_cells(
         tuple((i % stride - 1, i // stride - 1) for i in reversed(chain)), costmap
     )

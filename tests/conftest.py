@@ -84,12 +84,31 @@ def random_costmap(rng: np.random.Generator, max_side: int = 20, resolution: flo
     return Costmap(origin=(0.0, 0.0), resolution=resolution, width=width, height=height, cells=cells)
 
 
-def dijkstra_optimum(costmap: Costmap, start: tuple[int, int], goal: tuple[int, int]) -> float:
+def dijkstra_path(
+    costmap: Costmap, start: tuple[int, int], goal: tuple[int, int]
+) -> tuple[float, tuple[tuple[int, int], ...]]:
     """Independent oracle: textbook Dijkstra over the 8-connected grid with
-    step weight = step length x mean endpoint cell cost."""
+    step weight = step length x mean endpoint cell cost, then the planner's
+    tie rule. Walking back from the goal, each step takes the neighbour u
+    whose distance is below the current cell's and adds up to it exactly,
+    with the least (distance + Euclidean distance to the goal, that
+    Euclidean distance, iy, ix). Returns the optimum and the path's cells,
+    or (inf, ()) when the goal is not reached."""
     width, height = costmap.width, costmap.height
     resolution = costmap.resolution
     cells = costmap.cells
+
+    def weight(u: tuple[int, int], v: tuple[int, int]) -> float:
+        step = resolution * math.sqrt(2.0) if u[0] != v[0] and u[1] != v[1] else resolution
+        return step * ((cells[u[1], u[0]] + cells[v[1], v[0]]) / 2.0)
+
+    def neighbors(u: tuple[int, int]):
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                v = (u[0] + dx, u[1] + dy)
+                if (dx or dy) and 0 <= v[0] < width and 0 <= v[1] < height:
+                    yield v
+
     dist: dict[tuple[int, int], float] = {start: 0.0}
     done: set[tuple[int, int]] = set()
     queue: list[tuple[float, tuple[int, int]]] = [(0.0, start)]
@@ -99,22 +118,31 @@ def dijkstra_optimum(costmap: Costmap, start: tuple[int, int], goal: tuple[int, 
             continue
         done.add(u)
         if u == goal:
-            return d
-        ux, uy = u
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                vx, vy = ux + dx, uy + dy
-                if not (0 <= vx < width and 0 <= vy < height):
-                    continue
-                step = resolution * math.sqrt(2.0) if dx != 0 and dy != 0 else resolution
-                weight = step * ((cells[uy, ux] + cells[vy, vx]) / 2.0)
-                nd = d + weight
-                if nd < dist.get((vx, vy), math.inf):
-                    dist[(vx, vy)] = nd
-                    heapq.heappush(queue, (nd, (vx, vy)))
-    return math.inf
+            break
+        for v in neighbors(u):
+            nd = d + weight(u, v)
+            if nd < dist.get(v, math.inf):
+                dist[v] = nd
+                heapq.heappush(queue, (nd, v))
+    else:
+        return math.inf, ()
+
+    path = [goal]
+    while path[-1] != start:
+        v = path[-1]
+        keys = []
+        for u in neighbors(v):
+            if u in done and dist[u] < dist[v] and dist[u] + weight(u, v) == dist[v]:
+                euclid = resolution * math.sqrt((u[0] - goal[0]) ** 2 + (u[1] - goal[1]) ** 2)
+                keys.append((dist[u] + euclid, euclid, u[1], u[0]))
+        _, _, iy, ix = min(keys)
+        path.append((ix, iy))
+    return dist[goal], tuple(reversed(path))
+
+
+def dijkstra_optimum(costmap: Costmap, start: tuple[int, int], goal: tuple[int, int]) -> float:
+    """The optimum of ``dijkstra_path``: inf when the goal is not reached."""
+    return dijkstra_path(costmap, start, goal)[0]
 
 
 # Re-exported so tests can parametrize over conditions without imports noise.

@@ -424,6 +424,10 @@ def _one_condition(files):
     files["scenario"]["conditions"] = ["no_human"]
 
 
+def _two_conditions(files):
+    files["scenario"]["conditions"] = ["no_human", "human_with_relations"]
+
+
 def _no_fixtures(files):
     files["scenario"]["assessor"] = {"kind": "rules"}
 
@@ -783,6 +787,12 @@ class TestMalformedInputs:
         assert captured.err.splitlines() == [
             "error: conditions: compare needs at least 2 conditions, got 1"
         ]
+
+    def test_compare_runs_on_two_conditions(self, tmp_path, capsys):
+        _write_inputs(tmp_path, _two_conditions)
+        assert main(["compare", str(tmp_path / _INPUTS["scenario"]), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["conditions"]
+        assert [row["condition"] for row in rows] == ["no_human", "human_with_relations"]
 
     @pytest.mark.parametrize(
         "mutate, stage, reason",

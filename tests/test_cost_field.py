@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -505,6 +506,21 @@ class TestGridShape:
         with pytest.raises(ValueError, match="at most 1,000,000"):
             grid_shape(((0, 0), (1000, 1000.5)), 1.0)
 
+    def test_cap_holds_at_exactly_its_cells_without_allocating(self):
+        tracemalloc.start()
+        try:
+            # The long side computes to exactly MAX_GRID_CELLS once the edge
+            # slack is taken off.
+            assert grid_shape(((0.0, 0.0), (1e6 + 1e-9, 1.0)), 1.0) == (MAX_GRID_CELLS, 1)
+            assert grid_shape(((0.0, 0.0), (500.0, 2000.0)), 1.0) == (500, 2000)
+            for high in ((1e6 + 1.0, 1.0), (101.0, 9901.0)):  # 1,000,001 cells
+                with pytest.raises(ValueError, match="at most 1,000,000 cells"):
+                    grid_shape(((0.0, 0.0), high), 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
     @pytest.mark.parametrize("resolution", [1e-5, 1e-300, 5e-324])
     def test_huge_grids_rejected_from_their_size(self, resolution):
         # 6 x 5 m at 1e-5 m is 3e11 cells; the smaller steps overflow to inf.
@@ -551,8 +567,9 @@ class TestCostmap:
             ({"origin": (math.nan, 0)}, "origin [nan, 0.0] must be two finite numbers"),
             ({"cells": np.ones((2, 1))}, "cells shape (2, 1) != (height, width)"),
             ({"resolution": 0.0}, "resolution and dimensions must be > 0"),
+            ({"resolution": math.inf}, "resolution and dimensions must be > 0"),
         ],
-        ids=["nan_origin", "cells_not_height_by_width", "zero_resolution"],
+        ids=["nan_origin", "cells_not_height_by_width", "zero_resolution", "infinite_resolution"],
     )
     def test_malformed_grid_rejected(self, change, message):
         grid = {"origin": (0, 0), "resolution": 1.0, "width": 2, "height": 1, "cells": np.ones((1, 2))}

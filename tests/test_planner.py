@@ -25,7 +25,7 @@ from socioplan.scenario_runner import load_scenario, run_scenario
 from socioplan.scene_graph import ObjectNode, SceneGraph
 from socioplan.trajectory_context import induce_partial_graph
 
-from conftest import DATA_DIR, dijkstra_optimum, random_costmap, uniform_costmap
+from conftest import DATA_DIR, dijkstra_optimum, dijkstra_path, random_costmap, uniform_costmap
 
 
 def cells_map(rows, resolution=1.0) -> Costmap:
@@ -102,7 +102,52 @@ class TestPlan:
                     costmap=costmap,
                 )
             )
+            assert (result.total_cost, result.cells) == dijkstra_path(costmap, start, goal)
+
+    def test_tie_heavy_maps_match_the_reference(self):
+        # Uniform and two-valued maps, where many step orders tie: equal
+        # routes add up to floats one ulp apart, and an A* that stops at the
+        # goal's first pop can return the worse-rounded one.
+        rng = np.random.default_rng(2027)
+        for _ in range(200):
+            width, height = (int(n) for n in rng.integers(2, 40, size=2))
+            if rng.random() < 0.5:
+                cells = np.ones((height, width))
+            else:
+                cells = np.where(rng.random((height, width)) < 0.3, 10.0, 1.0)
+            costmap = cells_map(cells, resolution=float(rng.uniform(0.05, 1.0)))
+            start = (int(rng.integers(width)), int(rng.integers(height)))
+            goal = (int(rng.integers(width)), int(rng.integers(height)))
+            result = plan(
+                PlanRequest(
+                    start=costmap.cell_center(*start),
+                    goal=costmap.cell_center(*goal),
+                    costmap=costmap,
+                )
+            )
             assert result.total_cost == dijkstra_optimum(costmap, start, goal)
+            assert (result.total_cost, result.cells) == dijkstra_path(costmap, start, goal)
+
+    def test_one_ulp_map_is_pinned(self):
+        # Stopping at the goal's first pop gave 0.7414213562373095 here.
+        costmap = uniform_costmap(12, 29, resolution=0.1)
+        result = plan(
+            PlanRequest(start=costmap.cell_center(2, 2), goal=costmap.cell_center(1, 9), costmap=costmap)
+        )
+        assert result.total_cost == 0.7414213562373094 == dijkstra_optimum(costmap, (2, 2), (1, 9))
+        assert result.cells == ((2, 2), (2, 3), (2, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9))
+
+    def test_a_step_that_vanishes_in_the_total_is_refused(self):
+        # Past the start's cell every step of cost 1 rounds away beside
+        # 5e16, so no route to the goal is better than another.
+        rows = np.ones((8, 8))
+        rows[0, 0] = 1e17
+        costmap = cells_map(rows)
+        with pytest.raises(PlanningError, match="vanishes"):
+            plan(PlanRequest(start=(0.5, 0.5), goal=(7.5, 5.5), costmap=costmap))
+        rows[0, 0] = 1e15
+        result = plan(PlanRequest(start=(0.5, 0.5), goal=(7.5, 5.5), costmap=cells_map(rows)))
+        assert result.total_cost == dijkstra_optimum(cells_map(rows), (0, 0), (7, 5))
 
     def test_total_cost_equals_recomputation(self):
         rng = np.random.default_rng(11)
@@ -125,7 +170,7 @@ class TestPlan:
         "width, height, start, goal, cells",
         [
             (9, 9, (0.5, 4.5), (8.5, 4.5), tuple((ix, 4) for ix in range(9))),
-            # Many equal-cost diagonal routes; ties break on (f, h, iy, ix).
+            # Many equal-cost diagonal routes; the tie rule picks one.
             (7, 5, (0.5, 0.5), (6.5, 3.5),
              ((0, 0), (1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3))),
         ],

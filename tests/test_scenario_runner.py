@@ -105,6 +105,40 @@ class TestLoadScenario:
         with pytest.raises(FormatError, match="outside map.bounds"):
             load_scenario(path)
 
+    def _load_edited(self, tmp_path, **changes):
+        document = json.loads((DATA_DIR / "bedroom_scenario.json").read_text())
+        document.update(changes)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(document))
+        return load_scenario(path)
+
+    @pytest.mark.parametrize("radius", [0.25, 1.0])
+    def test_query_radius_up_to_one_meter_loads(self, tmp_path, radius):
+        assert self._load_edited(tmp_path, query_radius_m=radius).query_radius_m == radius
+
+    @pytest.mark.parametrize(
+        "bounds", [[[6.0, 0.0], [0.0, 5.0]], [[0.0, 5.0], [6.0, 0.0]]], ids=["x_swapped", "y_swapped"]
+    )
+    def test_one_swapped_axis_refused_at_map_bounds(self, tmp_path, bounds):
+        with pytest.raises(FormatError) as info:
+            self._load_edited(tmp_path, map={"bounds": bounds, "resolution": 0.1})
+        assert (info.value.path, info.value.reason) == ("map.bounds", "bounds must span a non-degenerate rectangle")
+
+    @pytest.mark.parametrize(
+        "bounds, shorter",
+        [([[-1.0, -0.5], [6.0, 5.0]], 5.5), ([[-0.5, -1.0], [6.0, 6.5]], 6.5)],
+        ids=["y_shorter", "x_shorter"],
+    )
+    def test_resolution_up_to_the_shorter_side_with_an_offset_origin(self, tmp_path, bounds, shorter):
+        loaded = self._load_edited(tmp_path, map={"bounds": bounds, "resolution": shorter})
+        assert loaded.resolution == shorter
+        coarser = float(np.nextafter(shorter, np.inf))
+        with pytest.raises(FormatError) as info:
+            self._load_edited(tmp_path, map={"bounds": bounds, "resolution": coarser})
+        assert (info.value.path, info.value.reason) == (
+            "map.resolution", f"resolution {coarser!r} is coarser than the map"
+        )
+
     def test_round_trip_in_place(self, tmp_path):
         for name in (
             "bedroom_scene.json",

@@ -39,6 +39,11 @@ class TestTrajectory:
         assert dense.waypoints[0] == (0, 0, 0)
         assert dense.waypoints[-1] == (1.0, 0, 0)
 
+    def test_length_counts_waypoints(self):
+        """``bench/tracing.py`` counts the waypoints relevance scans with
+        ``len`` of the resampled trajectory."""
+        assert len(resample(Trajectory(((0, 0, 0), (1.0, 0, 0))), 0.25)) == 5
+
     @pytest.mark.parametrize(
         "waypoints",
         [

@@ -11,6 +11,7 @@ so the pins check its content whatever layout the report is written in.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import importlib.util
 import json
 import sys
@@ -19,7 +20,7 @@ from unittest import mock
 
 import pytest
 
-from socioplan import cost_assessment, load_scenario, scene_graph
+from socioplan import PlanRequest, cost_assessment, load_scenario, plan, scene_graph
 from socioplan.cost_assessment import entries_from_dict
 from socioplan.cost_field import field_spec_from_assessment, rasterize
 from socioplan.jsonio import canonical_json
@@ -105,3 +106,17 @@ def test_generated_workloads_draw_corridors(tmp_path, workload):
     assert last.zones
     spec = field_spec_from_assessment(run_report.scene, last.assessment)
     assert rasterize(spec, (), run_report.bounds, run_report.resolution) != last.costmap
+
+
+def test_open_hall_search_work_is_pinned(tmp_path):
+    """Heap pops of one A* per open_hall condition, on the costmap it planned
+    on: a change to the heuristic or the stop rule shows here before it
+    shows in a timing."""
+    _, run_report, scenario = ops.plan_step(workloads.materialize("open_hall", 1, REPO_DIR, tmp_path))
+    pops = []
+    for condition in run_report.conditions:
+        request = PlanRequest(start=scenario.start, goal=scenario.goal, costmap=condition.costmap)
+        with mock.patch.object(heapq, "heappop", side_effect=heapq.heappop) as pop:
+            assert plan(request) == condition.path
+        pops.append(pop.call_count)
+    assert pops == [199, 17_309, 28_309]
