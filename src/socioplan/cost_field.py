@@ -242,7 +242,8 @@ class Costmap:
 
     ``cells[iy, ix]`` holds the cost at the center of the cell whose lower
     left corner is ``origin + (ix, iy) * resolution``; every cell is finite
-    and >= 1.
+    and >= 1. ``resolution`` is held to the floor of ``grid_shape``, so a
+    costmap built in code takes the resolutions a map file may carry.
     """
 
     origin: Vec2
@@ -261,6 +262,7 @@ class Costmap:
             raise ValueError(f"cells shape {cells.shape} != (height, width)")
         if not 0 < self.resolution < math.inf or self.width <= 0 or self.height <= 0:
             raise ValueError("resolution and dimensions must be > 0")
+        _check_square_is_normal(self.resolution)
         if not ((cells >= 1.0) & (cells < math.inf)).all():  # also False for NaN
             raise ValueError("every cell must be finite and >= 1")
         object.__setattr__(self, "cells", cells)
@@ -321,9 +323,16 @@ def grid_shape(bounds: tuple[Vec2, Vec2], resolution: float) -> tuple[int, int]:
             f"resolution {resolution!r} gives a {width:.6g} x {height:.6g} cell grid;"
             f" at most {MAX_GRID_CELLS:,} cells are allowed"
         )
+    _check_square_is_normal(resolution)
+    return max(1, math.ceil(width)), max(1, math.ceil(height))
+
+
+def _check_square_is_normal(resolution: float) -> None:
+    """The floor on every cell side: its square must be a normal float, else
+    gaps within one cell square to 0 (and ``plan``'s half step lengths would
+    round). The smallest side accepted is ``2**-511``, about 1.49e-154."""
     if resolution * resolution < sys.float_info.min:
         raise ValueError(f"resolution {resolution!r} squares to below the smallest normal float")
-    return max(1, math.ceil(width)), max(1, math.ceil(height))
 
 
 def rasterize(

@@ -98,28 +98,38 @@ def plan(request: PlanRequest) -> Path:
     alone fixes its cells.
 
     A step between neighbours u and v weighs ``w(u, v) = length x (cost[u] +
-    cost[v]) / 2``, computed as in ``path_from_cells``. Let ``d`` be the least
-    float fixed point of ``d[v] = min_u fl(d[u] + w(u, v))`` with ``d[start]
-    = 0``: the values textbook Dijkstra computes. Rounding is monotone and
-    every weight is positive, so ``d`` lies at or below every float route sum.
-    The path is read off ``d`` backwards. From the goal, each step goes to the
-    *tied predecessor* of the current cell v, a neighbour u with ``d[u] <
-    d[v] == fl(d[u] + w(u, v))``, that has the least ``(d[u] + e(u), e(u),
-    index)``: ``e(u)`` is u's Euclidean distance to the goal in meters and the
-    index orders cells by ``(iy, ix)``. Each step lowers ``d``, so the walk
-    ends at the start, and ``total_cost``, summed from the start along the
-    cells, is ``d[goal]``: the float optimum. Only a step whose weight
-    vanishes beside the total (about 2**53 times smaller) can leave a cell
-    with no tied predecessor; PlanningError then.
+    cost[v]) / 2``. ``path_from_cells`` computes it as ``length x (fl(cost[u]
+    + cost[v]) / 2)``, the search and the walk-back below as ``half x
+    (cost[u] + cost[v])`` with ``half = length / 2`` taken once per step
+    direction. Halving a normal float is exact, and ``half`` is normal since
+    ``Costmap`` holds ``resolution`` at or above ``2**-511``; so both forms
+    round the same real number, ``length x fl(cost[u] + cost[v]) / 2``, and
+    the search, the walk-back and ``path_from_cells`` compute the same float
+    weight. Let ``d`` be the least float fixed point of ``d[v] = min_u
+    fl(d[u] + w(u, v))`` with ``d[start] = 0``: the values textbook Dijkstra
+    computes. Rounding is monotone and every weight is positive, so ``d``
+    lies at or below every float route sum. The path is read off ``d``
+    backwards. From the goal, each step goes to the *tied predecessor* of the
+    current cell v, a neighbour u with ``d[u] < d[v] == fl(d[u] + w(u, v))``,
+    that has the least ``(d[u] + e(u), e(u), index)``: ``e(u)`` is u's
+    Euclidean distance to the goal in meters and the index orders cells by
+    ``(iy, ix)``. Each step lowers ``d``, so the walk ends at the start, and
+    ``total_cost``, summed from the start along the cells, is ``d[goal]``:
+    the float optimum. Only a step whose weight vanishes beside the total
+    (about 2**53 times smaller) can leave a cell with no tied predecessor;
+    PlanningError then.
 
     ``d`` comes from A* with reopening. Heap entries are ``(f, index, g)``
     with ``f = g + H``; an entry whose g exceeds its cell's is stale; a cell
-    is pushed again whenever its g improves. The goal is not expanded. Once
-    it is popped at g, the search stops at the first entry with ``f >
-    fl(g x (1 + 1e-9))``. ``H`` is the octile distance to the goal, ``r x (D
-    + k x m)`` in floats: D and m are the longer and shorter offsets in
-    cells, ``k = fl(sqrt 2) - 1`` and ``r = resolution x (1 - 1e-12)``. With
-    ``u = 2**-53``:
+    is pushed again whenever its g improves. Expanding a cell at g relaxes
+    only the neighbours whose g exceeds it: every weight is > 0 and rounding
+    is monotone, so ``fl(g + w) >= g``, and a skipped relaxation could not
+    have lowered its neighbour; pushes, pops and reopenings are those of
+    relaxing all eight. The goal is not expanded. Once it is popped at g,
+    the search stops at the first entry with ``f > fl(g x (1 + 1e-9))``.
+    ``H`` is the octile distance to the goal, ``r x (D + k x m)`` in floats:
+    D and m are the longer and shorter offsets in cells, ``k = fl(sqrt 2) -
+    1`` and ``r = resolution x (1 - 1e-12)``. With ``u = 2**-53``:
 
     1. *H is consistent under rounding up to the square grid of MAX_GRID_CELLS,
        and admissible at any size.* In exact arithmetic ``r x (D + k x m)``
@@ -183,7 +193,7 @@ def plan(request: PlanRequest) -> Path:
     octile = np.maximum.outer(ay, ax) + (SQRT2 - 1.0) * np.minimum.outer(ay, ax)
     heuristic = (resolution * (1.0 - 1e-12) * octile).ravel().tolist()
     steps = tuple(
-        (oy * stride + ox, resolution * (SQRT2 if ox and oy else 1.0)) for ox, oy in _NEIGHBORS
+        (oy * stride + ox, resolution * (SQRT2 if ox and oy else 1.0) / 2.0) for ox, oy in _NEIGHBORS
     )
 
     start_index = (start[1] + 1) * stride + start[0] + 1
@@ -203,10 +213,13 @@ def plan(request: PlanRequest) -> Path:
             bound = g_pushed * (1.0 + 1e-9)
             continue
         cost_here = cost[index]
-        for offset, length in steps:
+        for offset, half in steps:
             neighbor = index + offset
-            tentative = g_pushed + length * ((cost_here + cost[neighbor]) / 2.0)
-            if tentative < g[neighbor]:
+            g_there = g[neighbor]
+            if g_there <= g_pushed:
+                continue  # no weight can lower it
+            tentative = g_pushed + half * (cost_here + cost[neighbor])
+            if tentative < g_there:
                 g[neighbor] = tentative
                 push(frontier, (tentative + heuristic[neighbor], neighbor, tentative))
     if g[goal_index] == math.inf:
@@ -219,10 +232,10 @@ def plan(request: PlanRequest) -> Path:
         here = chain[-1]
         g_here, cost_here = g[here], cost[here]
         best = None
-        for offset, length in steps:
+        for offset, half in steps:
             neighbor = here - offset
             g_there = g[neighbor]
-            if g_there < g_here and g_there + length * ((cost[neighbor] + cost_here) / 2.0) == g_here:
+            if g_there < g_here and g_there + half * (cost[neighbor] + cost_here) == g_here:
                 dx, dy = neighbor % stride - 1 - goal[0], neighbor // stride - 1 - goal[1]
                 euclid = resolution * math.sqrt(dx * dx + dy * dy)
                 key = (g_there + euclid, euclid, neighbor)

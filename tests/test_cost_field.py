@@ -568,8 +568,12 @@ class TestCostmap:
             ({"cells": np.ones((2, 1))}, "cells shape (2, 1) != (height, width)"),
             ({"resolution": 0.0}, "resolution and dimensions must be > 0"),
             ({"resolution": math.inf}, "resolution and dimensions must be > 0"),
+            # grid_shape's floor: a map or report file cannot carry these either.
+            ({"resolution": 1e-160}, "resolution 1e-160 squares to below the smallest normal float"),
+            ({"resolution": 5e-324}, "resolution 5e-324 squares to below the smallest normal float"),
         ],
-        ids=["nan_origin", "cells_not_height_by_width", "zero_resolution", "infinite_resolution"],
+        ids=["nan_origin", "cells_not_height_by_width", "zero_resolution", "infinite_resolution",
+             "resolution_1e-160", "resolution_5e-324"],
     )
     def test_malformed_grid_rejected(self, change, message):
         grid = {"origin": (0, 0), "resolution": 1.0, "width": 2, "height": 1, "cells": np.ones((1, 2))}

@@ -149,6 +149,18 @@ class TestPlan:
         result = plan(PlanRequest(start=(0.5, 0.5), goal=(7.5, 5.5), costmap=cells_map(rows)))
         assert result.total_cost == dijkstra_optimum(cells_map(rows), (0, 0), (7, 5))
 
+    def test_plans_at_the_resolution_floor_as_at_one_meter(self):
+        # 2**-511 squares to exactly the smallest normal float. Scaling by a
+        # power of two is exact down there, so every weight, g and heuristic
+        # value is the one at 1 m times 2**-511: the same cells, the same cost.
+        r = 2.0**-511
+        rows = np.random.default_rng(5).uniform(1.0, 10.0, size=(4, 6))
+        tiny = Costmap(origin=(0.0, 0.0), resolution=r, width=6, height=4, cells=rows)
+        result = plan(PlanRequest(start=tiny.cell_center(0, 0), goal=tiny.cell_center(5, 3), costmap=tiny))
+        reference = plan(PlanRequest(start=(0.5, 0.5), goal=(5.5, 3.5), costmap=cells_map(rows)))
+        assert result.cells == reference.cells
+        assert result.total_cost == reference.total_cost * r == path_cost(result, tiny)
+
     def test_total_cost_equals_recomputation(self):
         rng = np.random.default_rng(11)
         costmap = random_costmap(rng)

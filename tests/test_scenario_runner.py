@@ -31,6 +31,7 @@ from socioplan import cost_assessment, scene_graph
 from socioplan.cost_assessment import entries_from_dict, load_assessment_fixtures
 from socioplan.cost_field import Costmap, footprint_of
 from socioplan.jsonio import FormatError, UnknownKeyWarning, canonical_json
+from socioplan.planner import path_cost
 from socioplan.render import PX_PER_M
 from socioplan.scenario_runner import (
     ScenarioError,
@@ -137,6 +138,26 @@ class TestLoadScenario:
             self._load_edited(tmp_path, map={"bounds": bounds, "resolution": coarser})
         assert (info.value.path, info.value.reason) == (
             "map.resolution", f"resolution {coarser!r} is coarser than the map"
+        )
+
+    def test_the_smallest_accepted_resolution_loads_and_plans(self, tmp_path):
+        r = 2.0**-511  # its square is exactly the smallest normal float
+        edits = {
+            "scene": str(DATA_DIR / "bedroom_scene.json"),
+            "assessor": {"kind": "rules"},
+            "map": {"bounds": [[0.0, 0.0], [6 * r, 4 * r]], "resolution": r},
+            "start": [0.5 * r, 0.5 * r],
+            "goal": [5.5 * r, 3.5 * r],
+        }
+        for result in run_scenario(self._load_edited(tmp_path, **edits)).conditions:
+            assert (result.costmap.width, result.costmap.height) == (6, 4)
+            assert (result.path.cells[0], result.path.cells[-1]) == ((0, 0), (5, 3))
+            assert result.path.total_cost == path_cost(result.path, result.costmap) > 0
+        finer = edits["map"]["resolution"] = float(np.nextafter(r, 0.0))
+        with pytest.raises(FormatError) as info:
+            self._load_edited(tmp_path, **edits)
+        assert (info.value.path, info.value.reason) == (
+            "map.resolution", f"resolution {finer!r} squares to below the smallest normal float"
         )
 
     def test_round_trip_in_place(self, tmp_path):

@@ -109,14 +109,18 @@ def test_generated_workloads_draw_corridors(tmp_path, workload):
 
 
 def test_open_hall_search_work_is_pinned(tmp_path):
-    """Heap pops of one A* per open_hall condition, on the costmap it planned
-    on: a change to the heuristic or the stop rule shows here before it
-    shows in a timing."""
+    """Heap pops and pushes of one A* per open_hall condition, on the costmap
+    it planned on: a change to the heuristic or the stop rule shows here
+    before it shows in a timing, and a relaxation skipped in the loop that
+    could have lowered a g would change the pushes."""
     _, run_report, scenario = ops.plan_step(workloads.materialize("open_hall", 1, REPO_DIR, tmp_path))
-    pops = []
+    pops, pushes = [], []
     for condition in run_report.conditions:
         request = PlanRequest(start=scenario.start, goal=scenario.goal, costmap=condition.costmap)
-        with mock.patch.object(heapq, "heappop", side_effect=heapq.heappop) as pop:
+        with mock.patch.object(heapq, "heappop", side_effect=heapq.heappop) as pop, \
+                mock.patch.object(heapq, "heappush", side_effect=heapq.heappush) as push:
             assert plan(request) == condition.path
         pops.append(pop.call_count)
+        pushes.append(push.call_count)
     assert pops == [199, 17_309, 28_309]
+    assert pushes == [988, 18_602, 29_358]
