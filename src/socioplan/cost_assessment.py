@@ -89,12 +89,19 @@ class FixtureKeyError(AssessmentError):
     """Requested scenario/condition pair is absent from the fixture store."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CostClearance:
-    """Impact factor (>= 1, dimensionless) and falloff range (>= 0, meters)."""
+    """Impact factor (>= 1, dimensionless) and falloff range (>= 0, meters).
+    A report's read builds one per entry, so it stores its fields as
+    ``scene_graph.ObjectNode`` does."""
 
     cost: float
     clearance: float
+
+    def __init__(self, cost: float, clearance: float) -> None:
+        fields = self.__dict__
+        fields["cost"] = cost
+        fields["clearance"] = clearance
 
 
 def out_of_range(cost: float, clearance: float) -> tuple[str, float, float] | None:

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .cost_assessment import out_of_range
-from .scene_graph import ObjectNode, RelationKind, SceneGraph, gap_distances
+from .scene_graph import ObjectNode, RelationKind, SceneGraph, float_tuple, gap_distances
 
 Vec2 = tuple[float, float]
 
@@ -35,18 +35,22 @@ MAX_GRID_CELLS = 1_000_000
 _EDGE_SLACK = 1e-9  # cells of a side that grid_shape rounds away and cell_at still takes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RectFootprint:
-    """Axis-aligned ground-plane rectangle."""
+    """Axis-aligned ground-plane rectangle. Render builds one per scene node,
+    so it stores its fields as ``scene_graph.ObjectNode`` does."""
 
     min_xy: Vec2
     max_xy: Vec2
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "min_xy", tuple(float(c) for c in self.min_xy))
-        object.__setattr__(self, "max_xy", tuple(float(c) for c in self.max_xy))
-        if self.min_xy[0] > self.max_xy[0] or self.min_xy[1] > self.max_xy[1]:
+    def __init__(self, min_xy: Iterable[float], max_xy: Iterable[float]) -> None:
+        lo = float_tuple(min_xy, "RectFootprint.min_xy")
+        hi = float_tuple(max_xy, "RectFootprint.max_xy")
+        if lo[0] > hi[0] or lo[1] > hi[1]:
             raise ValueError("footprint min corner must not exceed max corner")
+        fields = self.__dict__
+        fields["min_xy"] = lo
+        fields["max_xy"] = hi
 
     @property
     def center(self) -> Vec2:

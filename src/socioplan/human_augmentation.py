@@ -6,7 +6,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .scene_graph import HUMAN_TAG, ObjectNode, Relation, RelationKind, SceneGraph, Vec3, validate_scene
+from .scene_graph import (
+    HUMAN_TAG, ObjectNode, Relation, RelationKind, SceneGraph, Vec3, float_tuple, validate_scene
+)
 
 
 class Condition(enum.Enum):
@@ -45,8 +47,8 @@ class HumanSpec:
     activity_relations: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bbox_center", tuple(float(c) for c in self.bbox_center))
-        object.__setattr__(self, "bbox_extent", tuple(float(c) for c in self.bbox_extent))
+        object.__setattr__(self, "bbox_center", float_tuple(self.bbox_center, "HumanSpec.bbox_center"))
+        object.__setattr__(self, "bbox_extent", float_tuple(self.bbox_extent, "HumanSpec.bbox_extent"))
         object.__setattr__(
             self, "spatial_relations", tuple((v, t) for v, t in self.spatial_relations)
         )

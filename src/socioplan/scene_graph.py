@@ -43,7 +43,32 @@ class RelationKind(enum.Enum):
     ACTIVITY = "activity"
 
 
-@dataclass(frozen=True)
+def float_tuple(values: Iterable[float], field: str) -> tuple[float, ...]:
+    """``tuple(map(float, values))``; TypeError naming ``field`` for a bare
+    ``str``, which would otherwise split into one number per character."""
+    if isinstance(values, str):
+        raise TypeError(f"{field} must be an iterable of numbers, not the str {values!r}")
+    return tuple(map(float, values))
+
+
+def label_set(values: Iterable[str], field: str) -> frozenset[str]:
+    """``frozenset(values)``; TypeError naming ``field`` for a bare ``str``,
+    which would otherwise split into one label per character."""
+    if isinstance(values, str):
+        raise TypeError(f"{field} must be an iterable of labels, not the str {values!r}")
+    return frozenset(values)
+
+
+# The records a scene read builds in bulk (ObjectNode and Relation here,
+# RectFootprint in cost_field, CostClearance in cost_assessment) take a written
+# __init__ that stores each field with one write into __dict__, in declaration
+# order: the generated frozen __init__ pays an object.__setattr__ call per field,
+# and __post_init__ one more per field it normalises. The price is one dict
+# object per record (62 bytes on CPython 3.11), which object.__setattr__ leaves
+# unbuilt. eq, hash, repr and FrozenInstanceError on assignment stay generated.
+
+
+@dataclass(frozen=True, init=False)
 class ObjectNode:
     """One scene object.
 
@@ -58,11 +83,22 @@ class ObjectNode:
     affordances: frozenset[str] = frozenset()
     attributes: frozenset[str] = frozenset()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bbox_center", tuple(map(float, self.bbox_center)))
-        object.__setattr__(self, "bbox_extent", tuple(map(float, self.bbox_extent)))
-        object.__setattr__(self, "affordances", frozenset(self.affordances))
-        object.__setattr__(self, "attributes", frozenset(self.attributes))
+    def __init__(
+        self,
+        id: str,
+        tag: str,
+        bbox_center: Iterable[float],
+        bbox_extent: Iterable[float],
+        affordances: Iterable[str] = frozenset(),
+        attributes: Iterable[str] = frozenset(),
+    ) -> None:
+        fields = self.__dict__
+        fields["id"] = id
+        fields["tag"] = tag
+        fields["bbox_center"] = float_tuple(bbox_center, "ObjectNode.bbox_center")
+        fields["bbox_extent"] = float_tuple(bbox_extent, "ObjectNode.bbox_extent")
+        fields["affordances"] = label_set(affordances, "ObjectNode.affordances")
+        fields["attributes"] = label_set(attributes, "ObjectNode.attributes")
 
     @property
     def bbox_min(self) -> Vec3:
@@ -79,7 +115,7 @@ class ObjectNode:
         return self.tag == HUMAN_TAG
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Relation:
     """Directed labeled edge ``head --name--> tail``."""
 
@@ -87,6 +123,13 @@ class Relation:
     head_id: str
     tail_id: str
     kind: RelationKind
+
+    def __init__(self, name: str, head_id: str, tail_id: str, kind: RelationKind) -> None:
+        fields = self.__dict__
+        fields["name"] = name
+        fields["head_id"] = head_id
+        fields["tail_id"] = tail_id
+        fields["kind"] = kind
 
     @property
     def triple(self) -> tuple[str, str, str]:
@@ -141,32 +184,36 @@ def validate_scene(graph: SceneGraph) -> None:
 
 def _check_graph(graph: SceneGraph) -> None:
     """The scene's graph rules: each extent > 0, then each relation's head, tail,
-    distinct ends, unique triple and, for an activity, a human head."""
+    distinct ends, unique triple and, for an activity, a human head. Both callers
+    have applied the field checks, so every extent has three components."""
     for i, node in enumerate(graph):
-        if not all(e > 0 for e in node.bbox_extent):
+        ex, ey, ez = node.bbox_extent
+        if not (ex > 0 and ey > 0 and ez > 0):
             raise FormatError(
                 f'node "{node.id}" has bbox_extent {node.bbox_extent}; every component must be > 0',
                 f"nodes[{i}].bbox_extent",
             )
+    nodes = graph.nodes
     seen: set[tuple[str, str, str]] = set()
     for j, rel in enumerate(graph.relations):
-        path = f"relations[{j}]"
-        for field_name, endpoint in (("head", rel.head_id), ("tail", rel.tail_id)):
-            if endpoint not in graph:
-                raise FormatError(
-                    f'relation ({rel.name}, {rel.head_id}, {rel.tail_id}) references unknown id "{endpoint}"',
-                    f"{path}.{field_name}",
-                )
+        head, tail = nodes.get(rel.head_id), nodes.get(rel.tail_id)
+        if head is None or tail is None:
+            field_name, endpoint = ("head", rel.head_id) if head is None else ("tail", rel.tail_id)
+            raise FormatError(
+                f'relation ({rel.name}, {rel.head_id}, {rel.tail_id}) references unknown id "{endpoint}"',
+                f"relations[{j}].{field_name}",
+            )
         if rel.head_id == rel.tail_id:
-            raise FormatError(f'relation "{rel.name}" must connect two distinct nodes', path)
-        if rel.triple in seen:
-            raise FormatError(f"duplicate relation triple {rel.triple}", path)
-        seen.add(rel.triple)
-        if rel.kind is RelationKind.ACTIVITY and not graph.node(rel.head_id).is_human:
+            raise FormatError(f'relation "{rel.name}" must connect two distinct nodes', f"relations[{j}]")
+        triple = rel.triple
+        if triple in seen:
+            raise FormatError(f"duplicate relation triple {triple}", f"relations[{j}]")
+        seen.add(triple)
+        if rel.kind is RelationKind.ACTIVITY and not head.is_human:
             raise FormatError(
                 f'activity relation "{rel.name}" originates at "{rel.head_id}" '
-                f'(tag "{graph.node(rel.head_id).tag}"), not at a human node',
-                f"{path}.head",
+                f'(tag "{head.tag}"), not at a human node',
+                f"relations[{j}].head",
             )
 
 

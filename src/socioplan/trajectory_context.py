@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .scene_graph import SceneGraph, Vec3, box_corners, gap_distances
+from .scene_graph import SceneGraph, Vec3, box_corners, float_tuple, gap_distances
 
 DEFAULT_QUERY_RADIUS_M = 2.0
 # Relevance is sampled at waypoints only; trajectories are densified to this
@@ -27,7 +27,7 @@ class Trajectory:
     waypoints: tuple[Vec3, ...]
 
     def __post_init__(self) -> None:
-        waypoints = tuple(tuple(float(c) for c in p) for p in self.waypoints)
+        waypoints = tuple(float_tuple(p, "a Trajectory waypoint") for p in self.waypoints)
         if not waypoints:
             raise ValueError("a trajectory needs at least one waypoint")
         if any(len(p) != 3 for p in waypoints):

@@ -336,14 +336,29 @@ class TestFootprintArguments:
         "make, message",
         [
             (lambda: RectFootprint((1, 0), (0, 1)), "footprint min corner must not exceed max corner"),
+            (lambda: RectFootprint((0, 1), (1, 0)), "footprint min corner must not exceed max corner"),
             (lambda: OrientedRectFootprint((0, 0), (0, 0), 1.0, 1.0), "axis must be a non-zero vector"),
             (lambda: OrientedRectFootprint((0, 0), (1, 0), 1.0, -0.5), "half sizes must be >= 0"),
         ],
-        ids=["rect_corners_swapped", "oriented_zero_axis", "oriented_negative_half_size"],
+        ids=[
+            "rect_corners_swapped", "rect_corners_swapped_in_y", "oriented_zero_axis", "oriented_negative_half_size",
+        ],
     )
     def test_invalid_footprint_rejected(self, make, message):
         with pytest.raises(ValueError) as info:
             make()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "corners, message",
+        [
+            (("00", (1, 2)), "RectFootprint.min_xy must be an iterable of numbers, not the str '00'"),
+            (((0, 0), "12"), "RectFootprint.max_xy must be an iterable of numbers, not the str '12'"),
+        ],
+    )
+    def test_a_bare_str_is_not_split_into_characters(self, corners, message):
+        with pytest.raises(TypeError) as info:
+            RectFootprint(*corners)
         assert str(info.value) == message
 
 

@@ -94,6 +94,13 @@ class TestInsertHuman:
             insert_human(small_scene, spec)
         assert str(info.value) == line
 
+    @pytest.mark.parametrize("field_name, value", [("bbox_center", "123"), ("bbox_extent", "111")])
+    def test_a_bare_str_is_not_split_into_characters(self, field_name, value):
+        fields = {"id": "h", "bbox_center": (1, 2, 3), "bbox_extent": (1, 1, 1), field_name: value}
+        with pytest.raises(TypeError) as info:
+            HumanSpec(**fields)
+        assert str(info.value) == f"HumanSpec.{field_name} must be an iterable of numbers, not the str {value!r}"
+
     def test_the_human_node_is_the_spec_node(self, small_scene):
         spec = make_seated_human_spec()
         assert insert_human(small_scene, spec).node(spec.id) == spec.node

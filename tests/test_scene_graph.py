@@ -153,10 +153,12 @@ class TestValidateScene:
         [
             ((1.0, 0.0, 1.0), "nodes[0].bbox_extent",
              'node "box" has bbox_extent (1.0, 0.0, 1.0); every component must be > 0'),
+            ((1.0, 1.0, -0.5), "nodes[0].bbox_extent",
+             'node "box" has bbox_extent (1.0, 1.0, -0.5); every component must be > 0'),
             ((math.nan, 1.0, 1.0), "nodes[0].bbox_extent[0]", "number must be finite"),
             ((1.0, math.nan, 1.0), "nodes[0].bbox_extent[1]", "number must be finite"),
         ],
-        ids=["zero", "nan-x", "nan-y"],
+        ids=["zero", "negative-z", "nan-x", "nan-y"],
     )
     def test_non_positive_extent(self, extent, path, reason):
         node = ObjectNode("box", "box", (0, 0, 0), extent)  # built in code, not read from a file
@@ -390,6 +392,21 @@ class TestSceneGraphType:
         doc["relations"][0]["kind"] = "nearby"
         with pytest.raises(FormatError, match=r"^relations\[0\]\.kind: unknown kind"):
             load_scene(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"bbox_center": "123"}, "ObjectNode.bbox_center must be an iterable of numbers, not the str '123'"),
+            ({"bbox_extent": "111"}, "ObjectNode.bbox_extent must be an iterable of numbers, not the str '111'"),
+            ({"affordances": "sit"}, "ObjectNode.affordances must be an iterable of labels, not the str 'sit'"),
+            ({"attributes": "soft"}, "ObjectNode.attributes must be an iterable of labels, not the str 'soft'"),
+        ],
+    )
+    def test_a_bare_str_is_not_split_into_characters(self, change, message):
+        fields = {"id": "a", "tag": "chair", "bbox_center": (1, 2, 3), "bbox_extent": (1, 1, 1), **change}
+        with pytest.raises(TypeError) as info:
+            ObjectNode(**fields)
+        assert str(info.value) == message
 
     def test_unknown_node_lookup(self, small_scene):
         with pytest.raises(ValueError, match="ghost"):

@@ -31,6 +31,12 @@ class TestTrajectory:
             Trajectory(((0, 0),))
         assert str(info.value) == "waypoints must be 3-vectors"
 
+    @pytest.mark.parametrize("waypoints", [((0, 0, 0), "123"), "123"])
+    def test_a_bare_str_is_not_split_into_characters(self, waypoints):
+        with pytest.raises(TypeError) as info:
+            Trajectory(waypoints)
+        assert str(info.value).startswith("a Trajectory waypoint must be an iterable of numbers, not the str")
+
     def test_resample_spacing_bound(self):
         trajectory = Trajectory(((0, 0, 0), (1.0, 0, 0)))
         dense = resample(trajectory, 0.25)

@@ -15,12 +15,13 @@ import heapq
 import importlib.util
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from socioplan import PlanRequest, cost_assessment, load_scenario, plan, scene_graph
+from socioplan import ObjectNode, PlanRequest, Relation, cost_assessment, load_scenario, plan, scene_graph
 from socioplan.cost_assessment import entries_from_dict
 from socioplan.cost_field import field_spec_from_assessment, rasterize
 from socioplan.jsonio import canonical_json
@@ -124,3 +125,21 @@ def test_open_hall_search_work_is_pinned(tmp_path):
         pushes.append(push.call_count)
     assert pops == [199, 17_309, 28_309]
     assert pushes == [988, 18_602, 29_358]
+
+
+def test_cluttered_house_scene_reads_are_pinned(tmp_path, monkeypatch):
+    """Records one cluttered_house op builds: the plan step's scene read (with
+    the inserted human) and the render step's report read each build every node
+    and relation once, so a third read or a per-call rebuild shows here before
+    it shows in a timing. ``__init__`` is each record's one constructor path."""
+    scenario_path = workloads.materialize("cluttered_house", 1, REPO_DIR, tmp_path)
+    built = Counter()
+    for cls in (ObjectNode, Relation):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built[type(self).__name__] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    scene = ops.run_op(scenario_path).run_report.scene
+    assert built == {"ObjectNode": 2 * len(scene.nodes), "Relation": 2 * len(scene.relations)}
+    assert built == {"ObjectNode": 628, "Relation": 588}
