@@ -370,8 +370,6 @@ def rasterize(
         margin = contribution.clearance + resolution
         i0, i1 = xs.searchsorted(x0 - margin), xs.searchsorted(x1 + margin, "right")
         j0, j1 = ys.searchsorted(y0 - margin), ys.searchsorted(y1 + margin, "right")
-        if i0 >= i1 or j0 >= j1:
-            continue
         points = np.empty((j1 - j0, i1 - i0, 2))
         points[..., 0] = xs[i0:i1]
         points[..., 1] = ys[j0:j1, None]

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable
 
 from .scene_graph import (
     HUMAN_TAG, ObjectNode, Relation, RelationKind, SceneGraph, Vec3, float_tuple, validate_scene
@@ -49,17 +50,23 @@ class HumanSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "bbox_center", float_tuple(self.bbox_center, "HumanSpec.bbox_center"))
         object.__setattr__(self, "bbox_extent", float_tuple(self.bbox_extent, "HumanSpec.bbox_extent"))
-        object.__setattr__(
-            self, "spatial_relations", tuple((v, t) for v, t in self.spatial_relations)
-        )
-        object.__setattr__(
-            self, "activity_relations", tuple((v, t) for v, t in self.activity_relations)
-        )
+        for name in ("spatial_relations", "activity_relations"):
+            object.__setattr__(self, name, _relation_pairs(getattr(self, name), f"HumanSpec.{name}"))
 
     @property
     def node(self) -> ObjectNode:
         """The human's ``ObjectNode``, tagged ``HUMAN_TAG``."""
         return ObjectNode(self.id, HUMAN_TAG, self.bbox_center, self.bbox_extent)
+
+
+def _relation_pairs(pairs: Iterable[tuple[str, str]], field: str) -> tuple[tuple[str, str], ...]:
+    """``tuple((v, t) for v, t in pairs)``; TypeError naming ``field`` for a
+    bare ``str``, whole or as an entry, which would otherwise unpack by character."""
+    entries = (pairs,) if isinstance(pairs, str) else tuple(pairs)
+    for entry in entries:
+        if isinstance(entry, str):
+            raise TypeError(f"{field} must hold (verb, target) pairs, not the str {entry!r}")
+    return tuple((v, t) for v, t in entries)
 
 
 def insert_human(graph: SceneGraph, spec: HumanSpec) -> SceneGraph:

@@ -20,7 +20,7 @@ from .cost_field import (
     rasterize,
 )
 from .human_augmentation import Condition, derive_condition_variant
-from .scene_graph import SceneGraph, Vec3
+from .scene_graph import SceneGraph, Vec3, float_tuple
 from .trajectory_context import Trajectory, induce_partial_graph, relevant_objects
 
 SQRT2 = math.sqrt(2.0)
@@ -44,8 +44,8 @@ class PlanRequest:
     costmap: Costmap
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "start", tuple(float(c) for c in self.start))
-        object.__setattr__(self, "goal", tuple(float(c) for c in self.goal))
+        object.__setattr__(self, "start", float_tuple(self.start, "PlanRequest.start"))
+        object.__setattr__(self, "goal", float_tuple(self.goal, "PlanRequest.goal"))
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,12 @@ def path_cost(path: "Path | Sequence[tuple[int, int]]", costmap: Costmap) -> flo
 def path_from_cells(cells: tuple[tuple[int, int], ...], costmap: Costmap) -> Path:
     """The path through ``cells`` on ``costmap``.
 
-    A step weighs its length (meters) x the mean of its two endpoint cell
-    costs. ``total_cost`` and ``length_m`` add the steps up from the first,
-    one float at a time, so they do not depend on how a Python version's
-    ``sum`` rounds. Raises PlanningError at the first cell off the map, else
-    at the first pair of cells that do not touch.
+    A step weighs ``half x (cost_a + cost_b)`` with ``half = length / 2``,
+    the length in meters, as in ``plan``. ``total_cost`` and ``length_m``
+    add the steps up from the first, one float at a time, so they do not
+    depend on how a Python version's ``sum`` rounds. Raises PlanningError at
+    the first cell off the map, else at the first pair of cells that do not
+    touch.
     """
     for cell in cells:  # on Python ints: an index of any size is refused, not overflowed
         ix, iy = cell
@@ -84,7 +85,7 @@ def path_from_cells(cells: tuple[tuple[int, int], ...], costmap: Costmap) -> Pat
         raise PlanningError(f"cells {cells[apart[0]]} and {cells[apart[0] + 1]} are not 8-adjacent")
     lengths = costmap.resolution * np.where(gap.all(axis=1), SQRT2, 1.0)
     values = costmap.cells[index[:, 1], index[:, 0]]
-    weights = lengths * ((values[:-1] + values[1:]) / 2.0)
+    weights = (lengths / 2.0) * (values[:-1] + values[1:])
     total_cost = length_m = 0.0
     for weight, length in zip(weights.tolist(), lengths.tolist()):
         total_cost += weight
@@ -97,27 +98,23 @@ def plan(request: PlanRequest) -> Path:
     """Minimum-total-cost 8-connected path from start to goal; the costmap
     alone fixes its cells.
 
-    A step between neighbours u and v weighs ``w(u, v) = length x (cost[u] +
-    cost[v]) / 2``. ``path_from_cells`` computes it as ``length x (fl(cost[u]
-    + cost[v]) / 2)``, the search and the walk-back below as ``half x
-    (cost[u] + cost[v])`` with ``half = length / 2`` taken once per step
-    direction. Halving a normal float is exact, and ``half`` is normal since
-    ``Costmap`` holds ``resolution`` at or above ``2**-511``; so both forms
-    round the same real number, ``length x fl(cost[u] + cost[v]) / 2``, and
-    the search, the walk-back and ``path_from_cells`` compute the same float
-    weight. Let ``d`` be the least float fixed point of ``d[v] = min_u
-    fl(d[u] + w(u, v))`` with ``d[start] = 0``: the values textbook Dijkstra
-    computes. Rounding is monotone and every weight is positive, so ``d``
-    lies at or below every float route sum. The path is read off ``d``
-    backwards. From the goal, each step goes to the *tied predecessor* of the
-    current cell v, a neighbour u with ``d[u] < d[v] == fl(d[u] + w(u, v))``,
-    that has the least ``(d[u] + e(u), e(u), index)``: ``e(u)`` is u's
-    Euclidean distance to the goal in meters and the index orders cells by
-    ``(iy, ix)``. Each step lowers ``d``, so the walk ends at the start, and
-    ``total_cost``, summed from the start along the cells, is ``d[goal]``:
-    the float optimum. Only a step whose weight vanishes beside the total
-    (about 2**53 times smaller) can leave a cell with no tied predecessor;
-    PlanningError then.
+    A step between neighbours u and v weighs ``w(u, v) = half x (cost[u] +
+    cost[v])`` with ``half = length / 2``, in the search, the walk-back and
+    ``path_from_cells`` alike. That is length times mean cost: halving a
+    normal float is exact, and ``half`` is normal since ``Costmap`` holds
+    ``resolution`` at or above ``2**-511``. Let ``d`` be the least float
+    fixed point of ``d[v] = min_u fl(d[u] + w(u, v))`` with ``d[start] =
+    0``: the values textbook Dijkstra computes. Rounding is monotone and
+    every weight is positive, so ``d`` lies at or below every float route
+    sum. The path is read off ``d`` backwards. From the goal, each step goes
+    to the *tied predecessor* of the current cell v, a neighbour u with
+    ``d[u] < d[v] == fl(d[u] + w(u, v))``, that has the least ``(d[u] +
+    e(u), e(u), index)``: ``e(u)`` is u's Euclidean distance to the goal in
+    meters and the index orders cells by ``(iy, ix)``. Each step lowers
+    ``d``, so the walk ends at the start, and ``total_cost``, summed from the
+    start along the cells, is ``d[goal]``: the float optimum. Only a step
+    whose weight vanishes beside the total (about 2**53 times smaller) can
+    leave a cell with no tied predecessor; PlanningError then.
 
     ``d`` comes from A* with reopening. Heap entries are ``(f, index, g)``
     with ``f = g + H``; an entry whose g exceeds its cell's is stale; a cell
@@ -181,9 +178,6 @@ def plan(request: PlanRequest) -> Path:
         goal = costmap.cell_at(request.goal)
     except ValueError as exc:
         raise PlanningError(str(exc)) from exc
-
-    if start == goal:
-        return path_from_cells((start,), costmap)
 
     resolution = costmap.resolution
     stride = costmap.width + 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
+from xml.etree import ElementTree
 
 import pytest
 
@@ -20,6 +22,7 @@ from socioplan.planner import iterate_plan
 from socioplan.scenario_runner import build_assessor, load_base_scene, load_scenario, run_scenario
 
 from conftest import DATA_DIR
+from test_workloads import PINNED
 
 SCENARIO = str(DATA_DIR / "bedroom_scenario.json")
 SCENE = str(DATA_DIR / "bedroom_scene.json")
@@ -166,6 +169,13 @@ class TestWaypointsSeedRoundOne:
         assert capsys.readouterr().err == ""
 
 
+_PLAN_SUMMARY = (
+    "no_human: total cost 5.041, length 3.346 m, rounds 1, min dist to human 1.200 m\n"
+    "human_no_relations: total cost 6.900, length 4.038 m, rounds 1, min dist to human 1.200 m\n"
+    "human_with_relations: total cost 4.240, length 3.346 m, rounds 1, min dist to human 1.200 m\n"
+)
+
+
 class TestPlanCommand:
     def test_rules_run_needs_no_fixture_file(self, tmp_path, capsys):
         _write_inputs(tmp_path, _fixture_file_missing)
@@ -184,9 +194,7 @@ class TestPlanCommand:
 
     def test_text_summary(self, capsys):
         assert main(["plan", SCENARIO]) == 0
-        out = capsys.readouterr().out
-        for condition in ("no_human", "human_no_relations", "human_with_relations"):
-            assert condition in out
+        assert capsys.readouterr().out == _PLAN_SUMMARY
 
     def test_report_written(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -194,6 +202,7 @@ class TestPlanCommand:
         payload = json.loads(out_path.read_text())
         assert payload["scenario"] == "bedroom"
         assert len(payload["conditions"]) == 3
+        assert capsys.readouterr().out == f"{_PLAN_SUMMARY}report written to {out_path}\n"
 
     def test_json_format_prints_the_report_also_with_out(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -256,9 +265,17 @@ class TestRenderCommand:
         assert main(["plan", SCENARIO, "-o", str(report_path)]) == 0
         capsys.readouterr()
         assert main(["render", str(report_path), "-o", str(svg_path)]) == 0
+        assert capsys.readouterr().out == f"svg written to {svg_path}\n"
         svg = svg_path.read_text()
         assert svg.count("<polyline") == 3
         assert "Human w/ relations" in svg
+
+    def test_strict_render_of_the_shipped_report_is_the_pinned_svg(self, tmp_path, capsys):
+        svg_path = tmp_path / "r.svg"
+        assert main(["--strict", "render", str(DATA_DIR / "bedroom_report.json"), "-o", str(svg_path)]) == 0
+        assert capsys.readouterr().err == ""
+        ElementTree.parse(svg_path)
+        assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == PINNED["bedroom", 1][1]
 
     def test_missing_report(self, capsys):
         assert main(["render", "missing.json", "-o", "/tmp/x.svg"]) == 1

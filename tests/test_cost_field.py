@@ -440,6 +440,12 @@ class TestRasterizeAgainstFullGrid:
                  Contribution(RectFootprint((-51.0, -50.0), (-50.0, -49.0)), 9.0, 0.0)], [],
                 id="rects-far-outside",
             ),
+            pytest.param(  # windows empty on one axis only
+                [Contribution(RectFootprint((-41.0, 1.0), (-40.0, 2.0)), 5.0, 0.5)], [], id="rect-off-in-x",
+            ),
+            pytest.param(
+                [Contribution(RectFootprint((1.0, 40.0), (2.0, 41.0)), 5.0, 0.5)], [], id="rect-off-in-y",
+            ),
             pytest.param(
                 [], [_corridor((3.9, 2.9), 0.6, 1.2, 0.3), _corridor((0.1, 1.5), 2.0, 0.8, 0.2, 2.0, 0.0)],
                 id="corridors-cut-by-edge",

@@ -101,6 +101,21 @@ class TestInsertHuman:
             HumanSpec(**fields)
         assert str(info.value) == f"HumanSpec.{field_name} must be an iterable of numbers, not the str {value!r}"
 
+    @pytest.mark.parametrize("field_name", ["spatial_relations", "activity_relations"])
+    @pytest.mark.parametrize(
+        "pairs, entry",
+        [(("on", "tv"), "on"), (("sitting on", "bed"), "sitting on"), ("on", "on")],
+        ids=["two-letter-verb", "long-verb", "bare-str"],
+    )
+    def test_a_bare_str_relation_is_not_unpacked_by_character(self, field_name, pairs, entry):
+        with pytest.raises(TypeError) as info:
+            HumanSpec("h", (1, 2, 3), (1, 1, 1), **{field_name: pairs})
+        assert str(info.value) == f"HumanSpec.{field_name} must hold (verb, target) pairs, not the str {entry!r}"
+
+    def test_relation_pairs_may_be_lists(self):
+        spec = HumanSpec("h", (1, 2, 3), (1, 1, 1), activity_relations=[["watching", "tv"]])
+        assert spec.activity_relations == (("watching", "tv"),)
+
     def test_the_human_node_is_the_spec_node(self, small_scene):
         spec = make_seated_human_spec()
         assert insert_human(small_scene, spec).node(spec.id) == spec.node

@@ -48,12 +48,29 @@ class TestPlan:
         assert result.total_cost == dijkstra_optimum(costmap, (0, 0), (4, 4))
         assert result.cells[0] == (0, 0) and result.cells[-1] == (4, 4)
 
-    def test_start_equals_goal(self):
-        costmap = uniform_costmap(5, 5)
-        result = plan(PlanRequest(start=(2.5, 2.5), goal=(2.5, 2.5), costmap=costmap))
-        assert result.cells == ((2, 2),)
+    @pytest.mark.parametrize(
+        "size, start, goal, cell",
+        [
+            (5, (2.5, 2.5), (2.5, 2.5), (2, 2)),
+            (1, (0.5, 0.5), (0.5, 0.5), (0, 0)),
+            (5, (2.1, 2.2), (2.9, 2.6), (2, 2)),
+            (5, (5.0, 5.0), (4.6, 4.9), (4, 4)),
+        ],
+        ids=["same-point", "one-cell-map", "two-points-in-one-cell", "corner-cell"],
+    )
+    def test_start_equals_goal(self, size, start, goal, cell):
+        result = plan(PlanRequest(start=start, goal=goal, costmap=uniform_costmap(size, size, cost=3.0)))
+        assert result.cells == (cell,)
         assert result.total_cost == 0.0
         assert result.length_m == 0.0
+
+    @pytest.mark.parametrize("field", ["start", "goal"])
+    def test_a_bare_str_endpoint_is_refused(self, field):
+        """Split by character, '12' would name cell (1, 2) of this map."""
+        endpoints = {"start": (1.5, 2.5), "goal": (4.5, 4.5), field: "12"}
+        with pytest.raises(TypeError) as info:
+            PlanRequest(costmap=uniform_costmap(5, 5), **endpoints)
+        assert str(info.value) == f"PlanRequest.{field} must be an iterable of numbers, not the str '12'"
 
     def test_out_of_bounds_rejected(self):
         costmap = uniform_costmap(5, 5)
