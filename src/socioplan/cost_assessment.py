@@ -375,12 +375,6 @@ NO_IMPACT = CostClearance(1.0, 0.0)
 SITTABLE_TAGS = frozenset({"bed", "armchair", "chair", "sofa"})
 SIT_AFFORDANCE = "sit"
 LARGE_FOOTPRINT_AREA_M2 = 1.5
-SEATED_VERB_FRAGMENT = "sit"
-
-
-def _sittable(graph: SceneGraph, object_id: str) -> bool:
-    node = graph.node(object_id)
-    return SIT_AFFORDANCE in node.affordances or node.tag in SITTABLE_TAGS
 
 
 def rule_based_assess(
@@ -398,33 +392,32 @@ def rule_based_assess(
 
     Rules apply in order, later rules overriding earlier ones:
       1. every object starts at no impact;
-      2. human nodes carry elevated impact;
-      3. if humans are present but carry no relations, they dominate (10, 2)
-         and every sittable object is raised, large-footprint beds less so;
+      2. human nodes carry elevated impact, dominant (10, 2) when no human
+         has a relation;
+      3. if humans are present but carry no relations, every sittable object
+         is raised, large-footprint beds less so;
       4. targets of a human spatial relation get (3, 1.5); targets of a human
-         activity relation get (2, 1);
-      5. while some human is seated, sittable objects unrelated to any human
-         are released back to no impact.
+         activity relation get (2, 1).
+    Once some human has a relation, rule 3 does not fire, so every sittable
+    object that is not a relation target stays at no impact.
     """
     entries = {object_id: NO_IMPACT for object_id in relevant}  # rule 1
 
     humans = set(partial.human_ids())
     human_relations = [r for r in partial.relations if r.head_id in humans]
 
+    human_entry = HUMAN_PRESENT if human_relations else HUMAN_UNEXPLAINED
     for human_id in humans & entries.keys():  # rule 2
-        entries[human_id] = HUMAN_PRESENT
+        entries[human_id] = human_entry
 
     if humans and not human_relations:  # rule 3
-        for human_id in humans & entries.keys():
-            entries[human_id] = HUMAN_UNEXPLAINED
         for object_id in relevant:
             node = partial.node(object_id)
-            if node.is_human or not _sittable(partial, object_id):
+            if node.is_human or not (SIT_AFFORDANCE in node.affordances or node.tag in SITTABLE_TAGS):
                 continue
-            entries[object_id] = SITTABLE_UNEXPLAINED
             footprint_area = node.bbox_extent[0] * node.bbox_extent[1]
-            if node.tag == "bed" and footprint_area >= LARGE_FOOTPRINT_AREA_M2:
-                entries[object_id] = LARGE_BED_UNEXPLAINED
+            large_bed = node.tag == "bed" and footprint_area >= LARGE_FOOTPRINT_AREA_M2
+            entries[object_id] = LARGE_BED_UNEXPLAINED if large_bed else SITTABLE_UNEXPLAINED
 
     for rel in human_relations:  # rule 4
         if rel.tail_id not in entries:
@@ -433,19 +426,6 @@ def rule_based_assess(
             entries[rel.tail_id] = SPATIAL_TARGET
         elif rel.kind is RelationKind.ACTIVITY:
             entries[rel.tail_id] = ACTIVITY_TARGET
-
-    seated = any(
-        r.kind is RelationKind.SPATIAL and SEATED_VERB_FRAGMENT in r.name.lower()
-        for r in human_relations
-    )
-    if seated:  # rule 5
-        related_to_human = {r.tail_id for r in human_relations}
-        for object_id in relevant:
-            node = partial.node(object_id)
-            if node.is_human or object_id in related_to_human:
-                continue
-            if _sittable(partial, object_id):
-                entries[object_id] = NO_IMPACT
 
     return Assessment(entries=entries, provenance=Provenance(assessor="rules"))
 

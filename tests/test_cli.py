@@ -236,6 +236,23 @@ class TestPlanCommand:
             "warning: human: unknown field(s): note",
         ]
 
+    def test_warning_survives_a_callers_ignore_filter(self, tmp_path):
+        def colour(files):
+            files["scenario"]["colour"] = "red"
+
+        _write_inputs(tmp_path, colour)
+        package_parent = str(Path(socioplan.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        scenario = str(tmp_path / _INPUTS["scenario"])
+        run = subprocess.run(
+            [sys.executable, "-W", "ignore", "-m", "socioplan.cli", "plan", scenario],
+            env={**env, "PYTHONPATH": package_parent},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert run.stderr.splitlines() == ["warning: $: unknown field(s): colour"]
+
 
 class TestCompareCommand:
     def test_text_table(self, capsys):

@@ -9,6 +9,9 @@ from socioplan import (
     Assessment,
     Condition,
     CostClearance,
+    ObjectNode,
+    Relation,
+    RelationKind,
     Trajectory,
     derive_condition_variant,
     induce_partial_graph,
@@ -50,6 +53,80 @@ VALID_RESPONSE = json.dumps(
         ]
     }
 )
+
+
+# The rules model's entry table. Each case: scene, relevant ids in the order
+# asked (never sorted, so the dict order is pinned too), and the entries the
+# rules give, in that order. The values are written out, not imported.
+_ARMCHAIR = ObjectNode("armchair", "armchair", (3.0, 1.0, 0.45), (0.8, 0.8, 0.9), affordances={"sit"})
+_LARGE_BED = ObjectNode("bed", "bed", (1.0, 3.8, 0.3), (1.0, 1.5, 0.6))  # 1.5 m2: just large
+_SMALL_BED = ObjectNode("cot", "bed", (4.5, 3.8, 0.3), (1.0, 1.2, 0.5))
+_STOOL = ObjectNode("stool", "stool", (2.0, 2.0, 0.3), (0.4, 0.4, 0.5), affordances={"sit"})
+_SOFA = ObjectNode("sofa", "sofa", (5.0, 1.0, 0.4), (2.0, 0.9, 0.8))
+_TV = ObjectNode("tv", "tv", (3.0, 4.85, 1.2), (1.2, 0.2, 0.7), affordances={"watch"})
+_HUMAN_1 = ObjectNode("human_1", "human", (1.0, 3.5, 0.75), (0.5, 0.5, 0.9))
+_HUMAN_2 = ObjectNode("human_2", "human", (4.0, 1.0, 0.9), (0.5, 0.5, 1.8))
+_SITS_ON_BED = Relation("sitting on", "human_1", "bed", RelationKind.SPATIAL)
+_WATCHES_TV = Relation("watching", "human_1", "tv", RelationKind.ACTIVITY)
+_FREE = CostClearance(1.0, 0.0)
+
+RULES_TABLE = {
+    "no_human": (
+        SceneGraph(
+            nodes=[_LARGE_BED, _TV, _ARMCHAIR],
+            relations=[Relation("next to", "armchair", "bed", RelationKind.SPATIAL)],
+        ),
+        ("tv", "armchair", "bed"),
+        [("tv", _FREE), ("armchair", _FREE), ("bed", _FREE)],
+    ),
+    "human_without_relations": (
+        SceneGraph(nodes=[_HUMAN_1, _ARMCHAIR, _LARGE_BED, _SMALL_BED, _STOOL, _TV], relations=[]),
+        ("cot", "armchair", "human_1", "tv", "bed", "stool"),
+        [
+            ("cot", CostClearance(3.0, 1.0)),
+            ("armchair", CostClearance(3.0, 1.0)),
+            ("human_1", CostClearance(10.0, 2.0)),
+            ("tv", _FREE),
+            ("bed", CostClearance(2.0, 0.5)),
+            ("stool", CostClearance(3.0, 1.0)),
+        ],
+    ),
+    "human_sitting_and_watching": (
+        SceneGraph(
+            nodes=[_HUMAN_1, _LARGE_BED, _TV, _ARMCHAIR, _SOFA],
+            relations=[_SITS_ON_BED, _WATCHES_TV],
+        ),
+        ("sofa", "tv", "human_1", "armchair", "bed"),
+        [
+            ("sofa", _FREE),
+            ("tv", CostClearance(2.0, 1.0)),
+            ("human_1", CostClearance(5.0, 2.0)),
+            ("armchair", _FREE),
+            ("bed", CostClearance(3.0, 1.5)),
+        ],
+    ),
+    "human_only_watching": (
+        SceneGraph(nodes=[_HUMAN_1, _LARGE_BED, _TV, _ARMCHAIR], relations=[_WATCHES_TV]),
+        ("armchair", "human_1", "bed", "tv"),
+        [
+            ("armchair", _FREE),
+            ("human_1", CostClearance(5.0, 2.0)),
+            ("bed", _FREE),
+            ("tv", CostClearance(2.0, 1.0)),
+        ],
+    ),
+    "one_human_seated_one_without_relations": (
+        SceneGraph(nodes=[_HUMAN_1, _HUMAN_2, _LARGE_BED, _ARMCHAIR, _TV], relations=[_SITS_ON_BED]),
+        ("human_2", "armchair", "bed", "human_1", "tv"),
+        [
+            ("human_2", CostClearance(5.0, 2.0)),
+            ("armchair", _FREE),
+            ("bed", CostClearance(3.0, 1.5)),
+            ("human_1", CostClearance(5.0, 2.0)),
+            ("tv", _FREE),
+        ],
+    ),
+}
 
 
 def scripted_transport(replies):
@@ -123,6 +200,22 @@ class TestParseAssessment:
         with pytest.raises(CoverageError) as info:
             parse_assessment(response, ())
         assert info.value.extra == ("lamp",)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (RELEVANT + ("ghost",), "extra ids: ['ghost']"),
+            (("bed", "human", "ghost"), "missing ids: ['armchair']; extra ids: ['ghost']"),
+        ],
+        ids=["extra", "missing_and_extra"],
+    )
+    def test_coverage_error_text(self, ids, message):
+        response = json.dumps(
+            {"assessments": [{"object_id": i, "cost": 2, "clearance": 1} for i in ids]}
+        )
+        with pytest.raises(CoverageError) as info:
+            parse_assessment(response, RELEVANT)
+        assert str(info.value) == message
 
     def test_garbage_is_a_format_error(self):
         with pytest.raises(ResponseFormatError, match="not valid JSON"):
@@ -345,6 +438,16 @@ class TestLlmAssess:
         with pytest.raises(RetriesExhaustedError):
             llm_assess(transport, partial, trajectory, RELEVANT, [])
 
+    def test_exhausted_retries_name_the_last_error(self, partial_and_trajectory):
+        partial, trajectory = partial_and_trajectory
+        low = json.dumps({"assessments": [{"object_id": "bed", "cost": 0.5, "clearance": 0}]})
+        transport = scripted_transport([low, low])
+        with pytest.raises(RetriesExhaustedError) as info:
+            llm_assess(transport, partial, trajectory, ("bed",), [], RetryPolicy(max_attempts=2))
+        assert str(info.value) == (
+            'no valid assessment after 2 attempt(s): cost for "bed" is 0.5, must be >= 1'
+        )
+
 
 class TestRuleBasedAssess:
     def run_condition(self, condition):
@@ -389,6 +492,12 @@ class TestRuleBasedAssess:
             partial, trajectory, ids, ["Don't disturb anyone watching a football match"]
         )
         assert preferred.entries["human_1"].cost >= plain.entries["human_1"].cost
+
+    @pytest.mark.parametrize("scene, relevant, expected", RULES_TABLE.values(), ids=RULES_TABLE.keys())
+    def test_entry_table(self, scene, relevant, expected):
+        assessment = rule_based_assess(scene, Trajectory(((0.0, 0.0, 0.0),)), relevant, [])
+        assert list(assessment.entries.items()) == expected
+        assert assessment.provenance == Provenance(assessor="rules")
 
     @given(
         seed_ids=st.sets(st.sampled_from(["bed", "tv", "armchair"]), min_size=1),
@@ -530,8 +639,9 @@ class TestAssessPort:
 
     def test_relevant_must_be_subset_of_partial(self, partial_and_trajectory):
         partial, trajectory = partial_and_trajectory
-        with pytest.raises(ValueError, match="ghost"):
+        with pytest.raises(ValueError) as info:
             assess(rule_based_assess, partial, trajectory, ("ghost",), [])
+        assert str(info.value) == "relevant ids not in the partial graph: ['ghost']"
 
 
 class _Reply:

@@ -3,6 +3,9 @@ place of the one ``@dataclass(frozen=True)`` generates. Each must still behave
 as the generated constructor and its ``__post_init__`` made it: the same
 normalised fields, ``__eq__``, ``__hash__`` and ``repr``, keywords and
 defaults, frozen fields, and ``dataclasses.replace`` and pickle round trips.
+
+The other records that normalise their inputs in ``__post_init__`` are pinned
+at the end: each stores the normalised form, not the argument it was given.
 """
 
 from __future__ import annotations
@@ -10,9 +13,23 @@ from __future__ import annotations
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 
-from socioplan import CostClearance, ObjectNode, RectFootprint, Relation, RelationKind
+from socioplan import (
+    CostClearance,
+    Costmap,
+    ObjectNode,
+    RectFootprint,
+    Relation,
+    RelationKind,
+    Trajectory,
+    load_scenario,
+)
+from socioplan.cost_field import OrientedRectFootprint
+from socioplan.planner import path_from_cells
+
+from conftest import DATA_DIR
 
 # Record type, raw arguments (built afresh on each call, since some are
 # one-shot iterators), the repr of the record they make (ints become floats,
@@ -120,3 +137,24 @@ def test_replace_and_pickle_round_trips(cls, arguments, expected_repr, change):
         assert type(copy) is cls and repr(copy) == expected_repr and copy == record
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(copy, names[0], getattr(copy, names[0]))
+
+
+def test_costmap_stores_float_origin_and_cell_array():
+    costmap = Costmap(origin=[0, 0], resolution=1.0, width=2, height=1, cells=[[1, 2]])
+    floats = np.array([[1.0, 2.0]])
+    assert costmap == Costmap(origin=(0.0, 0.0), resolution=1.0, width=2, height=1, cells=floats)
+    assert path_from_cells(((0, 0), (1, 0)), costmap).total_cost == 1.5
+
+
+def test_trajectory_stores_float_tuples():
+    assert Trajectory([[0, 0, 0]]) == Trajectory(((0.0, 0.0, 0.0),))
+
+
+def test_oriented_rect_stores_float_tuples():
+    rect = OrientedRectFootprint([0, 0], (1, 0), 1, 1)
+    assert rect == OrientedRectFootprint((0.0, 0.0), (1.0, 0.0), 1.0, 1.0)
+
+
+def test_load_scenario_takes_a_str_path():
+    path = DATA_DIR / "bedroom_scenario.json"
+    assert load_scenario(str(path)) == load_scenario(path)

@@ -98,13 +98,15 @@ class TestLoadScenario:
         with pytest.raises(FormatError, match="non-empty"):
             load_scenario(path)
 
-    def test_start_outside_bounds_rejected(self, tmp_path):
+    @pytest.mark.parametrize("field", ["start", "goal"])
+    def test_start_outside_bounds_rejected(self, tmp_path, field):
         document = json.loads((DATA_DIR / "bedroom_scenario.json").read_text())
-        document["start"] = [-5.0, 0.0]
+        document[field] = [-5.0, 0.0]
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(document))
-        with pytest.raises(FormatError, match="outside map.bounds"):
+        with pytest.raises(FormatError) as info:
             load_scenario(path)
+        assert str(info.value) == f"{field}: {field} [-5.0, 0.0] lies outside map.bounds"
 
     def _load_edited(self, tmp_path, **changes):
         document = json.loads((DATA_DIR / "bedroom_scenario.json").read_text())
