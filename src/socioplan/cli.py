@@ -23,7 +23,6 @@ from .scenario_runner import (
     load_base_scene,
     load_report,
     load_scenario,
-    min_distance_to_human,
     read_condition,
     report_to_json,
     run_scenario,
@@ -166,8 +165,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(text, end="")
     else:
-        for result in report.conditions:
-            distance = min_distance_to_human(report.scene, result.path.polyline)
+        for result, distance in zip(report.conditions, report.human_distances()):
             human = f", min dist to human {distance:.3f} m" if distance is not None else ""
             print(
                 f"{result.condition.value}: total cost {result.path.total_cost:.3f}, "

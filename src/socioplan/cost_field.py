@@ -37,8 +37,10 @@ _EDGE_SLACK = 1e-9  # cells of a side that grid_shape rounds away and cell_at st
 
 @dataclass(frozen=True, init=False)
 class RectFootprint:
-    """Axis-aligned ground-plane rectangle. Render builds one per scene node,
-    so it stores its fields as ``scene_graph.ObjectNode`` does."""
+    """Axis-aligned ground-plane rectangle. ``field_spec_from_assessment``
+    builds one per assessed object above cost 1, for every condition of a
+    plan and of a report read, so it stores its fields as
+    ``scene_graph.ObjectNode`` does."""
 
     min_xy: Vec2
     max_xy: Vec2

@@ -329,6 +329,12 @@ class RunReport:
     bounds: tuple[Vec2, Vec2]
     resolution: float
 
+    def human_distances(self) -> tuple[float | None, ...]:
+        """``min_distance_to_human`` of each condition's path, with the
+        scene's human footprints collected once."""
+        humans = _human_footprints(self.scene)
+        return tuple(_nearest_human(humans, r.path.polyline) for r in self.conditions)
+
 
 def min_distance_to_footprint(polyline: Sequence[Vec2], footprint: RectFootprint) -> float:
     """Smallest planar distance from any polyline vertex to the footprint."""
@@ -336,13 +342,18 @@ def min_distance_to_footprint(polyline: Sequence[Vec2], footprint: RectFootprint
     return float(footprint.distance(points).min())
 
 
+def _human_footprints(scene: SceneGraph) -> tuple[RectFootprint, ...]:
+    return tuple(footprint_of(n) for n in scene if n.is_human)
+
+
+def _nearest_human(humans: Sequence[RectFootprint], polyline: Sequence[Vec2]) -> float | None:
+    return min((min_distance_to_footprint(polyline, f) for f in humans), default=None)
+
+
 def min_distance_to_human(scene: SceneGraph, polyline: Sequence[Vec2]) -> float | None:
     """Smallest planar distance from any polyline vertex to the footprint of
     any human of ``scene``; None when the scene has no human."""
-    return min(
-        (min_distance_to_footprint(polyline, footprint_of(n)) for n in scene if n.is_human),
-        default=None,
-    )
+    return _nearest_human(_human_footprints(scene), polyline)
 
 
 def human_footprint(scenario: Scenario) -> RectFootprint | None:
@@ -404,7 +415,7 @@ def run_scenario(scenario: Scenario, *, assessor_kind: str | None = None) -> Run
 def report_to_json(report: RunReport) -> str:
     """The report in the compact layout: sorted keys, no whitespace, one final newline."""
     conditions = []
-    for result in report.conditions:
+    for result, distance in zip(report.conditions, report.human_distances()):
         conditions.append(
             {
                 "condition": result.condition.value,
@@ -430,11 +441,7 @@ def report_to_json(report: RunReport) -> str:
                     "total_cost": result.path.total_cost,
                     "length_m": result.path.length_m,
                 },
-                "stats": {
-                    "min_distance_to_human_m": min_distance_to_human(
-                        report.scene, result.path.polyline
-                    )
-                },
+                "stats": {"min_distance_to_human_m": distance},
             }
         )
     document = {
@@ -481,12 +488,13 @@ def _zone_from_dict(raw: object, path: str, scene: SceneGraph, strict: bool) -> 
 
 def _condition_from_dict(
     raw: object, path: str, scene: SceneGraph, grid: tuple[tuple[Vec2, Vec2], float], strict: bool,
-    earlier: Sequence[PlanIteration],
+    earlier: Sequence[PlanIteration], humans: Sequence[RectFootprint],
 ) -> PlanIteration:
     """One entry of a report's ``conditions``, with a condition none of ``earlier`` has. Its
     costmap is rebuilt from the scene, its entries and zones on the report's map; its path's
     stored ``total_cost`` and ``length_m`` must equal those of its cells on it, and
-    ``stats.min_distance_to_human_m`` that of its polyline in the scene."""
+    ``stats.min_distance_to_human_m`` that of its polyline to ``humans``, the scene's human
+    footprints."""
 
     def fields(value: object, where: str, *required: str) -> dict:
         check_keys(value, required=required, optional=(), path=where, strict=strict)
@@ -554,7 +562,7 @@ def _condition_from_dict(
 
     raw_stats = fields(raw["stats"], f"{path}.stats", "min_distance_to_human_m")
     stored, where = raw_stats["min_distance_to_human_m"], f"{path}.stats.min_distance_to_human_m"
-    distance = min_distance_to_human(scene, plan_path.polyline)
+    distance = _nearest_human(humans, plan_path.polyline)
     if (None if stored is None else finite_number(stored, where)) != distance:
         raise FormatError(f"differs from its path's distance to a human, {distance!r}", where)
     return PlanIteration(
@@ -589,9 +597,10 @@ def load_report(document: bytes | str, *, strict: bool = False) -> RunReport:
     what = "a non-empty list of condition objects"
     raw_conditions = items(data["conditions"], "conditions", what, nonempty=True)
     name = string(data["scenario"], "scenario")
+    humans = _human_footprints(scene)
     conditions: list[PlanIteration] = []
     for raw, where in raw_conditions:
-        conditions.append(_condition_from_dict(raw, where, scene, grid, strict, conditions))
+        conditions.append(_condition_from_dict(raw, where, scene, grid, strict, conditions, humans))
     return RunReport(name, scene, tuple(conditions), *grid)
 
 

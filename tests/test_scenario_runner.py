@@ -6,6 +6,7 @@ import functools
 import hashlib
 import json
 import shutil
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from unittest import mock
@@ -330,6 +331,18 @@ class TestRunScenario:
         without = derive_condition_variant(scene, Condition.NO_HUMAN)
         assert min_distance_to_human(without, polyline) is None
 
+    def test_human_distances_are_each_paths_min_distance_to_human(self, replay_report):
+        scene = replay_report.scene
+        two_humans = dataclasses.replace(
+            scene, nodes={i: dataclasses.replace(n, tag="human") if i == "bed" else n for i, n in scene.nodes.items()}
+        )
+        without = derive_condition_variant(scene, Condition.NO_HUMAN)
+        for scene in (scene, two_humans, without):
+            report = dataclasses.replace(replay_report, scene=scene)
+            expected = tuple(min_distance_to_human(scene, r.path.polyline) for r in report.conditions)
+            assert report.human_distances() == expected
+        assert expected == (None, None, None)
+
     def test_replay_with_missing_row_is_annotated(self, tmp_path):
         for name in ("bedroom_scene.json", "bedroom_scenario.json"):
             shutil.copy(DATA_DIR / name, tmp_path)
@@ -516,6 +529,54 @@ def _heat_block_by_cell(costmap):
     return block
 
 
+def _heat_group(svg):
+    """The whole heat ``<g>`` element of ``svg``, open and close tags included."""
+    start = svg.index('<g shape-rendering="crispEdges">')
+    return svg[start : svg.index("</g>", start) + len("</g>")]
+
+
+def _footprint_block(svg):
+    """The footprint lines of an SVG rendered with no path: after the heat group, before ``</svg>``."""
+    lines = svg.splitlines()
+    return lines[lines.index("</g>") + 1 : lines.index("</svg>")]
+
+
+def _footprint_block_by_node(costmap, scene):
+    """The footprint lines `render_svg` draws, from `footprint_of` per node."""
+    (xmin, _), (_, ymax) = costmap.origin, costmap.max_xy
+
+    def sx(x):
+        return (x - xmin) * PX_PER_M
+
+    def sy(y):
+        return (ymax - y) * PX_PER_M
+
+    block = []
+    for node in scene:
+        rect = footprint_of(node)
+        x, y = sx(rect.min_xy[0]), sy(rect.max_xy[1])
+        w = (rect.max_xy[0] - rect.min_xy[0]) * PX_PER_M
+        h = (rect.max_xy[1] - rect.min_xy[1]) * PX_PER_M
+        cx, cy = sx(rect.center[0]), sy(rect.center[1])
+        if node.is_human:
+            r = max(rect.sides) / 2.0 * PX_PER_M
+            block.append(
+                f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r:.2f}" fill="none" '
+                f'stroke="#111111" stroke-width="2"/>'
+            )
+        else:
+            block.append(
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
+                f'fill="none" stroke="#333333" stroke-width="1.5"/>'
+            )
+        tag = node.tag.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        block.append(
+            f'<text x="{cx:.2f}" y="{cy:.2f}" font-size="11" font-family="sans-serif" '
+            f'text-anchor="middle" fill="#111111">{tag}</text>'
+        )
+    return block
+
+
 class TestRenderSvg:
     # At 0.0123 m a cell is 1.107 px wide, so some cell edges fall on a .2f
     # rounding tie and only the same float expressions give the same text.
@@ -546,7 +607,54 @@ class TestRenderSvg:
     def test_all_cost_one_map_has_no_heat_cells(self, resolution):
         costmap = Costmap((-1.5, 2.0), resolution, 9, 4, np.ones((4, 9)))
         svg = render_svg(costmap, [], SceneGraph(nodes={}), labels=[])
-        assert _heat_block(svg) == []
+        assert _heat_group(svg) == '<g shape-rendering="crispEdges">\n</g>'
+
+    @pytest.mark.parametrize(
+        "cells",
+        [np.array([[1.0, 1.0], [2.5, 1.0]]), np.array([[1.5, 2.5], [3.0, 2.0]]), np.ones((2, 2))],
+        ids=["one-hot-cell", "all-hot", "no-heat"],
+    )
+    def test_whole_heat_group(self, cells):
+        costmap = Costmap((-0.7, 1.3), 0.25, 2, 2, cells)
+        group = _heat_group(render_svg(costmap, [], SceneGraph(nodes={}), labels=[]))
+        lines = _heat_block_by_cell(costmap)
+        assert len(lines) == int((cells > 1.0).sum())
+        assert group == '<g shape-rendering="crispEdges">\n' + "".join(f"{line}\n" for line in lines) + "</g>"
+
+    # Corners with up to three decimals: e/2 then has four and x 90 px three,
+    # so many coordinates, sides and radii land on a .2f rounding tie.
+    @pytest.mark.parametrize("origin", [(0.0, 0.0), (-3.7, -1.25), (2.3, 0.45)])
+    def test_footprints_match_footprint_of_per_node(self, origin):
+        rng = np.random.default_rng(29)
+        costmap = Costmap(origin, 0.25, 40, 32, np.ones((32, 40)))
+        tags = ["human", "chair", "R&D <shelf>", "human", "bed"]
+        for _ in range(60):
+            nodes = []
+            for i in range(int(rng.integers(0, 9))):
+                decimals = int(rng.integers(1, 4))
+                center = np.round(rng.uniform(-4.0, 8.0, 3), decimals)
+                extent = np.maximum(np.round(rng.uniform(0.0, 2.5, 3), decimals), 10.0**-decimals)
+                if rng.random() < 0.3:  # a square: max(sides) takes the first of two equal sides
+                    extent[1] = extent[0]
+                nodes.append(scene_graph.ObjectNode(f"n{i}", tags[i % len(tags)], center, extent))
+            scene = SceneGraph(nodes=nodes)
+            svg = render_svg(costmap, [], scene, labels=[])
+            assert _footprint_block(svg) == _footprint_block_by_node(costmap, scene)
+        assert _footprint_block(render_svg(costmap, [], SceneGraph(nodes={}), labels=[])) == []
+
+    def test_render_memory_stays_within_five_times_the_svg(self):
+        # A 300 x 300 map with every cell above cost 1: the heat rows are
+        # joined once, so the peak holds about two copies of the text.
+        cells = 1.0 + np.random.default_rng(5).random((300, 300)) + 1e-9
+        costmap = Costmap((0.0, 0.0), 0.05, 300, 300, cells)
+        tracemalloc.start()
+        try:
+            svg = render_svg(costmap, [], SceneGraph(nodes={}), labels=[])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert svg.count("<rect ") == 1 + 300 * 300
+        assert peak < 5 * len(svg)
 
     def test_shipped_report_svg_bytes(self):
         report = load_report((DATA_DIR / "bedroom_report.json").read_bytes())
