@@ -137,14 +137,14 @@ def entries_from_dict(
 ) -> dict[str, CostClearance]:
     """Read entries written by ``entries_to_dict``; each must pass ``out_of_range``.
     Entries that pass one bulk check (keys exactly cost and clearance, and
-    ``plain_numbers`` that ``out_of_range`` accepts), a sufficient condition
-    only, skip the per-entry reader, the one source of error text and warnings."""
+    ``plain_numbers`` whose least cost and clearance ``out_of_range`` accepts),
+    a sufficient condition only, skip the per-entry reader, the one source of error text and warnings."""
     entries = keyed(raw_entries, path, "an object keyed by object id")
     raws = raw_entries.values()
     if not (
         all(type(raw) is dict and raw.keys() == {"cost", "clearance"} for raw in raws)
         and plain_numbers([value for raw in raws for value in raw.values()])
-        and not any(out_of_range(raw["cost"], raw["clearance"]) for raw in raws)
+        and not (raws and out_of_range(min(r["cost"] for r in raws), min(r["clearance"] for r in raws)))
     ):
         for _, raw, entry_path in entries:
             check_keys(raw, required=("cost", "clearance"), optional=(), path=entry_path, strict=strict)

@@ -72,8 +72,12 @@ class RectFootprint:
 
     def distance(self, points: np.ndarray) -> np.ndarray:
         """Planar distance (``gap_distances``) from each (N, 2) point to the
-        rectangle; 0 inside."""
+        rectangle, on the points' x and y columns; 0 inside."""
         return gap_distances(np.asarray(points, dtype=float).T, self.min_xy, self.max_xy)
+
+    def axes_distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """``distance`` of the points ``(xs, ys)``, broadcast together: no point array is built."""
+        return gap_distances((xs, ys), self.min_xy, self.max_xy)
 
 
 @dataclass(frozen=True)
@@ -105,13 +109,16 @@ class OrientedRectFootprint:
         return ((cx - ex, cy - ey), (cx + ex, cy + ey))
 
     def distance(self, points: np.ndarray) -> np.ndarray:
-        """Planar distance (``gap_distances``) from each (N, 2) point to the
-        rectangle, on the point's signed (along, across) axis coordinates;
-        0 inside."""
+        """``axes_distance`` of each (N, 2) point, on its x and y columns."""
         pts = np.asarray(points, dtype=float)
+        return self.axes_distance(pts[:, 0], pts[:, 1])
+
+    def axes_distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Planar distance (``gap_distances``) from the points ``(xs, ys)``, broadcast
+        together, to the rectangle, on their signed (along, across) axis coordinates; 0 inside."""
         ux, uy = self.axis
-        rx = pts[:, 0] - self.center[0]
-        ry = pts[:, 1] - self.center[1]
+        rx = xs - self.center[0]
+        ry = ys - self.center[1]
         hl, hw = self.half_length, self.half_width
         return gap_distances((rx * ux + ry * uy, -rx * uy + ry * ux), (-hl, -hw), (hl, hw))
 
@@ -233,9 +240,12 @@ def field_spec_from_assessment(graph: SceneGraph, assessment) -> FieldSpec:
     """Contributions of the assessed objects above cost 1 (a cost-1 entry is
     1 everywhere), in sorted-id order. Every entry must name a node of
     ``graph``, whatever its cost; ValueError otherwise."""
-    entries = [(graph.node(i), cc) for i, cc in sorted(assessment.entries.items())]
+    entries, nodes = assessment.entries, graph.nodes
+    if unknown := sorted(entries.keys() - nodes.keys()):
+        graph.node(unknown[0])  # raises ValueError naming the first unknown id
     return FieldSpec(
-        Contribution(footprint_of(n), cc.cost, cc.clearance) for n, cc in entries if cc.cost != 1
+        Contribution(footprint_of(nodes[i]), cc.cost, cc.clearance)
+        for i, cc in sorted(entries.items()) if cc.cost != 1
     )
 
 
@@ -358,8 +368,10 @@ def rasterize(
     whose gap squares to 0. So a left-out center's contribution is exactly 1
     and the pointwise maximum does not change. An infinite margin (a
     clearance near the float maximum) selects the whole axis. Inside, the
-    points are slices of the same center coordinates and run through the
-    same elementwise operations as ``combined_cost``, so cell values equal
+    window's column centers ``xs[i0:i1]`` and row centers ``ys[j0:j1, None]``
+    broadcast against each other in the footprint's ``axes_distance``, so no
+    point array is built and each cell goes through the same elementwise
+    operations as ``distance`` in ``combined_cost``: cell values equal
     ``combined_cost`` at the exact centers.
     """
     (xmin, ymin), _ = bounds
@@ -372,13 +384,9 @@ def rasterize(
         margin = contribution.clearance + resolution
         i0, i1 = xs.searchsorted(x0 - margin), xs.searchsorted(x1 + margin, "right")
         j0, j1 = ys.searchsorted(y0 - margin), ys.searchsorted(y1 + margin, "right")
-        points = np.empty((j1 - j0, i1 - i0, 2))
-        points[..., 0] = xs[i0:i1]
-        points[..., 1] = ys[j0:j1, None]
-        d = contribution.footprint.distance(points.reshape(-1, 2))
+        d = contribution.footprint.axes_distance(xs[i0:i1], ys[j0:j1, None])
         window = values[j0:j1, i0:i1]
-        falloff = linear_falloff(d, contribution.cost, contribution.clearance)
-        np.maximum(window, falloff.reshape(window.shape), out=window)
+        np.maximum(window, linear_falloff(d, contribution.cost, contribution.clearance), out=window)
     return Costmap(origin=(float(xmin), float(ymin)), resolution=float(resolution),
                    width=width, height=height, cells=values)
 

@@ -179,6 +179,9 @@ def plain_numbers(values: list) -> bool:
 
 
 def string_list(value: Any, path: str) -> list[str]:
+    """A list of ``string``s; a list that passes ``plain_strings`` skips the per-item reader."""
+    if isinstance(value, list) and plain_strings(value):
+        return list(value)
     return [string(*item) for item in items(value, path, "a list of strings")]
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -69,27 +70,28 @@ def path_from_cells(cells: tuple[tuple[int, int], ...], costmap: Costmap) -> Pat
 
     A step weighs ``half x (cost_a + cost_b)`` with ``half = length / 2``,
     the length in meters, as in ``plan``. ``total_cost`` and ``length_m``
-    add the steps up from the first, one float at a time, so they do not
-    depend on how a Python version's ``sum`` rounds. Raises PlanningError at
-    the first cell off the map, else at the first pair of cells that do not
-    touch.
+    are the last running sums of ``np.add.accumulate``, which adds the
+    steps left to right from the first, unlike a Python version's ``sum`` or
+    a pairwise sum (oracles: ``test_equals_a_loop_over_every_step`` and
+    ``test_shipped_lengths_are_a_left_to_right_sum``). Raises PlanningError
+    at the first cell off the map, else at the first pair of cells that do not touch.
     """
     for cell in cells:  # on Python ints: an index of any size is refused, not overflowed
         ix, iy = cell
         if not (0 <= ix < costmap.width and 0 <= iy < costmap.height):
             raise PlanningError(f"cell {cell} lies outside the costmap")
-    index = np.array(cells, dtype=np.int64).reshape(-1, 2)
+    # The loop unpacked every cell into two, so the cells hold 2n integers.
+    index = np.fromiter(chain.from_iterable(cells), np.int64, 2 * len(cells)).reshape(-1, 2)
     gap = np.abs(np.diff(index, axis=0))
     apart = np.flatnonzero(gap.max(axis=1) != 1).tolist()
     if apart:
         raise PlanningError(f"cells {cells[apart[0]]} and {cells[apart[0] + 1]} are not 8-adjacent")
     lengths = costmap.resolution * np.where(gap.all(axis=1), SQRT2, 1.0)
     values = costmap.cells[index[:, 1], index[:, 0]]
-    weights = (lengths / 2.0) * (values[:-1] + values[1:])
-    total_cost = length_m = 0.0
-    for weight, length in zip(weights.tolist(), lengths.tolist()):
-        total_cost += weight
-        length_m += length
+    steps = np.zeros((len(lengths) + 1, 2))  # row k + 1: step k's weight and length; row 0 starts both sums
+    steps[1:, 0] = (lengths / 2.0) * (values[:-1] + values[1:])
+    steps[1:, 1] = lengths
+    total_cost, length_m = np.add.accumulate(steps)[-1].tolist()
     centers = np.asarray(costmap.origin) + (index + 0.5) * costmap.resolution
     return Path(cells, tuple(map(tuple, centers.tolist())), total_cost, length_m)
 

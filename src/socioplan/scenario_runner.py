@@ -7,6 +7,7 @@ import functools
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path as FilePath
 from typing import Iterator, Sequence
 
@@ -333,7 +334,7 @@ class RunReport:
         """``min_distance_to_human`` of each condition's path, with the
         scene's human footprints collected once."""
         humans = _human_footprints(self.scene)
-        return tuple(_nearest_human(humans, r.path.polyline) for r in self.conditions)
+        return tuple(_nearest_human(humans, _vertices(r.path.polyline)) for r in self.conditions)
 
 
 def min_distance_to_footprint(polyline: Sequence[Vec2], footprint: RectFootprint) -> float:
@@ -346,14 +347,19 @@ def _human_footprints(scene: SceneGraph) -> tuple[RectFootprint, ...]:
     return tuple(footprint_of(n) for n in scene if n.is_human)
 
 
-def _nearest_human(humans: Sequence[RectFootprint], polyline: Sequence[Vec2]) -> float | None:
-    return min((min_distance_to_footprint(polyline, f) for f in humans), default=None)
+def _nearest_human(humans: Sequence[RectFootprint], points: np.ndarray) -> float | None:
+    return min((min_distance_to_footprint(points, f) for f in humans), default=None)
+
+
+def _vertices(polyline: tuple[Vec2, ...]) -> np.ndarray:
+    """A ``Path.polyline``, whose vertices are pairs, read flat into an (N, 2) array."""
+    return np.fromiter(chain.from_iterable(polyline), float, 2 * len(polyline)).reshape(-1, 2)
 
 
 def min_distance_to_human(scene: SceneGraph, polyline: Sequence[Vec2]) -> float | None:
     """Smallest planar distance from any polyline vertex to the footprint of
     any human of ``scene``; None when the scene has no human."""
-    return _nearest_human(_human_footprints(scene), polyline)
+    return _nearest_human(_human_footprints(scene), np.asarray(polyline, dtype=float))
 
 
 def human_footprint(scenario: Scenario) -> RectFootprint | None:
@@ -562,7 +568,7 @@ def _condition_from_dict(
 
     raw_stats = fields(raw["stats"], f"{path}.stats", "min_distance_to_human_m")
     stored, where = raw_stats["min_distance_to_human_m"], f"{path}.stats.min_distance_to_human_m"
-    distance = _nearest_human(humans, plan_path.polyline)
+    distance = _nearest_human(humans, _vertices(plan_path.polyline))
     if (None if stored is None else finite_number(stored, where)) != distance:
         raise FormatError(f"differs from its path's distance to a human, {distance!r}", where)
     return PlanIteration(

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,11 +42,11 @@ class Trajectory:
 def _densify(waypoints: Sequence[Vec3], max_spacing: float) -> np.ndarray:
     """(W, 3) waypoints, each segment a -> b split into ``steps = max(1,
     ceil(dist(a, b) / max_spacing))`` points ``a + (b - a) * (k / steps)``,
-    k = 1..steps; an infinite spacing keeps the waypoints as they are.
-    ValueError when W would exceed ``MAX_WAYPOINTS``."""
+    k = 1..steps; an infinite spacing keeps the waypoints, a ``Trajectory``'s
+    3-vectors read flat. ValueError when W would exceed ``MAX_WAYPOINTS``."""
     if max_spacing <= 0:
         raise ValueError("max_spacing must be > 0")
-    points = np.array(waypoints, dtype=float).reshape(len(waypoints), 3)
+    points = np.fromiter(chain.from_iterable(waypoints), float, 3 * len(waypoints)).reshape(-1, 3)
     if not math.isfinite(max_spacing):
         return points
     lengths = np.array([math.dist(a, b) for a, b in zip(waypoints, waypoints[1:])])

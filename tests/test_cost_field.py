@@ -258,6 +258,20 @@ class TestRasterize:
         with pytest.raises(ValueError, match="1001 x 1000 cell grid"):
             rasterize(FieldSpec(()), (), ((0, 0), (1001, 1000)), 1.0)
 
+    def test_peak_memory_of_a_window_over_the_whole_map(self):
+        """A contribution is evaluated on its window's two axes, so its peak
+        holds the cells and a few window-sized temporaries, not a point array
+        of two floats per cell."""
+        spec = FieldSpec((Contribution(RectFootprint((100.0, 120.0), (130.0, 140.0)), 5.0, 500.0),))
+        tracemalloc.start()
+        try:
+            costmap = rasterize(spec, (), ((0.0, 0.0), (300.0, 300.0)), 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert costmap.cells.shape == (300, 300) and float(costmap.cells.min()) > 1.0
+        assert peak < 5 * costmap.cells.nbytes
+
 
 def full_grid_cells(spec, zones, bounds, resolution):
     """Reference kernel: every contribution, cost 1 included, on every cell."""
@@ -407,6 +421,35 @@ class TestOrientedRectDistance:
         dx = np.maximum(np.abs(rx * ux + ry * uy) - corridor.half_length, 0.0)
         dy = np.maximum(np.abs(-rx * uy + ry * ux) - corridor.half_width, 0.0)
         assert corridor.distance(points).tobytes() == np.sqrt(dx * dx + dy * dy).tobytes()
+
+
+_nonzero_origin = st.sampled_from([(-2.5, -1.3), (-50.3, 7.1), (3.3, -0.7)]) | st.tuples(
+    st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)
+).filter(lambda origin: origin != (0.0, 0.0))
+
+
+class TestAxesDistance:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        origin=_nonzero_origin,
+        resolution=_resolution,
+        first=st.tuples(st.integers(0, 80), st.integers(0, 80)),
+        size=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+    )
+    def test_equals_the_point_form_bit_for_bit(self, data, origin, resolution, first, size):
+        """``axes_distance`` on a column axis and a row axis, as ``rasterize``
+        slices them, gives ``distance`` of the mesh's points, bit for bit;
+        windows empty on one axis or both included."""
+        footprint = data.draw(_rect(origin) | _zone(origin).map(lambda zone: zone.footprint))
+        (i0, j0), (nx, ny) = first, size
+        xs = origin[0] + (np.arange(i0 + nx, dtype=float) + 0.5) * resolution
+        ys = origin[1] + (np.arange(j0 + ny, dtype=float) + 0.5) * resolution
+        xs, ys = xs[i0:], ys[j0:]
+        grid = footprint.axes_distance(xs, ys[:, None])
+        points = np.column_stack([np.tile(xs, ny), np.repeat(ys, nx)])  # row by row, as cells
+        assert grid.shape == (ny, nx)
+        assert grid.tobytes() == footprint.distance(points).reshape(ny, nx).tobytes()
 
 
 class TestRasterizeAgainstFullGrid:

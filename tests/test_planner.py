@@ -441,6 +441,14 @@ class TestPathFromCells:
                 f"cell {cell} lies outside the costmap"
             )
 
+    def test_sums_run_left_to_right(self):
+        """Step weights 2**53, 1 and 1: each 1 added to 2**53 rounds away, so the
+        left-to-right sum is 2**53; a pairwise or compensated sum gives 2**53 + 2."""
+        costmap = Costmap((0.0, 0.0), 1.0, 4, 1, np.array([[2.0**54, 1.0, 1.0, 1.0]]))
+        path = path_from_cells(((0, 0), (1, 0), (2, 0), (3, 0)), costmap)
+        assert path.total_cost == 2.0**53 != 2.0**53 + 2.0
+        assert path.length_m == 3.0
+
     def test_shipped_lengths_are_a_left_to_right_sum(self):
         # On Python 3.12 and later, sum() compensates rounding error; the
         # stored lengths are the plain left-to-right float sum of the steps.

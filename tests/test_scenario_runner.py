@@ -331,6 +331,17 @@ class TestRunScenario:
         without = derive_condition_variant(scene, Condition.NO_HUMAN)
         assert min_distance_to_human(without, polyline) is None
 
+    def test_public_inputs_keep_their_answers(self, scene_with_human):
+        """``min_distance_to_human`` reads any polyline through ``np.asarray``:
+        rows of three use their first two columns, and ragged rows are refused;
+        ``path_cost`` refuses a cell of three integers."""
+        assert min_distance_to_human(scene_with_human, [(0, 0, 0), (1, 1, 1)]) == 2.25
+        assert min_distance_to_human(scene_with_human, [(9, 9, 9), (1, 3.5, 9)]) == 0.0
+        with pytest.raises(ValueError):
+            min_distance_to_human(scene_with_human, [(0, 0, 0), (1,)])
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            path_cost([(0, 0), (1, 0, 0)], Costmap((0.0, 0.0), 1.0, 3, 3, np.ones((3, 3))))
+
     def test_human_distances_are_each_paths_min_distance_to_human(self, replay_report):
         scene = replay_report.scene
         two_humans = dataclasses.replace(
