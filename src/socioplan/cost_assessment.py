@@ -280,7 +280,7 @@ class HttpChatTransport:
 
     model: str
     url: str | None = None
-    api_key: str | None = None
+    api_key: str | None = field(default=None, repr=False)
     timeout_s: float = 60.0
 
     def __call__(self, messages: list[dict]) -> str:

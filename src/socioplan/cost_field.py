@@ -35,8 +35,25 @@ MAX_GRID_CELLS = 1_000_000
 _EDGE_SLACK = 1e-9  # cells of a side that grid_shape rounds away and cell_at still takes
 
 
+def planar_points(points: Iterable[Iterable[float]], nonempty: bool = False) -> np.ndarray:
+    """``points`` as a float array of rows of at least (x, y), one or more if ``nonempty``;
+    ValueError naming its shape otherwise."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] < 2 or (nonempty and not len(pts)):
+        rows = "one or more rows" if nonempty else "rows"
+        raise ValueError(f"points must be {rows} of at least two numbers, not an array of shape {pts.shape}")
+    return pts
+
+
+class _PlanarDistance:
+    def distance(self, points: Iterable[Iterable[float]]) -> np.ndarray:
+        """(N,) ``axes_distance`` of the x and y columns of ``planar_points(points)``; (0,) for zero rows."""
+        pts = planar_points(points)
+        return self.axes_distance(pts[:, 0], pts[:, 1])
+
+
 @dataclass(frozen=True, init=False)
-class RectFootprint:
+class RectFootprint(_PlanarDistance):
     """Axis-aligned ground-plane rectangle. ``field_spec_from_assessment``
     builds one per assessed object above cost 1, for every condition of a
     plan and of a report read, so it stores its fields as
@@ -70,18 +87,13 @@ class RectFootprint:
         """Axis-aligned (min, max) corners."""
         return (self.min_xy, self.max_xy)
 
-    def distance(self, points: np.ndarray) -> np.ndarray:
-        """Planar distance (``gap_distances``) from each (N, 2) point to the
-        rectangle, on the points' x and y columns; 0 inside."""
-        return gap_distances(np.asarray(points, dtype=float).T, self.min_xy, self.max_xy)
-
     def axes_distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """``distance`` of the points ``(xs, ys)``, broadcast together: no point array is built."""
+        """Planar distance (``gap_distances``) of the points ``(xs, ys)``, broadcast together; 0 inside."""
         return gap_distances((xs, ys), self.min_xy, self.max_xy)
 
 
 @dataclass(frozen=True)
-class OrientedRectFootprint:
+class OrientedRectFootprint(_PlanarDistance):
     """Rectangle with an arbitrary in-plane orientation (used for corridors)."""
 
     center: Vec2
@@ -107,11 +119,6 @@ class OrientedRectFootprint:
         ey = abs(uy) * self.half_length + abs(ux) * self.half_width
         cx, cy = self.center
         return ((cx - ex, cy - ey), (cx + ex, cy + ey))
-
-    def distance(self, points: np.ndarray) -> np.ndarray:
-        """``axes_distance`` of each (N, 2) point, on its x and y columns."""
-        pts = np.asarray(points, dtype=float)
-        return self.axes_distance(pts[:, 0], pts[:, 1])
 
     def axes_distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Planar distance (``gap_distances``) from the points ``(xs, ys)``, broadcast

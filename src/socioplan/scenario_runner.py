@@ -36,6 +36,7 @@ from .cost_field import (
     field_spec_from_assessment,
     footprint_of,
     grid_shape,
+    planar_points,
     rasterize,
 )
 from .human_augmentation import Condition, HumanSpec, insert_human
@@ -338,9 +339,9 @@ class RunReport:
 
 
 def min_distance_to_footprint(polyline: Sequence[Vec2], footprint: RectFootprint) -> float:
-    """Smallest planar distance from any polyline vertex to the footprint."""
-    points = np.asarray(polyline, dtype=float)
-    return float(footprint.distance(points).min())
+    """Smallest planar distance from any polyline vertex to the footprint. ``planar_points``
+    refuses a polyline with no vertex, a bare point and vertices of fewer than two numbers."""
+    return float(footprint.distance(planar_points(polyline, nonempty=True)).min())
 
 
 def _human_footprints(scene: SceneGraph) -> tuple[RectFootprint, ...]:
@@ -357,9 +358,9 @@ def _vertices(polyline: tuple[Vec2, ...]) -> np.ndarray:
 
 
 def min_distance_to_human(scene: SceneGraph, polyline: Sequence[Vec2]) -> float | None:
-    """Smallest planar distance from any polyline vertex to the footprint of
-    any human of ``scene``; None when the scene has no human."""
-    return _nearest_human(_human_footprints(scene), np.asarray(polyline, dtype=float))
+    """Smallest planar distance from any polyline vertex to the footprint of any human
+    of ``scene``, None without one; refused as by ``min_distance_to_footprint`` even then."""
+    return _nearest_human(_human_footprints(scene), planar_points(polyline, nonempty=True))
 
 
 def human_footprint(scenario: Scenario) -> RectFootprint | None:

@@ -327,11 +327,11 @@ def box_corners(nodes: Iterable[ObjectNode]) -> tuple[np.ndarray, np.ndarray]:
 
 def gap_distances(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Euclidean distances from points to boxes, 0 inside or on a box, with
-    ``p[a]``, ``lo[a]`` and ``hi[a]`` broadcasting together on each axis a of
-    ``p``. The one home of the formula: per axis the gap is ``max(max(lo - p,
-    0), p - hi)``; the squared gaps are summed in axis order from 0, then rooted."""
+    ``p[a]``, ``lo[a]`` and ``hi[a]`` broadcasting together on each axis a
+    (ValueError when the three differ in axis count). The one home of the formula: per
+    axis the gap is ``max(max(lo - p, 0), p - hi)``; the squares sum in axis order from 0, then rooted."""
     total = 0.0
-    for p_a, lo_a, hi_a in zip(p, lo, hi):
+    for p_a, lo_a, hi_a in zip(p, lo, hi, strict=True):
         gap = np.maximum(np.maximum(lo_a - p_a, 0.0), p_a - hi_a)
         total = total + gap * gap
     return np.sqrt(total)

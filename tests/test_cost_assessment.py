@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
@@ -703,6 +704,13 @@ class TestHttpChatTransport:
 
         with pytest.raises(TransportError, match="timed out"):
             self.transport(monkeypatch, urlopen)([])
+
+    def test_repr_does_not_print_the_key(self):
+        from socioplan.cost_assessment import HttpChatTransport
+
+        transport = HttpChatTransport(model="m", api_key="sk-secret")
+        for shown in (transport, functools.partial(llm_assess, transport, policy=RetryPolicy(2))):
+            assert "sk-secret" not in repr(shown) and "model='m'" in repr(shown)
 
     def test_no_endpoint_is_a_transport_error(self, monkeypatch):
         from socioplan.cost_assessment import LLM_URL_ENV, HttpChatTransport

@@ -423,6 +423,41 @@ class TestOrientedRectDistance:
         assert corridor.distance(points).tobytes() == np.sqrt(dx * dx + dy * dy).tobytes()
 
 
+_CORRIDOR = OrientedRectFootprint(center=(1.0, 1.0), axis=(1.0, 1.0), half_length=1.0, half_width=0.5)
+
+
+@pytest.mark.parametrize(
+    "footprint", [RectFootprint((0.0, 0.0), (1.0, 2.0)), _CORRIDOR], ids=["rect", "corridor"]
+)
+class TestDistanceReadsRowsOfTwo:
+    """Both footprint classes read points through ``planar_points``: rows of at
+    least (x, y), a later column unread, zero rows allowed."""
+
+    @pytest.mark.parametrize(
+        "points, shape",
+        [(np.array([3.0, 1.0]), "(2,)"), ([[3.0]], "(1, 1)"), ([(1.0,), (2.0,)], "(2, 1)"), (5.0, "()")],
+    )
+    def test_what_is_not_rows_of_two_is_refused(self, footprint, points, shape):
+        with pytest.raises(ValueError) as info:
+            footprint.distance(points)
+        message = f"points must be rows of at least two numbers, not an array of shape {shape}"
+        assert str(info.value) == message
+
+    def test_zero_rows_give_no_distances(self, footprint):
+        distances = footprint.distance(np.empty((0, 2)))
+        assert distances.shape == (0,) and distances.dtype == float
+
+    def test_a_third_column_is_not_read(self, footprint):
+        points = np.array([(3.0, 1.0), (-1.0, 0.5), (1.0, 1.0)])
+        with_z = np.column_stack([points, [7.0, -7.0, 0.0]])
+        assert footprint.distance(with_z).tobytes() == footprint.distance(points).tobytes()
+
+    def test_point_cost_of_a_one_number_point_is_refused(self, footprint):
+        """At the rectangle this was 2.2, its distance along x alone."""
+        with pytest.raises(ValueError, match=r"shape \(1, 1\)"):
+            point_cost((3.0,), footprint, 3.0, 5.0)
+
+
 _nonzero_origin = st.sampled_from([(-2.5, -1.3), (-50.3, 7.1), (3.3, -0.7)]) | st.tuples(
     st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)
 ).filter(lambda origin: origin != (0.0, 0.0))

@@ -35,7 +35,9 @@ from socioplan.jsonio import FormatError, UnknownKeyWarning, canonical_json
 from socioplan.planner import path_cost
 from socioplan.render import PX_PER_M
 from socioplan.scenario_runner import (
+    AssessorConfig,
     ScenarioError,
+    build_assessor,
     human_footprint,
     load_base_scene,
     min_distance_to_footprint,
@@ -341,6 +343,32 @@ class TestRunScenario:
             min_distance_to_human(scene_with_human, [(0, 0, 0), (1,)])
         with pytest.raises(ValueError, match="too many values to unpack"):
             path_cost([(0, 0), (1, 0, 0)], Costmap((0.0, 0.0), 1.0, 3, 3, np.ones((3, 3))))
+
+    @pytest.mark.parametrize(
+        "polyline",
+        [[], np.empty((0, 2)), (1.0, 1.0), [(1.0,), (2.0,)]],
+        ids=["empty", "no-rows", "bare-point", "one-number"],
+    )
+    def test_what_is_not_a_polyline_is_refused(self, small_scene, scene_with_human, polyline):
+        """No vertex, a bare point and one-number vertices have no distance to a
+        human, also on a scene without one; ``[]`` was 0.0 and ``(1.0, 1.0)`` 2.25."""
+        assert min_distance_to_human(small_scene, [(1.0, 1.0)]) is None
+        for scene in (scene_with_human, small_scene):
+            with pytest.raises(ValueError, match="rows of at least two numbers"):
+                min_distance_to_human(scene, polyline)
+
+    def test_min_distance_to_footprint_refuses_a_polyline_with_no_vertex(self, scene_with_human):
+        footprint = footprint_of(scene_with_human.node("human_1"))
+        for polyline in ([], np.empty((0, 2))):
+            with pytest.raises(ValueError, match=r"one or more rows .* shape \(0,"):
+                min_distance_to_footprint(polyline, footprint)
+
+    def test_the_llm_assessor_does_not_print_a_key(self, scenario, monkeypatch):
+        monkeypatch.setenv(cost_assessment.LLM_KEY_ENV, "sk-secret")
+        llm = dataclasses.replace(scenario, assessor=AssessorConfig("llm", model="m"))
+        shown = repr(build_assessor(llm, Condition.NO_HUMAN, "llm"))
+        assert "HttpChatTransport(model='m'" in shown
+        assert "sk-secret" not in shown and "api_key" not in shown
 
     def test_human_distances_are_each_paths_min_distance_to_human(self, replay_report):
         scene = replay_report.scene

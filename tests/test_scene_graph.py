@@ -22,7 +22,7 @@ from socioplan import (
     validate_scene,
 )
 from socioplan.jsonio import UnknownKeyWarning
-from socioplan.scene_graph import box_distances
+from socioplan.scene_graph import box_distances, gap_distances
 
 from conftest import make_small_scene
 
@@ -316,6 +316,14 @@ class TestDistance:
         assert box_distances([], list(small_scene)).shape == (0, 3)
         assert box_distances([(0.0, 0.0, 0.0)], []).shape == (1, 0)
 
+
+    @pytest.mark.parametrize("axes", [1, 3], ids=["fewer", "more"])
+    def test_gap_distances_refuses_axes_that_do_not_pair_up(self, axes):
+        """A point set with other axes than its bounds is refused, not cut to the
+        shorter of the two: that is how a one-number point got a distance."""
+        with pytest.raises(ValueError, match="zip"):
+            gap_distances((3.0, 4.0, 5.0)[:axes], (0.0, 0.0), (1.0, 1.0))
+        assert gap_distances((3.0, 4.0), (0.0, 0.0), (0.0, 0.0)) == 5.0
 
 class TestRadiusQuery:
     def test_zero_radius_inside_bed(self, small_scene):
