@@ -234,8 +234,8 @@ def point_cost(
 
 
 def combined_cost(point: Iterable[float], spec: FieldSpec) -> float:
-    """Pointwise maximum over ``spec.contributions``; 1 for an empty spec."""
-    pts = np.asarray([tuple(float(c) for c in point)], dtype=float)
+    """Pointwise maximum over ``spec.contributions`` at a ``planar_points`` row; 1 for an empty spec."""
+    pts = planar_points([tuple(point)], nonempty=True)
     values = np.ones(1)
     for contribution in spec.contributions:
         d = contribution.footprint.distance(pts)

@@ -279,6 +279,15 @@ class PlanIteration:
     stop: str
 
 
+class RunMemo:
+    """What the conditions of one run share (see ``iterate_plan``): ``run``, the
+    base scene, start, goal and radius it serves; ``relevant``, the base scene's
+    ids per seed waypoints or path polyline; and ``paths``, ``(costmap, path)`` pairs."""
+
+    def __init__(self) -> None:
+        self.run, self.relevant, self.paths = None, {}, []
+
+
 def iterate_plan(
     graph: SceneGraph,
     condition: Condition,
@@ -293,6 +302,7 @@ def iterate_plan(
     activity_zones: dict[str, tuple[float, float]] | None = None,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     waypoints: Sequence[Vec3] | None = None,
+    memo: RunMemo | None = None,
 ) -> PlanIteration:
     """Alternate relevance extraction, assessment, and planning to a fixed point.
 
@@ -304,21 +314,30 @@ def iterate_plan(
     graph's node set (radius hits plus attached humans), so human context
     is never dropped.
 
-    A round whose costmap equals the previous round's keeps the previous
-    path instead of running A* again: ``plan`` depends only on start, goal
-    and costmap. That happens when the relevant set grows only by objects
-    that leave the field as it was, such as ones assessed at cost 1.
+    A trajectory or costmap already handled in this run is not handled
+    again: ``memo``, which ``run_scenario`` shares among its conditions,
+    holds the base scene's relevant ids per trajectory, filtered to the
+    variant's nodes (see ``relevant_objects``), and the path per costmap, as
+    ``plan`` depends only on start, goal and costmap. A memo serves only the
+    base scene, start, goal and radius it first served; ValueError otherwise.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    memo = RunMemo() if memo is None else memo
+    run = (graph, tuple(start), tuple(goal), radius)
+    if memo.run not in (None, run):
+        raise ValueError("the memo serves another base scene, start, goal or radius")
+    memo.run = run
     variant = derive_condition_variant(graph, condition)
     trajectory = seed_trajectory(start, goal, waypoints)
+    key: tuple = trajectory.waypoints  # later a path's polyline: cheaper to hash, held by the memo
     previous: frozenset[str] | None = None
-    costmap: Costmap | None = None
     rounds = 0
     stop = "max_rounds"
     while rounds < max_rounds:
-        ids = relevant_objects(variant, trajectory, radius)
+        if (found := memo.relevant.get(key)) is None:
+            found = memo.relevant[key] = relevant_objects(graph, trajectory, radius)
+        ids = tuple(i for i in found if i in variant.nodes)
         if frozenset(ids) == previous:
             stop = "converged"
             break
@@ -326,10 +345,12 @@ def iterate_plan(
         assessment = assess(assessor, partial, trajectory, assessed, preferences)
         spec = field_spec_from_assessment(partial, assessment)
         zones = tuple(make_activity_zones(partial, activity_zones or {}))
-        previous_costmap, costmap = costmap, rasterize(spec, zones, bounds, resolution)
-        if costmap != previous_costmap:
+        costmap = rasterize(spec, zones, bounds, resolution)
+        path = next((p for c, p in reversed(memo.paths) if c == costmap), None)
+        if path is None:
             path = plan(PlanRequest(start=start, goal=goal, costmap=costmap))
-        trajectory = Trajectory(tuple((x, y, 0.0) for x, y in path.polyline))
+            memo.paths.append((costmap, path))
+        trajectory, key = Trajectory(tuple((x, y, 0.0) for x, y in path.polyline)), path.polyline
         rounds += 1
         previous = frozenset(ids)
         relevant = assessed

@@ -58,7 +58,7 @@ from .jsonio import (
     unwritable,
     vector,
 )
-from .planner import PlanIteration, PlanningError, iterate_plan, path_from_cells
+from .planner import PlanIteration, PlanningError, RunMemo, iterate_plan, path_from_cells
 from .scene_graph import RelationKind, SceneGraph, Vec3, load_scene, scene_from_dict, scene_to_dict
 
 Vec2 = tuple[float, float]
@@ -393,11 +393,11 @@ def run_scenario(scenario: Scenario, *, assessor_kind: str | None = None) -> Run
     assess-and-plan with the assessor of ``assessor_kind``, by default the
     scenario's. The scene and fixture files are read with ``scenario.strict``.
 
-    Deterministic for the rules and replay assessors. Errors are re-raised
-    by ``condition_stage``.
+    The conditions share one ``RunMemo`` (see ``iterate_plan``). Deterministic
+    for the rules and replay assessors. Errors are re-raised by ``condition_stage``.
     """
     kind = assessor_kind or scenario.assessor.kind
-    base = load_base_scene(scenario)
+    base, memo = load_base_scene(scenario), RunMemo()
     results = []
     for condition in scenario.conditions:
         with condition_stage(condition, kind):
@@ -414,6 +414,7 @@ def run_scenario(scenario: Scenario, *, assessor_kind: str | None = None) -> Run
                     preferences=scenario.preferences,
                     activity_zones=dict(scenario.activity_zones),
                     waypoints=scenario.waypoints,
+                    memo=memo,
                 )
             )
     return RunReport(scenario.name, base, tuple(results), scenario.bounds, scenario.resolution)

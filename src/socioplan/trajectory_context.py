@@ -86,6 +86,10 @@ def relevant_objects(
     exact: rounding of a subtraction is monotone, so a waypoint's computed gap
     is at least the chunk's, and the square, sum and root lose under 1e-15
     relative, far inside the margin.
+
+    Whether and where a node is hit depends on its own box alone. So a graph
+    that keeps a subset of another's nodes unchanged, as a condition variant
+    keeps its base scene's, gets the other's ids filtered to its nodes.
     """
     if radius <= 0:
         raise ValueError("query radius must be > 0")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -456,6 +457,25 @@ class TestDistanceReadsRowsOfTwo:
         """At the rectangle this was 2.2, its distance along x alone."""
         with pytest.raises(ValueError, match=r"shape \(1, 1\)"):
             point_cost((3.0,), footprint, 3.0, 5.0)
+
+
+@pytest.mark.parametrize(
+    "spec, cost",
+    [(FieldSpec(()), 1.0), (FieldSpec((Contribution(RectFootprint((0.0, 0.0), (1.0, 2.0)), 3.0, 1.0),)), 2.0)],
+    ids=["empty", "one-contribution"],
+)
+class TestCombinedCostReadsOnePoint:
+    """``combined_cost`` reads its point through ``planar_points`` before any
+    contribution, so a spec without one refuses what a spec with one refuses
+    (an empty spec answered 1.0 for ``()`` and ``(3.0,)``)."""
+
+    @pytest.mark.parametrize("point, shape", [((), "(1, 0)"), ((3.0,), "(1, 1)")])
+    def test_fewer_than_two_numbers_are_refused(self, spec, cost, point, shape):
+        with pytest.raises(ValueError, match=re.escape(f"not an array of shape {shape}")):
+            combined_cost(point, spec)
+
+    def test_two_or_three_numbers_are_read(self, spec, cost):
+        assert combined_cost((1.5, 0.5), spec) == combined_cost((1.5, 0.5, 9.0), spec) == cost
 
 
 _nonzero_origin = st.sampled_from([(-2.5, -1.3), (-50.3, 7.1), (3.3, -0.7)]) | st.tuples(

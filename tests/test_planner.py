@@ -20,7 +20,7 @@ from socioplan import (
 from socioplan.cost_assessment import CostClearance, rule_based_assess
 from socioplan.cli import main
 from socioplan.cost_field import Costmap, FieldSpec, rasterize
-from socioplan.planner import Path, path_cost, path_from_cells
+from socioplan.planner import Path, RunMemo, path_cost, path_from_cells
 from socioplan.scenario_runner import load_scenario, run_scenario
 from socioplan.scene_graph import ObjectNode, SceneGraph
 from socioplan.trajectory_context import induce_partial_graph
@@ -681,3 +681,45 @@ class TestIteratePlanReusesPath:
         assert len(costmaps) == 2 and costmaps[0] != costmaps[1]
         assert costmaps[1] == reused.costmap
         self.assert_same_iteration(reused, replanned)
+
+
+class TestRunMemo:
+    """A ``RunMemo`` serves one base scene, start, goal and radius: the
+    inputs its relevance and path tables do not key on."""
+
+    def graph(self):
+        return insert_human(
+            SceneGraph(nodes=[ObjectNode("object", "chair", (1.8, 4.6, 0.5), (0.4, 0.4, 1.0))]),
+            HumanSpec(id="human_1", bbox_center=(1.2, 2.0, 0.9), bbox_extent=(0.5, 0.5, 1.8),
+                      activity_relations=(("watching", "object"),)),
+        )
+
+    def run(self, graph, start=(0.5, 2.0), goal=(5.5, 2.0), radius=0.9, **options):
+        options = {"condition": Condition.HUMAN_NO_RELATIONS, "bounds": ((0.0, 0.0), (6.0, 5.0)),
+                   "resolution": 0.1, **options}
+        return iterate_plan(graph, options.pop("condition"), start, goal, radius, rule_based_assess, **options)
+
+    def test_another_base_scene_start_goal_or_radius_is_refused(self):
+        graph, memo = self.graph(), RunMemo()
+        served = self.run(graph, memo=memo)
+        assert (served.rounds, len(memo.relevant), len(memo.paths)) == (2, 3, 2)
+        others = [
+            {"graph": SceneGraph(nodes=[ObjectNode("object", "chair", (1.8, 4.0, 0.5), (0.4, 0.4, 1.0))])},
+            {"start": (0.5, 2.05)}, {"goal": (5.5, 2.05)}, {"radius": 1.2},
+        ]
+        for other in others:
+            with pytest.raises(ValueError, match="the memo serves another base scene, start, goal or radius"):
+                self.run(**{"graph": graph, **other}, memo=memo)
+        assert self.run(self.graph(), memo=memo) == served  # an equal scene built apart
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"condition": c} for c in Condition] + [{"resolution": 0.2}, {"bounds": ((-1.0, 0.0), (6.0, 5.0))},
+                                                  {"activity_zones": {"watching": (4.0, 0.5)}},
+                                                  {"waypoints": [(0.5, 2.0, 0.0), (3.0, 4.5, 0.0), (5.5, 2.0, 0.0)]}],
+    )
+    def test_a_shared_memo_answers_as_a_fresh_one(self, options):
+        """What the tables key on, a trajectory and a costmap, covers every other input."""
+        graph, memo = self.graph(), RunMemo()
+        self.run(graph, memo=memo)
+        assert self.run(graph, memo=memo, **options) == self.run(graph, **options)

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from socioplan import (
+    Condition,
+    HumanSpec,
     Trajectory,
+    derive_condition_variant,
     distance_to_object,
     induce_partial_graph,
     insert_human,
@@ -257,6 +260,31 @@ class TestRelevanceReferences:
         assert len(resample(trajectory).waypoints) > 100
         if offset == 0.0:
             assert found == tuple(f"b{k:02d}" for k in range(1, 60, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_relevance_cases(), data=st.data())
+    def test_a_condition_variant_answers_the_base_ids_on_its_nodes(self, case, data):
+        """A variant keeps a subset of its base scene's nodes, unchanged, so it
+        answers the base's ids filtered to its nodes, in the base's order: the
+        rule ``iterate_plan`` relies on to share relevance across conditions.
+        The human stands on a waypoint or a box and its id sorts among the boxes'."""
+        scene, trajectory, radius, spacing = case
+        spots = [*trajectory.waypoints, *(n.bbox_center for n in scene)]
+        names = sorted(scene.nodes)
+        targets = data.draw(st.lists(st.sampled_from(names), unique=True, max_size=3)) if names else []
+        base = insert_human(scene, HumanSpec(
+            id=data.draw(st.sampled_from(["a_human", "n05h", "z_human"])),
+            bbox_center=data.draw(st.sampled_from(spots)),
+            bbox_extent=(0.5, 0.5, 1.8),
+            spatial_relations=tuple(("next to", t) for t in targets[:1]),
+            activity_relations=tuple(("watching", t) for t in targets[1:]),
+        ))
+        ids = relevant_objects(base, trajectory, radius, max_spacing=spacing)
+        for condition in Condition:
+            variant = derive_condition_variant(base, condition)
+            assert relevant_objects(variant, trajectory, radius, max_spacing=spacing) == tuple(
+                i for i in ids if i in variant.nodes
+            )
 
     def test_single_waypoint_and_empty_scene(self, small_scene):
         trajectory = Trajectory(((1.0, 1.0, 0.0),))

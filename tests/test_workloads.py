@@ -21,10 +21,13 @@ from unittest import mock
 
 import pytest
 
-from socioplan import ObjectNode, PlanRequest, Relation, cost_assessment, load_scenario, plan, scene_graph
+from socioplan import (
+    ObjectNode, PlanRequest, Relation, cost_assessment, iterate_plan, load_scenario, plan, planner, scene_graph
+)
 from socioplan.cost_assessment import entries_from_dict
 from socioplan.cost_field import field_spec_from_assessment, rasterize
 from socioplan.jsonio import canonical_json
+from socioplan.scenario_runner import build_assessor, load_base_scene
 from socioplan.scene_graph import scene_from_dict
 
 REPO_DIR = Path(__file__).resolve().parent.parent
@@ -125,6 +128,44 @@ def test_open_hall_search_work_is_pinned(tmp_path):
         pushes.append(push.call_count)
     assert pops == [199, 17_309, 28_309]
     assert pushes == [988, 18_602, 29_358]
+
+
+@pytest.mark.parametrize(
+    "workload, queries, searches", [("cluttered_house", 2, 2), ("open_hall", 4, 3), ("bedroom", 4, 3)]
+)
+def test_each_query_and_search_runs_once_per_run(tmp_path, monkeypatch, workload, queries, searches):
+    """Calls of ``relevant_objects`` and ``plan`` in one run: one per distinct
+    trajectory and costmap, where running each condition alone makes 6, 8 and
+    6 queries and 3 searches on each workload. A second run repeats them all,
+    so no answer outlives its run."""
+    scenario_path = workloads.materialize(workload, 1, REPO_DIR, tmp_path)
+    calls = Counter()
+    for name in ("relevant_objects", "plan"):
+        def counting(*args, _name=name, _original=getattr(planner, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(planner, name, counting)
+    for _ in range(2):
+        calls.clear()
+        ops.plan_step(scenario_path)
+        assert calls == {"relevant_objects": queries, "plan": searches}
+
+
+@pytest.mark.parametrize("workload", ["bedroom", "cluttered_house", "open_hall"])
+def test_a_lone_condition_equals_its_run_entry(tmp_path, workload):
+    """``iterate_plan`` called alone, with a fresh memo, gives the entry its
+    condition has in a run whose conditions share one."""
+    _, run_report, scenario = ops.plan_step(workloads.materialize(workload, 1, REPO_DIR, tmp_path))
+    base = load_base_scene(scenario)
+    for entry in run_report.conditions:
+        alone = iterate_plan(
+            base, entry.condition, scenario.start, scenario.goal, scenario.query_radius_m,
+            build_assessor(scenario, entry.condition, scenario.assessor.kind),
+            bounds=scenario.bounds, resolution=scenario.resolution, preferences=scenario.preferences,
+            activity_zones=dict(scenario.activity_zones), waypoints=scenario.waypoints,
+        )
+        assert alone == entry
 
 
 def test_cluttered_house_scene_reads_are_pinned(tmp_path, monkeypatch):
