@@ -117,13 +117,14 @@ def _cmd_assess(args: argparse.Namespace) -> int:
     base = load_base_scene(scenario)
     trajectory = seed_trajectory(scenario.start, scenario.goal, scenario.waypoints)
 
-    output = []
+    output, found = [], None
     for condition in conditions:
         with condition_stage(condition, kind):
             assessor = build_assessor(scenario, condition, kind)
             variant = derive_condition_variant(base, condition)
-            ids = relevant_objects(variant, trajectory, scenario.query_radius_m)
-            partial, assessed = relevant_context(variant, ids)
+            if found is None:  # the base scene's ids, filtered to each variant's nodes as in iterate_plan
+                found = relevant_objects(base, trajectory, scenario.query_radius_m)
+            partial, assessed = relevant_context(variant, tuple(i for i in found if i in variant.nodes))
             output.append(
                 (condition, assess(assessor, partial, trajectory, assessed, scenario.preferences))
             )

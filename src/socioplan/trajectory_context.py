@@ -4,7 +4,7 @@ and the canonical per-object description text fed to assessors."""
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -158,23 +158,22 @@ def render_context_text(
         tag = partial.node(node_id).tag
         return f"{tag}[{node_id}]" if tag_counts[tag] > 1 else tag
 
+    # (verb, other entity, inverted) per node: edges where the node is the
+    # head, plus inverted-flagged edges where it is the tail (and not the head).
+    relations = defaultdict(set)
+    for rel in partial.relations:
+        relations[rel.head_id].add((rel.name, label(rel.tail_id), False))
+        if rel.tail_id != rel.head_id:
+            relations[rel.tail_id].add((rel.name, label(rel.head_id), True))
     lines = ["OBJECTS"]
     node_ids = sorted(partial.nodes)
     if not node_ids:
         lines.append("(none)")
     for node_id in node_ids:
         node = partial.node(node_id)
-        # (verb, other entity, inverted): edges where the node is the head,
-        # plus inverted-flagged edges where it is the tail.
-        relations = set()
-        for rel in partial.relations:
-            if rel.head_id == node_id:
-                relations.add((rel.name, label(rel.tail_id), False))
-            elif rel.tail_id == node_id:
-                relations.add((rel.name, label(rel.head_id), True))
         rel_text = ", ".join(
             f"({verb}, {other}, inverted)" if inverted else f"({verb}, {other})"
-            for verb, other, inverted in sorted(relations)
+            for verb, other, inverted in sorted(relations[node_id])
         )
         lines += [
             f"- object_id: {node.id}",

@@ -20,6 +20,7 @@ from socioplan.human_augmentation import Condition
 from socioplan.jsonio import canonical_json
 from socioplan.planner import iterate_plan
 from socioplan.scenario_runner import build_assessor, load_base_scene, load_scenario, run_scenario
+from socioplan.trajectory_context import relevant_objects
 
 from conftest import DATA_DIR
 from test_workloads import PINNED
@@ -98,6 +99,18 @@ class TestAssess:
         assert len(conditions) == 3
         for condition in conditions:
             assert condition["entries"] == fixtures[f"bedroom/{condition['condition']}"]
+
+    def test_one_relevance_query_serves_every_condition(self, capsys):
+        # The base scene is queried once; each variant keeps the ids of its own nodes.
+        with mock.patch("socioplan.cli.relevant_objects", wraps=relevant_objects) as query:
+            assert main(["--strict", "assess", SCENARIO, "--format", "json"]) == 0
+        assert query.call_count == 1
+        entries = {c["condition"]: set(c["entries"]) for c in json.loads(capsys.readouterr().out)["conditions"]}
+        assert entries == {
+            "no_human": {"armchair", "bed"},
+            "human_no_relations": {"armchair", "bed", "human"},
+            "human_with_relations": {"armchair", "bed", "human"},
+        }
 
     def test_condition_filter(self, capsys):
         assert main(["assess", SCENARIO, "--condition", "no_human"]) == 0

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import heapq
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -279,6 +281,73 @@ class TestPlan:
                 )
             ).total_cost
             assert higher >= base
+
+
+def _forced(request, buckets):
+    """``plan(request)`` with its search fixed, bypassing ``_takes_buckets``."""
+    with mock.patch.object(planner, "_takes_buckets", return_value=buckets):
+        return plan(request)
+
+
+def _searches(request):
+    """``plan(request)`` and the names of the searches it ran."""
+    spies = {name: mock.Mock(wraps=getattr(planner, name)) for name in ("_astar", "_buckets")}
+    with mock.patch.multiple(planner, **spies):
+        path = plan(request)
+    return path, [name for name, spy in spies.items() for _ in range(spy.call_count)]
+
+
+class TestBucketSearch:
+    """The bucketed Dijkstra and A* compute the same ``d``, so ``plan`` gives
+    the same path whichever search its rule picks."""
+
+    def test_both_searches_equal_the_oracle_on_seeded_maps(self):
+        rng = np.random.default_rng(36)
+        for i in range(240):
+            width, height = (int(side) for side in rng.integers(1, 41, size=2))
+            kind = ("tie-heavy", "all-1", "random")[i % 3]
+            if kind == "tie-heavy":
+                cells = rng.integers(1, 4, size=(height, width)).astype(float)
+            elif kind == "all-1":
+                cells = np.ones((height, width))
+            else:
+                cells = rng.uniform(1.0, 10.0, size=(height, width))
+            resolution = (0.05, 0.1, 0.25, 0.5, 1.0)[i % 5]
+            costmap = Costmap(tuple(rng.uniform(-50.0, 50.0, size=2)), resolution, width, height, cells)
+            start, goal = ((int(rng.integers(width)), int(rng.integers(height))) for _ in range(2))
+            request = PlanRequest(costmap.cell_center(*start), costmap.cell_center(*goal), costmap)
+            by_buckets, by_astar = _forced(request, True), _forced(request, False)
+            optimum, cells_path = dijkstra_path(costmap, start, goal)
+            assert by_buckets.cells == by_astar.cells == cells_path, (i, kind)
+            assert by_buckets.total_cost == by_astar.total_cost == optimum, (i, kind)
+
+    def test_all_1_square_with_an_off_diagonal_trip(self):
+        # A* pops every cell of its tie parallelogram here; the rule picks A*,
+        # as the line crosses no cell above cost 1.
+        costmap = uniform_costmap(200, 200, resolution=0.05)
+        request = PlanRequest(costmap.cell_center(0, 0), costmap.cell_center(199, 100), costmap)
+        with mock.patch.object(heapq, "heappop", side_effect=heapq.heappop) as pop:
+            by_astar = _forced(request, False)
+        assert pop.call_count == 10_561
+        assert _forced(request, True) == by_astar
+        assert _searches(request) == (by_astar, ["_astar"])
+
+    def test_the_rule_reads_cells_line_and_float_range(self):
+        """Buckets for a raised line on 10,000 cells; A* below that size, for a
+        line at cost 1 and for a line whose route bound leaves the range."""
+        def request(side, line_cost):
+            cells = np.ones((side, side))
+            cells[:, side // 2] = line_cost  # a wall across the straight line
+            costmap = cells_map(cells, resolution=0.1)
+            return PlanRequest(costmap.cell_center(0, 3), costmap.cell_center(side - 1, side - 4), costmap)
+
+        cases = [(100, 2.0, "_buckets"), (99, 2.0, "_astar"), (100, 1.0, "_astar"), (100, 3e4, "_astar")]
+        for side, line_cost, search in cases:
+            path, searches = _searches(request(side, line_cost))
+            assert searches == [search], (side, line_cost)
+            assert path == _forced(request(side, line_cost), buckets=search == "_astar")  # the other search
+        # The line has n = 99 steps: 3e4 x sqrt 2 x (n + 1) is just over 4e6, 2.8e4 x ... just under.
+        assert _searches(request(100, 2.8e4))[1] == ["_buckets"]
 
 
 def _edge_points(bounds):

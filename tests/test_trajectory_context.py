@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -416,6 +417,25 @@ def _relations_line(text: str, object_id: str) -> str:
     return next(line.strip() for line in block.splitlines() if "relations:" in line)
 
 
+def _loop_relations_line(partial: SceneGraph, node_id: str) -> str:
+    """One object's ``relations:`` line by a loop over every relation for
+    that object alone, the per-node form the one-pass grouping replaced."""
+    tags = Counter(node.tag for node in partial)
+
+    def label(i: str) -> str:
+        tag = partial.nodes[i].tag
+        return f"{tag}[{i}]" if tags[tag] > 1 else tag
+
+    found = set()
+    for rel in partial.relations:
+        if rel.head_id == node_id:
+            found.add((rel.name, label(rel.tail_id), False))
+        elif rel.tail_id == node_id:
+            found.add((rel.name, label(rel.head_id), True))
+    items = (f"({v}, {o}, inverted)" if inverted else f"({v}, {o})" for v, o, inverted in sorted(found))
+    return "relations: [" + ", ".join(items) + "]"
+
+
 class TestContextTextRelations:
     def test_inverted_relation_flagged(self, scene_with_human):
         text = render_context_text(scene_with_human, Trajectory(((0, 0, 0),)), [])
@@ -434,6 +454,14 @@ class TestContextTextRelations:
         )
         assert "affordances: []" in text
         assert "attributes: []" in text
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_partial_graph_cases())
+    def test_matches_a_loop_per_node(self, case):
+        partial = induce_partial_graph(*case)
+        text = render_context_text(partial, Trajectory(((0, 0, 0),)), [])
+        for node_id in partial.nodes:
+            assert _relations_line(text, node_id) == _loop_relations_line(partial, node_id)
 
     def test_tag_collision_appends_ids(self):
         from socioplan.scene_graph import Relation, RelationKind

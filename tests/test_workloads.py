@@ -19,6 +19,7 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from socioplan import (
@@ -113,21 +114,52 @@ def test_generated_workloads_draw_corridors(tmp_path, workload):
 
 
 def test_open_hall_search_work_is_pinned(tmp_path):
-    """Heap pops and pushes of one A* per open_hall condition, on the costmap
-    it planned on: a change to the heuristic or the stop rule shows here
-    before it shows in a timing, and a relaxation skipped in the loop that
-    could have lowered a g would change the pushes."""
+    """Heap pops and pushes of A* on each open_hall condition's costmap, with
+    the search fixed to A* whatever ``plan``'s rule picks: a change to the
+    heuristic or the stop rule shows here before it shows in a timing, and a
+    relaxation skipped in the loop that could have lowered a g would change
+    the pushes."""
     _, run_report, scenario = ops.plan_step(workloads.materialize("open_hall", 1, REPO_DIR, tmp_path))
     pops, pushes = [], []
     for condition in run_report.conditions:
         request = PlanRequest(start=scenario.start, goal=scenario.goal, costmap=condition.costmap)
-        with mock.patch.object(heapq, "heappop", side_effect=heapq.heappop) as pop, \
+        with mock.patch.object(planner, "_takes_buckets", return_value=False), \
+                mock.patch.object(heapq, "heappop", side_effect=heapq.heappop) as pop, \
                 mock.patch.object(heapq, "heappush", side_effect=heapq.heappush) as push:
             assert plan(request) == condition.path
         pops.append(pop.call_count)
         pushes.append(push.call_count)
     assert pops == [199, 17_309, 28_309]
     assert pushes == [988, 18_602, 29_358]
+
+
+@pytest.mark.parametrize(
+    "workload, searches",
+    [
+        ("bedroom", [("_astar", None)] * 3),
+        ("cluttered_house", [("_astar", None)] * 2),
+        ("open_hall", [("_astar", None), ("_buckets", 312), ("_buckets", 331)]),
+    ],
+)
+def test_each_costmap_takes_a_pinned_search(tmp_path, workload, searches):
+    """The search ``plan`` picks for each costmap a run plans, and the passes
+    of each bucket search (one ``np.minimum.at`` per pass): a change to the
+    rule or to the bucket width shows here."""
+    taken = []
+
+    def spy(name):
+        def search(*args, _search=getattr(planner, name)):
+            minimum = mock.Mock(wraps=np.minimum)
+            with mock.patch.object(np, "minimum", minimum):
+                g = _search(*args)
+            taken.append((name, minimum.at.call_count if name == "_buckets" else None))
+            return g
+
+        return search
+
+    with mock.patch.multiple(planner, _astar=spy("_astar"), _buckets=spy("_buckets")):
+        ops.plan_step(workloads.materialize(workload, 1, REPO_DIR, tmp_path))
+    assert taken == searches
 
 
 @pytest.mark.parametrize(
