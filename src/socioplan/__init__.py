@@ -38,6 +38,7 @@ from .planner import (
     Path,
     PlanRequest,
     PlanningError,
+    Run,
     iterate_plan,
     plan,
 )

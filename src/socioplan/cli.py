@@ -10,17 +10,17 @@ from pathlib import Path as FilePath
 from .cost_assessment import assess, entries_to_dict
 from .human_augmentation import Condition, derive_condition_variant
 from .jsonio import FormatError, UnknownKeyWarning, canonical_json, read_file
-from .planner import relevant_context, seed_trajectory
+from .planner import relevant_context
 from .render import render_svg
 from .scenario_runner import (
     ASSESSOR_KINDS,
     RunReport,
     ScenarioError,
     build_assessor,
+    build_run,
     compare_conditions,
     comparison_dict,
     condition_stage,
-    load_base_scene,
     load_report,
     load_scenario,
     read_condition,
@@ -28,7 +28,6 @@ from .scenario_runner import (
     run_scenario,
 )
 from .scene_graph import load_scene
-from .trajectory_context import relevant_objects
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -114,20 +113,15 @@ def _cmd_assess(args: argparse.Namespace) -> int:
         for value in args.condition:
             conditions.append(read_condition(value, "--condition", conditions))
     kind = args.assessor or scenario.assessor.kind
-    base = load_base_scene(scenario)
-    trajectory = seed_trajectory(scenario.start, scenario.goal, scenario.waypoints)
+    run = build_run(scenario)
 
-    output, found = [], None
+    output = []
     for condition in conditions:
         with condition_stage(condition, kind):
             assessor = build_assessor(scenario, condition, kind)
-            variant = derive_condition_variant(base, condition)
-            if found is None:  # the base scene's ids, filtered to each variant's nodes as in iterate_plan
-                found = relevant_objects(base, trajectory, scenario.query_radius_m)
-            partial, assessed = relevant_context(variant, tuple(i for i in found if i in variant.nodes))
-            output.append(
-                (condition, assess(assessor, partial, trajectory, assessed, scenario.preferences))
-            )
+            variant = derive_condition_variant(run.scene, condition)
+            partial, assessed = relevant_context(variant, run.relevant(variant, run.seed))
+            output.append((condition, assess(assessor, partial, run.seed, assessed, run.preferences)))
 
     if args.format == "json":
         payload = {

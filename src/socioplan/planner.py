@@ -320,13 +320,6 @@ def relevant_context(variant: SceneGraph, ids: tuple[str, ...]) -> tuple[SceneGr
     return partial, ids + tuple(i for i in sorted(partial.nodes) if i not in found)
 
 
-def seed_trajectory(start: Vec2, goal: Vec2, waypoints: Sequence[Vec3] | None) -> Trajectory:
-    """Round 1's trajectory: the waypoints if given, else the start-goal segment at z = 0."""
-    if waypoints is not None:
-        return Trajectory(tuple(waypoints))
-    return Trajectory(((start[0], start[1], 0.0), (goal[0], goal[1], 0.0)))
-
-
 @dataclass(frozen=True)
 class PlanIteration:
     """Result of the assess-then-plan loop for one condition, as a report
@@ -343,78 +336,85 @@ class PlanIteration:
     stop: str
 
 
-class RunMemo:
-    """What the conditions of one run share (see ``iterate_plan``): ``run``, the
-    base scene, start, goal and radius it serves; ``relevant``, the base scene's
-    ids per seed waypoints or path polyline; and ``paths``, ``(costmap, path)`` pairs."""
+class Run:
+    """One scenario run: what it fixes, shared by its conditions (see
+    ``iterate_plan``), and what it has already answered.
 
-    def __init__(self) -> None:
-        self.run, self.relevant, self.paths = None, {}, []
+    ``scene`` is the base scene, every condition's variant a subset of it;
+    ``seed`` is round 1's trajectory, the ``waypoints`` if given, else the
+    start-goal segment at z = 0. ``relevant`` queries the base scene once per
+    trajectory and ``path`` plans once per costmap: the run fixes everything
+    else the two answers depend on. ValueError for ``max_rounds`` < 1.
+    """
+
+    def __init__(
+        self,
+        scene: SceneGraph,
+        start: Vec2,
+        goal: Vec2,
+        radius: float,
+        *,
+        bounds: tuple[Vec2, Vec2],
+        resolution: float,
+        preferences: Sequence[str] = (),
+        activity_zones: dict[str, tuple[float, float]] | None = None,
+        waypoints: Sequence[Vec3] | None = None,
+        max_rounds: int = DEFAULT_MAX_ROUNDS,
+    ) -> None:
+        if max_rounds < 1:
+            raise ValueError("max_rounds must be >= 1")
+        self.scene, self.start, self.goal, self.radius = scene, start, goal, radius
+        self.bounds, self.resolution, self.preferences = bounds, resolution, preferences
+        self.activity_zones, self.max_rounds = activity_zones or {}, max_rounds
+        if waypoints is None:
+            waypoints = ((start[0], start[1], 0.0), (goal[0], goal[1], 0.0))
+        self.seed = Trajectory(tuple(waypoints))
+        self._relevant: dict[Trajectory, tuple[str, ...]] = {}
+        self._paths: list[tuple[Costmap, tuple[Path, Trajectory]]] = []
+
+    def relevant(self, variant: SceneGraph, trajectory: Trajectory) -> tuple[str, ...]:
+        """``relevant_objects`` of ``variant``, a condition variant of the base
+        scene, along ``trajectory``: the base scene's ids filtered to the
+        variant's nodes (see ``relevant_objects``)."""
+        if (found := self._relevant.get(trajectory)) is None:
+            found = self._relevant[trajectory] = relevant_objects(self.scene, trajectory, self.radius)
+        return tuple(i for i in found if i in variant.nodes)
+
+    def path(self, costmap: Costmap) -> tuple[Path, Trajectory]:
+        """The path ``plan`` finds on ``costmap`` from start to goal, and that
+        path's trajectory at z = 0."""
+        planned = next((p for c, p in reversed(self._paths) if c == costmap), None)
+        if planned is None:
+            path = plan(PlanRequest(start=self.start, goal=self.goal, costmap=costmap))
+            planned = path, Trajectory(tuple((x, y, 0.0) for x, y in path.polyline))
+            self._paths.append((costmap, planned))
+        return planned
 
 
-def iterate_plan(
-    graph: SceneGraph,
-    condition: Condition,
-    start: Vec2,
-    goal: Vec2,
-    radius: float,
-    assessor: Assessor,
-    *,
-    bounds: tuple[Vec2, Vec2],
-    resolution: float,
-    preferences: Sequence[str] = (),
-    activity_zones: dict[str, tuple[float, float]] | None = None,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    waypoints: Sequence[Vec3] | None = None,
-    memo: RunMemo | None = None,
-) -> PlanIteration:
+def iterate_plan(run: Run, condition: Condition, assessor: Assessor) -> PlanIteration:
     """Alternate relevance extraction, assessment, and planning to a fixed point.
 
-    Round 1 seeds relevance with ``seed_trajectory``; every later round
+    Round 1 seeds relevance with ``run.seed``; every later round
     re-extracts the relevant set from the latest path and replans. The loop
-    stops when the relevant set repeats, in any order, or ``max_rounds`` is
-    reached; the repeat is checked first, so only a round that assesses
+    stops when the relevant set repeats, in any order, or ``run.max_rounds``
+    is reached; the repeat is checked first, so only a round that assesses
     induces a partial graph. The set handed to the assessor is the partial
     graph's node set (radius hits plus attached humans), so human context
-    is never dropped.
-
-    A trajectory or costmap already handled in this run is not handled
-    again: ``memo``, which ``run_scenario`` shares among its conditions,
-    holds the base scene's relevant ids per trajectory, filtered to the
-    variant's nodes (see ``relevant_objects``), and the path per costmap, as
-    ``plan`` depends only on start, goal and costmap. A memo serves only the
-    base scene, start, goal and radius it first served; ValueError otherwise.
+    is never dropped. A trajectory or costmap that ``run`` has already
+    handled, for this condition or another, is not handled again.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
-    memo = RunMemo() if memo is None else memo
-    run = (graph, tuple(start), tuple(goal), radius)
-    if memo.run not in (None, run):
-        raise ValueError("the memo serves another base scene, start, goal or radius")
-    memo.run = run
-    variant = derive_condition_variant(graph, condition)
-    trajectory = seed_trajectory(start, goal, waypoints)
-    key: tuple = trajectory.waypoints  # later a path's polyline: cheaper to hash, held by the memo
-    previous: frozenset[str] | None = None
-    rounds = 0
-    stop = "max_rounds"
-    while rounds < max_rounds:
-        if (found := memo.relevant.get(key)) is None:
-            found = memo.relevant[key] = relevant_objects(graph, trajectory, radius)
-        ids = tuple(i for i in found if i in variant.nodes)
+    variant = derive_condition_variant(run.scene, condition)
+    trajectory, previous, rounds, stop = run.seed, None, 0, "max_rounds"
+    while rounds < run.max_rounds:
+        ids = run.relevant(variant, trajectory)
         if frozenset(ids) == previous:
             stop = "converged"
             break
         partial, assessed = relevant_context(variant, ids)
-        assessment = assess(assessor, partial, trajectory, assessed, preferences)
-        spec = field_spec_from_assessment(partial, assessment)
-        zones = tuple(make_activity_zones(partial, activity_zones or {}))
-        costmap = rasterize(spec, zones, bounds, resolution)
-        path = next((p for c, p in reversed(memo.paths) if c == costmap), None)
-        if path is None:
-            path = plan(PlanRequest(start=start, goal=goal, costmap=costmap))
-            memo.paths.append((costmap, path))
-        trajectory, key = Trajectory(tuple((x, y, 0.0) for x, y in path.polyline)), path.polyline
+        assessment = assess(assessor, partial, trajectory, assessed, run.preferences)
+        zones = tuple(make_activity_zones(partial, run.activity_zones))
+        costmap = rasterize(field_spec_from_assessment(partial, assessment), zones, run.bounds, run.resolution)
+        path, trajectory = run.path(costmap)
         rounds += 1
         previous = frozenset(ids)
         relevant = assessed

@@ -58,7 +58,7 @@ from .jsonio import (
     unwritable,
     vector,
 )
-from .planner import PlanIteration, PlanningError, RunMemo, iterate_plan, path_from_cells
+from .planner import PlanIteration, PlanningError, Run, iterate_plan, path_from_cells
 from .scene_graph import RelationKind, SceneGraph, Vec3, load_scene, scene_from_dict, scene_to_dict
 
 Vec2 = tuple[float, float]
@@ -368,11 +368,11 @@ def human_footprint(scenario: Scenario) -> RectFootprint | None:
     return None if scenario.human is None else footprint_of(scenario.human.node)
 
 
-def load_base_scene(scenario: Scenario) -> SceneGraph:
-    """The scenario's scene, read with ``scenario.strict``, with its human, if
-    any, inserted. ``insert_human`` refuses a human that breaks a scene rule,
-    as a FormatError at ``human``. Each ``activity_zones`` verb must name an
-    activity relation of the result."""
+def build_run(scenario: Scenario) -> Run:
+    """The ``Run`` of a scenario. Its base scene is the scenario's scene, read
+    with ``scenario.strict``, with its human, if any, inserted. ``insert_human``
+    refuses a human that breaks a scene rule, as a FormatError at ``human``.
+    Each ``activity_zones`` verb must name an activity relation of the result."""
     scene = load_scene(read_file(scenario.scene_path(), "scene", "scene"), strict=scenario.strict)
     if scenario.human is not None:
         try:
@@ -385,7 +385,11 @@ def load_base_scene(scenario: Scenario) -> SceneGraph:
             raise FormatError(
                 f'no activity relation of the scene has the verb "{verb}"', f"activity_zones[{verb!r}]"
             )
-    return scene
+    return Run(
+        scene, scenario.start, scenario.goal, scenario.query_radius_m,
+        bounds=scenario.bounds, resolution=scenario.resolution, preferences=scenario.preferences,
+        activity_zones=dict(scenario.activity_zones), waypoints=scenario.waypoints,
+    )
 
 
 def run_scenario(scenario: Scenario, *, assessor_kind: str | None = None) -> RunReport:
@@ -393,31 +397,16 @@ def run_scenario(scenario: Scenario, *, assessor_kind: str | None = None) -> Run
     assess-and-plan with the assessor of ``assessor_kind``, by default the
     scenario's. The scene and fixture files are read with ``scenario.strict``.
 
-    The conditions share one ``RunMemo`` (see ``iterate_plan``). Deterministic
+    The conditions share one ``Run`` (see ``iterate_plan``). Deterministic
     for the rules and replay assessors. Errors are re-raised by ``condition_stage``.
     """
     kind = assessor_kind or scenario.assessor.kind
-    base, memo = load_base_scene(scenario), RunMemo()
+    run = build_run(scenario)
     results = []
     for condition in scenario.conditions:
         with condition_stage(condition, kind):
-            results.append(
-                iterate_plan(
-                    base,
-                    condition,
-                    scenario.start,
-                    scenario.goal,
-                    scenario.query_radius_m,
-                    build_assessor(scenario, condition, kind),
-                    bounds=scenario.bounds,
-                    resolution=scenario.resolution,
-                    preferences=scenario.preferences,
-                    activity_zones=dict(scenario.activity_zones),
-                    waypoints=scenario.waypoints,
-                    memo=memo,
-                )
-            )
-    return RunReport(scenario.name, base, tuple(results), scenario.bounds, scenario.resolution)
+            results.append(iterate_plan(run, condition, build_assessor(scenario, condition, kind)))
+    return RunReport(scenario.name, run.scene, tuple(results), scenario.bounds, scenario.resolution)
 
 
 def report_to_json(report: RunReport) -> str:

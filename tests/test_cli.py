@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -19,7 +20,7 @@ from socioplan.cost_assessment import entries_to_dict
 from socioplan.human_augmentation import Condition
 from socioplan.jsonio import canonical_json
 from socioplan.planner import iterate_plan
-from socioplan.scenario_runner import build_assessor, load_base_scene, load_scenario, run_scenario
+from socioplan.scenario_runner import build_assessor, build_run, load_scenario, run_scenario
 from socioplan.trajectory_context import relevant_objects
 
 from conftest import DATA_DIR
@@ -102,7 +103,7 @@ class TestAssess:
 
     def test_one_relevance_query_serves_every_condition(self, capsys):
         # The base scene is queried once; each variant keeps the ids of its own nodes.
-        with mock.patch("socioplan.cli.relevant_objects", wraps=relevant_objects) as query:
+        with mock.patch("socioplan.planner.relevant_objects", wraps=relevant_objects) as query:
             assert main(["--strict", "assess", SCENARIO, "--format", "json"]) == 0
         assert query.call_count == 1
         entries = {c["condition"]: set(c["entries"]) for c in json.loads(capsys.readouterr().out)["conditions"]}
@@ -133,21 +134,11 @@ class TestAssess:
         assert set(entries) == {"bed", "human"}
 
 
-def _first_round(scenario, condition, **kwargs):
-    return iterate_plan(
-        load_base_scene(scenario),
-        condition,
-        scenario.start,
-        scenario.goal,
-        scenario.query_radius_m,
-        build_assessor(scenario, condition, scenario.assessor.kind),
-        bounds=scenario.bounds,
-        resolution=scenario.resolution,
-        preferences=scenario.preferences,
-        activity_zones=dict(scenario.activity_zones),
-        max_rounds=1,
-        **kwargs,
-    )
+def _first_round(scenario, condition):
+    """Round 1 of ``condition`` in the scenario's run, alone."""
+    run = build_run(scenario)
+    run.max_rounds = 1
+    return iterate_plan(run, condition, build_assessor(scenario, condition, scenario.assessor.kind))
 
 
 class TestWaypointsSeedRoundOne:
@@ -159,11 +150,11 @@ class TestWaypointsSeedRoundOne:
         printed = {c["condition"]: c["entries"] for c in json.loads(capsys.readouterr().out)["conditions"]}
         scenario = load_scenario(path)
         for condition in scenario.conditions:
-            first = _first_round(scenario, condition, waypoints=scenario.waypoints)
+            first = _first_round(scenario, condition)
             assert entries_to_dict(first.assessment.entries) == printed[condition.value]
         assert set(printed["no_human"]) == {"bed"}
         # The straight start-goal segment would have assessed the armchair too.
-        straight = _first_round(scenario, scenario.conditions[0])
+        straight = _first_round(dataclasses.replace(scenario, waypoints=None), scenario.conditions[0])
         assert set(straight.assessment.entries) == {"armchair", "bed"}
 
     def test_plan_starts_from_the_waypoints(self, tmp_path):
@@ -176,7 +167,7 @@ class TestWaypointsSeedRoundOne:
         # Round 1 asks the no_human recording of {armchair, bed} for the bed alone.
         path = _waypoint_scenario(tmp_path, replay=True)
         scenario = load_scenario(path)
-        first = _first_round(scenario, Condition.NO_HUMAN, waypoints=scenario.waypoints)
+        first = _first_round(scenario, Condition.NO_HUMAN)
         assert entries_to_dict(first.assessment.entries) == {"bed": {"cost": 1.0, "clearance": 0.5}}
         assert main(["plan", str(path)]) == 0
         assert capsys.readouterr().err == ""

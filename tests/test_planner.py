@@ -22,7 +22,7 @@ from socioplan import (
 from socioplan.cost_assessment import CostClearance, rule_based_assess
 from socioplan.cli import main
 from socioplan.cost_field import Costmap, FieldSpec, rasterize
-from socioplan.planner import Path, RunMemo, path_cost, path_from_cells
+from socioplan.planner import Path, Run, path_cost, path_from_cells
 from socioplan.scenario_runner import load_scenario, run_scenario
 from socioplan.scene_graph import ObjectNode, SceneGraph
 from socioplan.trajectory_context import induce_partial_graph
@@ -533,21 +533,27 @@ class TestPathFromCells:
             assert path_from_cells(cells, costmap).length_m == length_m
 
 
-class TestIteratePlan:
-    BOUNDS = ((0.0, 0.0), (6.0, 5.0))
+def detour_scene(tag="plant", **human) -> SceneGraph:
+    """A human blocks the direct corridor from (0.5, 2) to (5.5, 2); avoiding
+    them swings the path near ``object``, a ``tag``, that the straight seed never sees."""
+    return insert_human(
+        SceneGraph(nodes=[ObjectNode("object", tag, (1.8, 4.6, 0.5), (0.4, 0.4, 1.0))]),
+        HumanSpec(id="human_1", bbox_center=(1.2, 2.0, 0.9), bbox_extent=(0.5, 0.5, 1.8), **human),
+    )
 
+
+def make_run(scene, start=(0.5, 2.0), goal=(5.5, 2.0), radius=0.9, **options) -> Run:
+    """A ``Run`` on the 6 m x 5 m test map at 0.1 m, by default across ``detour_scene``."""
+    return Run(scene, start, goal, radius, **{"bounds": ((0.0, 0.0), (6.0, 5.0)), "resolution": 0.1, **options})
+
+
+def empty_run(**options) -> Run:
+    return make_run(SceneGraph(nodes={}), (0.5, 0.5), (5.5, 4.5), 1.5, **options)
+
+
+class TestIteratePlan:
     def test_empty_scene_converges_immediately_to_straight_path(self):
-        graph = SceneGraph(nodes={})
-        outcome = iterate_plan(
-            graph,
-            Condition.NO_HUMAN,
-            (0.5, 0.5),
-            (5.5, 4.5),
-            1.5,
-            rule_based_assess,
-            bounds=self.BOUNDS,
-            resolution=0.1,
-        )
+        outcome = iterate_plan(empty_run(), Condition.NO_HUMAN, rule_based_assess)
         assert outcome.rounds == 1
         assert outcome.assessment.entries == {}
         assert outcome.relevant == ()
@@ -560,93 +566,31 @@ class TestIteratePlan:
         assert outcome.path.total_cost == pytest.approx(geodesic, rel=1e-9)
 
     def test_detour_pulls_new_object_into_radius(self):
-        # A human blocks the direct corridor; avoiding them swings the path
-        # near a plant that the straight seed never sees.
-        scene = SceneGraph(
-            nodes=[
-                ObjectNode("plant", "plant", (1.8, 4.6, 0.5), (0.4, 0.4, 1.0)),
-            ]
-        )
-        graph = insert_human(
-            scene,
-            HumanSpec(id="human_1", bbox_center=(1.2, 2.0, 0.9), bbox_extent=(0.5, 0.5, 1.8)),
-        )
-        outcome = iterate_plan(
-            graph,
-            Condition.HUMAN_NO_RELATIONS,
-            (0.5, 2.0),
-            (5.5, 2.0),
-            0.9,
-            rule_based_assess,
-            bounds=self.BOUNDS,
-            resolution=0.1,
-        )
+        outcome = iterate_plan(make_run(detour_scene()), Condition.HUMAN_NO_RELATIONS, rule_based_assess)
         assert outcome.rounds >= 2
-        assert "plant" in outcome.relevant
+        assert "object" in outcome.relevant
         assert "human_1" in outcome.relevant
 
     def test_terminates_within_max_rounds(self):
-        scene = SceneGraph(
-            nodes=[ObjectNode("plant", "plant", (1.8, 4.6, 0.5), (0.4, 0.4, 1.0))]
-        )
-        graph = insert_human(
-            scene,
-            HumanSpec(id="human_1", bbox_center=(1.2, 2.0, 0.9), bbox_extent=(0.5, 0.5, 1.8)),
-        )
         for max_rounds in (1, 2, 3, 5):
-            outcome = iterate_plan(
-                graph,
-                Condition.HUMAN_NO_RELATIONS,
-                (0.5, 2.0),
-                (5.5, 2.0),
-                0.9,
-                rule_based_assess,
-                bounds=self.BOUNDS,
-                resolution=0.1,
-                max_rounds=max_rounds,
-            )
+            run = make_run(detour_scene(), max_rounds=max_rounds)
+            outcome = iterate_plan(run, Condition.HUMAN_NO_RELATIONS, rule_based_assess)
             assert 1 <= outcome.rounds <= max_rounds
 
     def test_stop_says_why_the_loop_ended(self):
         # The detour scene needs a second round, so a cap of 1 cuts it short.
-        graph = insert_human(
-            SceneGraph(nodes=[ObjectNode("plant", "plant", (1.8, 4.6, 0.5), (0.4, 0.4, 1.0))]),
-            HumanSpec(id="human_1", bbox_center=(1.2, 2.0, 0.9), bbox_extent=(0.5, 0.5, 1.8)),
-        )
         for max_rounds in (1, 2, 3, 5):
-            outcome = iterate_plan(
-                graph,
-                Condition.HUMAN_NO_RELATIONS,
-                (0.5, 2.0),
-                (5.5, 2.0),
-                0.9,
-                rule_based_assess,
-                bounds=self.BOUNDS,
-                resolution=0.1,
-                max_rounds=max_rounds,
-            )
+            run = make_run(detour_scene(), max_rounds=max_rounds)
+            outcome = iterate_plan(run, Condition.HUMAN_NO_RELATIONS, rule_based_assess)
             expected = "max_rounds" if outcome.rounds == max_rounds else "converged"
             assert outcome.stop == expected
         assert outcome.stop == "converged"  # five rounds are enough to settle
-        empty = iterate_plan(
-            SceneGraph(nodes={}), Condition.NO_HUMAN, (0.5, 0.5), (5.5, 4.5), 1.5,
-            rule_based_assess, bounds=self.BOUNDS, resolution=0.1, max_rounds=1,
-        )
+        empty = iterate_plan(empty_run(max_rounds=1), Condition.NO_HUMAN, rule_based_assess)
         assert empty.stop == "max_rounds"
 
     def test_invalid_max_rounds(self):
         with pytest.raises(ValueError, match="max_rounds"):
-            iterate_plan(
-                SceneGraph(nodes={}),
-                Condition.NO_HUMAN,
-                (0.5, 0.5),
-                (5.5, 4.5),
-                1.0,
-                rule_based_assess,
-                bounds=self.BOUNDS,
-                resolution=0.1,
-                max_rounds=0,
-            )
+            empty_run(max_rounds=0)
 
 
 class TestOnePartialGraphPerRound:
@@ -665,18 +609,11 @@ class TestOnePartialGraphPerRound:
         return calls
 
     def test_iterate_plan_induces_once_per_round(self, induced):
-        graph = insert_human(
-            SceneGraph(nodes=[ObjectNode("plant", "plant", (1.8, 4.6, 0.5), (0.4, 0.4, 1.0))]),
-            HumanSpec(id="human_1", bbox_center=(1.2, 2.0, 0.9), bbox_extent=(0.5, 0.5, 1.8)),
-        )
         stops = set()
         for max_rounds in (1, 2, 3, 5):
             induced.clear()
-            outcome = iterate_plan(
-                graph, Condition.HUMAN_NO_RELATIONS, (0.5, 2.0), (5.5, 2.0), 0.9,
-                rule_based_assess, bounds=((0.0, 0.0), (6.0, 5.0)), resolution=0.1,
-                max_rounds=max_rounds,
-            )
+            run = make_run(detour_scene(), max_rounds=max_rounds)
+            outcome = iterate_plan(run, Condition.HUMAN_NO_RELATIONS, rule_based_assess)
             assert len(induced) == outcome.rounds
             stops.add(outcome.stop)
         assert stops == {"converged", "max_rounds"}
@@ -695,20 +632,10 @@ class TestIteratePlanReusesPath:
     """A round whose costmap repeats keeps the last path; A* runs once per
     distinct costmap, and the outcome is that of a loop that always replans."""
 
-    BOUNDS = ((0.0, 0.0), (6.0, 5.0))
-
     def run(self, tag):
-        # The straight seed meets only the human; the detour around them
-        # pulls in the object, which the rules score (1, 0) as a plant and
-        # (3, 1) as a chair beside an unexplained human.
-        graph = insert_human(
-            SceneGraph(nodes=[ObjectNode("object", tag, (1.8, 4.6, 0.5), (0.4, 0.4, 1.0))]),
-            HumanSpec(id="human_1", bbox_center=(1.2, 2.0, 0.9), bbox_extent=(0.5, 0.5, 1.8)),
-        )
-        return iterate_plan(
-            graph, Condition.HUMAN_NO_RELATIONS, (0.5, 2.0), (5.5, 2.0), 0.9,
-            rule_based_assess, bounds=self.BOUNDS, resolution=0.1,
-        )
+        # The rules score the object (1, 0) as a plant and (3, 1) as a chair
+        # beside an unexplained human.
+        return iterate_plan(make_run(detour_scene(tag)), Condition.HUMAN_NO_RELATIONS, rule_based_assess)
 
     def reused_and_replanned(self, monkeypatch, tag):
         costmaps = []
@@ -752,43 +679,25 @@ class TestIteratePlanReusesPath:
         self.assert_same_iteration(reused, replanned)
 
 
-class TestRunMemo:
-    """A ``RunMemo`` serves one base scene, start, goal and radius: the
-    inputs its relevance and path tables do not key on."""
+class TestRun:
+    """A ``Run`` fixes every input that its relevance and path tables do not
+    key on, so one ``Run`` serves all of a run's conditions."""
 
-    def graph(self):
-        return insert_human(
-            SceneGraph(nodes=[ObjectNode("object", "chair", (1.8, 4.6, 0.5), (0.4, 0.4, 1.0))]),
-            HumanSpec(id="human_1", bbox_center=(1.2, 2.0, 0.9), bbox_extent=(0.5, 0.5, 1.8),
-                      activity_relations=(("watching", "object"),)),
-        )
+    SETTINGS = [
+        {}, {"resolution": 0.2}, {"bounds": ((-1.0, 0.0), (6.0, 5.0))},
+        {"activity_zones": {"watching": (4.0, 0.5)}},
+        {"waypoints": [(0.5, 2.0, 0.0), (3.0, 4.5, 0.0), (5.5, 2.0, 0.0)]},
+    ]
 
-    def run(self, graph, start=(0.5, 2.0), goal=(5.5, 2.0), radius=0.9, **options):
-        options = {"condition": Condition.HUMAN_NO_RELATIONS, "bounds": ((0.0, 0.0), (6.0, 5.0)),
-                   "resolution": 0.1, **options}
-        return iterate_plan(graph, options.pop("condition"), start, goal, radius, rule_based_assess, **options)
-
-    def test_another_base_scene_start_goal_or_radius_is_refused(self):
-        graph, memo = self.graph(), RunMemo()
-        served = self.run(graph, memo=memo)
-        assert (served.rounds, len(memo.relevant), len(memo.paths)) == (2, 3, 2)
-        others = [
-            {"graph": SceneGraph(nodes=[ObjectNode("object", "chair", (1.8, 4.0, 0.5), (0.4, 0.4, 1.0))])},
-            {"start": (0.5, 2.05)}, {"goal": (5.5, 2.05)}, {"radius": 1.2},
-        ]
-        for other in others:
-            with pytest.raises(ValueError, match="the memo serves another base scene, start, goal or radius"):
-                self.run(**{"graph": graph, **other}, memo=memo)
-        assert self.run(self.graph(), memo=memo) == served  # an equal scene built apart
-
-    @pytest.mark.parametrize(
-        "options",
-        [{"condition": c} for c in Condition] + [{"resolution": 0.2}, {"bounds": ((-1.0, 0.0), (6.0, 5.0))},
-                                                  {"activity_zones": {"watching": (4.0, 0.5)}},
-                                                  {"waypoints": [(0.5, 2.0, 0.0), (3.0, 4.5, 0.0), (5.5, 2.0, 0.0)]}],
-    )
-    def test_a_shared_memo_answers_as_a_fresh_one(self, options):
-        """What the tables key on, a trajectory and a costmap, covers every other input."""
-        graph, memo = self.graph(), RunMemo()
-        self.run(graph, memo=memo)
-        assert self.run(graph, memo=memo, **options) == self.run(graph, **options)
+    @pytest.mark.parametrize("condition", list(Condition))
+    def test_a_run_shared_by_all_conditions_answers_each_as_a_fresh_run(self, condition):
+        """Whatever else the run fixes, the condition's answer does not depend
+        on what the other conditions left in the tables."""
+        scene = detour_scene("chair", activity_relations=(("watching", "object"),))
+        for settings in self.SETTINGS:
+            shared = make_run(scene, **settings)
+            for other in Condition:
+                if other is not condition:
+                    iterate_plan(shared, other, rule_based_assess)
+            fresh = iterate_plan(make_run(scene, **settings), condition, rule_based_assess)
+            assert iterate_plan(shared, condition, rule_based_assess) == fresh

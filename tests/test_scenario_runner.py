@@ -38,8 +38,8 @@ from socioplan.scenario_runner import (
     AssessorConfig,
     ScenarioError,
     build_assessor,
+    build_run,
     human_footprint,
-    load_base_scene,
     min_distance_to_footprint,
     min_distance_to_human,
     serialize_scenario,
@@ -241,7 +241,7 @@ class TestStrictScenario:
         assert serialize_scenario(strict) == serialize_scenario(scenario)
 
 
-class TestLoadBaseScene:
+class TestBuildRun:
     def test_validates_the_scene_and_only_the_added_part(self, scenario):
         """The shipped scene's 4 nodes, then the human and its targets, the bed and the TV."""
         real = scene_graph._check_graph
@@ -252,7 +252,7 @@ class TestLoadBaseScene:
             return real(graph)
 
         with mock.patch.object(scene_graph, "_check_graph", spy):
-            base = load_base_scene(scenario)
+            base = build_run(scenario).scene
         assert validated == [4, 3]
         assert len(base.nodes) == 5
 
@@ -818,7 +818,7 @@ class TestLoadScenarioMutations:
         path = scenario_dir / "scenario.json"
         path.write_text(json.dumps(_mutated(_SHIPPED_SCENARIO, where, mutation)), encoding="utf-8")
         try:
-            load_base_scene(load_scenario(path))
+            build_run(load_scenario(path))
         except FormatError:
             pass
 

@@ -28,8 +28,9 @@ from socioplan import (
 from socioplan.cost_assessment import entries_from_dict
 from socioplan.cost_field import field_spec_from_assessment, rasterize
 from socioplan.jsonio import canonical_json
-from socioplan.scenario_runner import build_assessor, load_base_scene
+from socioplan.scenario_runner import build_assessor, build_run
 from socioplan.scene_graph import scene_from_dict
+from socioplan.trajectory_context import Trajectory
 
 REPO_DIR = Path(__file__).resolve().parent.parent
 
@@ -168,8 +169,10 @@ def test_each_costmap_takes_a_pinned_search(tmp_path, workload, searches):
 def test_each_query_and_search_runs_once_per_run(tmp_path, monkeypatch, workload, queries, searches):
     """Calls of ``relevant_objects`` and ``plan`` in one run: one per distinct
     trajectory and costmap, where running each condition alone makes 6, 8 and
-    6 queries and 3 searches on each workload. A second run repeats them all,
-    so no answer outlives its run."""
+    6 queries and 3 searches on each workload. A run builds one ``Trajectory``
+    for its seed and one per search, where one per condition's seed and per
+    round would make 6, 8 and 6. A second run repeats them all, so no answer
+    outlives its run."""
     scenario_path = workloads.materialize(workload, 1, REPO_DIR, tmp_path)
     calls = Counter()
     for name in ("relevant_objects", "plan"):
@@ -178,26 +181,26 @@ def test_each_query_and_search_runs_once_per_run(tmp_path, monkeypatch, workload
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(planner, name, counting)
+
+    def counting_trajectory(self, _original=Trajectory.__post_init__):
+        calls["Trajectory"] += 1
+        _original(self)
+
+    monkeypatch.setattr(Trajectory, "__post_init__", counting_trajectory)
     for _ in range(2):
         calls.clear()
         ops.plan_step(scenario_path)
-        assert calls == {"relevant_objects": queries, "plan": searches}
+        assert calls == {"relevant_objects": queries, "plan": searches, "Trajectory": 1 + searches}
 
 
 @pytest.mark.parametrize("workload", ["bedroom", "cluttered_house", "open_hall"])
 def test_a_lone_condition_equals_its_run_entry(tmp_path, workload):
-    """``iterate_plan`` called alone, with a fresh memo, gives the entry its
+    """``iterate_plan`` called alone, with a fresh ``Run``, gives the entry its
     condition has in a run whose conditions share one."""
     _, run_report, scenario = ops.plan_step(workloads.materialize(workload, 1, REPO_DIR, tmp_path))
-    base = load_base_scene(scenario)
     for entry in run_report.conditions:
-        alone = iterate_plan(
-            base, entry.condition, scenario.start, scenario.goal, scenario.query_radius_m,
-            build_assessor(scenario, entry.condition, scenario.assessor.kind),
-            bounds=scenario.bounds, resolution=scenario.resolution, preferences=scenario.preferences,
-            activity_zones=dict(scenario.activity_zones), waypoints=scenario.waypoints,
-        )
-        assert alone == entry
+        assessor = build_assessor(scenario, entry.condition, scenario.assessor.kind)
+        assert iterate_plan(build_run(scenario), entry.condition, assessor) == entry
 
 
 def test_cluttered_house_scene_reads_are_pinned(tmp_path, monkeypatch):
