@@ -25,7 +25,7 @@ from socioplan.cost_field import Costmap, FieldSpec, rasterize
 from socioplan.planner import Path, Run, path_cost, path_from_cells
 from socioplan.scenario_runner import load_scenario, run_scenario
 from socioplan.scene_graph import ObjectNode, SceneGraph
-from socioplan.trajectory_context import induce_partial_graph
+from socioplan.trajectory_context import induce_partial_graph, relevant_objects
 
 from conftest import DATA_DIR, dijkstra_optimum, dijkstra_path, random_costmap, uniform_costmap
 
@@ -683,21 +683,51 @@ class TestRun:
     """A ``Run`` fixes every input that its relevance and path tables do not
     key on, so one ``Run`` serves all of a run's conditions."""
 
-    SETTINGS = [
-        {}, {"resolution": 0.2}, {"bounds": ((-1.0, 0.0), (6.0, 5.0))},
-        {"activity_zones": {"watching": (4.0, 0.5)}},
-        {"waypoints": [(0.5, 2.0, 0.0), (3.0, 4.5, 0.0), (5.5, 2.0, 0.0)]},
-    ]
+    SETTINGS = {
+        "resolution": {"resolution": 0.2}, "bounds": {"bounds": ((-1.0, 0.0), (6.0, 5.0))},
+        "activity_zones": {"activity_zones": {"watching": (4.0, 0.5)}},
+        "waypoints": {"waypoints": [(0.5, 2.0, 0.0), (3.0, 4.5, 0.0), (5.5, 2.0, 0.0)]},
+    }
+
+    def assert_shared_answers_as_fresh(self, condition, **settings):
+        """The condition's answer does not depend on what the other conditions
+        left in the tables."""
+        scene = detour_scene("chair", activity_relations=(("watching", "object"),))
+        shared = make_run(scene, **settings)
+        for other in Condition:
+            if other is not condition:
+                iterate_plan(shared, other, rule_based_assess)
+        fresh = iterate_plan(make_run(scene, **settings), condition, rule_based_assess)
+        assert iterate_plan(shared, condition, rule_based_assess) == fresh
 
     @pytest.mark.parametrize("condition", list(Condition))
     def test_a_run_shared_by_all_conditions_answers_each_as_a_fresh_run(self, condition):
-        """Whatever else the run fixes, the condition's answer does not depend
-        on what the other conditions left in the tables."""
-        scene = detour_scene("chair", activity_relations=(("watching", "object"),))
-        for settings in self.SETTINGS:
-            shared = make_run(scene, **settings)
-            for other in Condition:
-                if other is not condition:
-                    iterate_plan(shared, other, rule_based_assess)
-            fresh = iterate_plan(make_run(scene, **settings), condition, rule_based_assess)
-            assert iterate_plan(shared, condition, rule_based_assess) == fresh
+        self.assert_shared_answers_as_fresh(condition)
+
+    @pytest.mark.parametrize("name", list(SETTINGS))
+    def test_a_shared_run_with_another_setting_answers_each_as_a_fresh_run(self, name):
+        """What the tables key on, a trajectory and a costmap, covers every
+        other input the run fixes."""
+        for condition in Condition:
+            self.assert_shared_answers_as_fresh(condition, **self.SETTINGS[name])
+
+    def test_each_trajectory_and_costmap_is_handled_once(self, monkeypatch):
+        queried, planned = [], []
+
+        def counting_relevant(scene, trajectory, radius):
+            queried.append(trajectory)
+            return relevant_objects(scene, trajectory, radius)
+
+        def counting_plan(request):
+            planned.append(request.costmap)
+            return plan(request)
+
+        monkeypatch.setattr(planner, "relevant_objects", counting_relevant)
+        monkeypatch.setattr(planner, "plan", counting_plan)
+        run = make_run(detour_scene("chair", activity_relations=(("watching", "object"),)))
+        first = [iterate_plan(run, condition, rule_based_assess) for condition in Condition]
+        assert len(queried) == len(set(queried)) and run.seed in queried
+        assert all(a != b for i, a in enumerate(planned) for b in planned[:i])
+        counts = len(queried), len(planned)
+        assert [iterate_plan(run, condition, rule_based_assess) for condition in Condition] == first
+        assert (len(queried), len(planned)) == counts
