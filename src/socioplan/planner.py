@@ -191,7 +191,9 @@ def plan(request: PlanRequest) -> Path:
     infinite cost: cell ``(ix, iy)`` has index ``(iy + 1) * (width + 2) + ix
     + 1``. A step onto the border weighs ``inf`` and is never taken, so no
     step needs a bounds check. The padded index orders cells by ``(iy, ix)``
-    exactly as ``iy * width + ix`` does.
+    exactly as ``iy * width + ix`` does. The padded grid, A*'s heuristic and
+    ``_buckets``' g are float64 arrays read in place through memoryviews:
+    each read is the array's float64 exactly, so the cells cannot change.
     """
     costmap = request.costmap
     try:
@@ -202,14 +204,15 @@ def plan(request: PlanRequest) -> Path:
 
     resolution = costmap.resolution
     stride = costmap.width + 2
-    cost = np.pad(costmap.cells, 1, constant_values=math.inf).ravel().tolist()
+    padded = np.pad(costmap.cells, 1, constant_values=math.inf).ravel()
+    cost = memoryview(padded)
     steps = tuple(
         (oy * stride + ox, resolution * (SQRT2 if ox and oy else 1.0) / 2.0) for ox, oy in _NEIGHBORS
     )
     start_index = (start[1] + 1) * stride + start[0] + 1
     goal_index = (goal[1] + 1) * stride + goal[0] + 1
     if _takes_buckets(costmap, start, goal):
-        g = _buckets(costmap, steps, start_index, goal_index)
+        g = memoryview(_buckets(padded, resolution, steps, start_index, goal_index))
     else:
         g = _astar(costmap, goal, cost, steps, start_index, goal_index)
     if g[goal_index] == math.inf:
@@ -251,12 +254,12 @@ def _takes_buckets(costmap: Costmap, start: tuple[int, int], goal: tuple[int, in
     return 1.0 < highest and highest * SQRT2 * (n + 1) < 4e6
 
 
-def _astar(costmap: Costmap, goal, cost: list, steps, start_index: int, goal_index: int) -> list:
+def _astar(costmap: Costmap, goal, cost: memoryview, steps, start_index: int, goal_index: int) -> list:
     """``plan``'s A* over the padded grid: g per cell, d where the walk-back reads it."""
     ax = np.abs(np.arange(-1, costmap.width + 1) - goal[0])
     ay = np.abs(np.arange(-1, costmap.height + 1) - goal[1])
     octile = np.maximum.outer(ay, ax) + (SQRT2 - 1.0) * np.minimum.outer(ay, ax)
-    heuristic = (costmap.resolution * (1.0 - 1e-12) * octile).ravel().tolist()
+    heuristic = memoryview((costmap.resolution * (1.0 - 1e-12) * octile).ravel())
     g = [math.inf] * len(cost)
     g[start_index] = 0.0
     frontier = [(heuristic[start_index], start_index, 0.0)]
@@ -284,11 +287,10 @@ def _astar(costmap: Costmap, goal, cost: list, steps, start_index: int, goal_ind
     return g
 
 
-def _buckets(costmap: Costmap, steps, start_index: int, goal_index: int) -> list:
+def _buckets(padded: np.ndarray, resolution: float, steps, start_index: int, goal_index: int) -> np.ndarray:
     """``plan``'s bucketed Dijkstra over the padded grid: g per cell, d below ``g[goal]``."""
-    padded = np.pad(costmap.cells, 1, constant_values=math.inf).ravel()
     offsets, halves = (np.array(column)[:, None] for column in zip(*steps))
-    width = costmap.resolution * (1.0 - 1e-9)
+    width = resolution * (1.0 - 1e-9)
     g = np.full(len(padded), math.inf)
     g[start_index] = 0.0
     entered, stamp = np.isinf(padded), np.empty(len(padded), np.intp)  # the border never enters
@@ -308,7 +310,7 @@ def _buckets(costmap: Costmap, steps, start_index: int, goal_index: int) -> list
         fresh = fresh[stamp[fresh] == order]
         entered[fresh] = True
         open_ = np.concatenate((open_, fresh))
-    return g.tolist()
+    return g
 
 
 def relevant_context(variant: SceneGraph, ids: tuple[str, ...]) -> tuple[SceneGraph, tuple[str, ...]]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -348,6 +349,44 @@ class TestBucketSearch:
             assert path == _forced(request(side, line_cost), buckets=search == "_astar")  # the other search
         # The line has n = 99 steps: 3e4 x sqrt 2 x (n + 1) is just over 4e6, 2.8e4 x ... just under.
         assert _searches(request(100, 2.8e4))[1] == ["_buckets"]
+
+
+class TestPlanInPlace:
+    """``plan`` reads the padded grid, the heuristic and g in place, so a
+    search holds no whole-grid Python list, and the layout of the costmap's
+    cells cannot change a path."""
+
+    @pytest.mark.parametrize("buckets", [True, False], ids=["buckets", "astar"])
+    def test_peak_memory_of_one_plan(self, buckets):
+        cells = np.ones((300, 300))
+        cells[150, :295] = 50.0  # a wall across the straight line
+        costmap = cells_map(cells)
+        request = PlanRequest(costmap.cell_center(150, 20), costmap.cell_center(150, 280), costmap)
+        assert planner._takes_buckets(costmap, (150, 20), (150, 280))
+        tracemalloc.start()
+        try:
+            path = _forced(request, buckets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.cells[-1] == (150, 280)
+        # A list of the padded costs alone takes about 4x the cells' bytes: a pointer and a float per cell.
+        assert peak < 6 * costmap.cells.nbytes
+
+    @pytest.mark.parametrize("buckets", [True, False], ids=["buckets", "astar"])
+    @pytest.mark.parametrize(
+        "layout", [lambda big: big.T, lambda big: big.T[::2, :]], ids=["transposed", "strided"]
+    )
+    def test_cells_in_any_layout_give_the_path_of_a_contiguous_copy(self, layout, buckets):
+        big = np.random.default_rng(38).uniform(1.0, 10.0, size=(60, 240))
+        view = layout(big)
+        assert not view.flags.c_contiguous
+        on_view, on_copy = (cells_map(cells, resolution=0.1) for cells in (view, np.ascontiguousarray(view)))
+        assert not on_view.cells.flags.c_contiguous  # Costmap keeps the view
+        height, width = view.shape
+        start, goal = on_view.cell_center(2, 3), on_view.cell_center(width - 3, height - 2)
+        path = _forced(PlanRequest(start, goal, on_view), buckets)
+        assert path == _forced(PlanRequest(start, goal, on_copy), buckets)
 
 
 def _edge_points(bounds):
