@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import binascii
+import struct
+import zlib
+from typing import Sequence
 
 import numpy as np
 
@@ -20,41 +23,67 @@ def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _heat_group(costmap: Costmap, sx: Callable[[float], float], sy: Callable[[float], float]) -> str:
-    """The ``<g>`` block of heat cells, one ``<rect>`` line per cell above cost 1
-    in row-major order; the white background already covers cost-1 cells.
+def _stored_zlib(data: bytes) -> bytes:
+    """``data`` as a zlib stream of stored (uncompressed) deflate blocks.
 
-    Each column's '<rect x="…" y="' head, each row's '…" width=… fill="'
-    middle and each distinct color's tail is formatted once; one object array
-    gathers the group's open tag, each cell's three pieces and its close tag,
-    and one join makes the block.
+    zlib builds (zlib, zlib-ng) may compress the same input to different
+    bytes; stored blocks depend on ``data`` alone, so the SVG does too.
     """
-    cells, res = costmap.cells, costmap.resolution
-    (xmin, ymin) = costmap.origin
-    cell_px = res * PX_PER_M
-    size = f'width="{cell_px:.2f}" height="{cell_px:.2f}"'
-    heads = np.array([f'<rect x="{sx(xmin + ix * res):.2f}" y="' for ix in range(costmap.width)], object)
-    middles = np.array(
-        [f'{sy(ymin + (iy + 1) * res):.2f}" {size} fill="' for iy in range(costmap.height)], object
+    view = memoryview(data)
+    pieces = [b"\x78\x01"]  # deflate with a 32 KB window, no dictionary
+    for start in range(0, len(data), 0xFFFF):
+        block = view[start : start + 0xFFFF]
+        final = start + 0xFFFF >= len(data)
+        pieces += (struct.pack("<BHH", final, len(block), len(block) ^ 0xFFFF), block)
+    pieces.append(struct.pack(">I", zlib.adler32(data)))
+    return b"".join(pieces)
+
+
+def _png_chunk(kind: bytes, data: bytes) -> tuple[bytes, ...]:
+    """A PNG chunk's pieces: length, type, data and the CRC of type and data."""
+    return struct.pack(">I", len(data)), kind, data, struct.pack(">I", zlib.crc32(data, zlib.crc32(kind)))
+
+
+def _heat_scanlines(costmap: Costmap) -> bytes:
+    """The heat layer's PNG scanlines: one RGB pixel per cell, each row opened
+    by filter byte 0 (none). Row 0 is the map's highest-y row; cost-1 pixels
+    are white, like the background.
+    """
+    cells = costmap.cells
+    hot = np.flatnonzero(cells > 1.0)  # row-major, like a loop over rows
+    # Warm red toward the map maximum; rint, like round, breaks ties to even.
+    # With no heat cell, t is empty and nothing divides.
+    t = (cells.take(hot) - 1.0) / (float(cells.max()) - 1.0)
+    pixels = np.full((costmap.height * costmap.width, 3), 255, np.uint8)
+    pixels[hot, 1] = np.rint(250.0 - 190.0 * t)
+    pixels[hot, 2] = np.rint(240.0 - 210.0 * t)
+    rows = pixels.reshape(costmap.height, -1)[::-1]  # image rows run top down, world y up
+    return np.insert(rows, 0, 0, axis=1).tobytes()
+
+
+def _heat_image(costmap: Costmap, width_px: float, height_px: float) -> str:
+    """The heat layer: one ``<image>`` over the whole picture, an embedded PNG
+    with one pixel per cell, scaled nearest-neighbour."""
+    header = struct.pack(">IIBBBBB", costmap.width, costmap.height, 8, 2, 0, 0, 0)  # 8-bit RGB
+    png = b"".join(
+        (
+            b"\x89PNG\r\n\x1a\n",
+            *_png_chunk(b"IHDR", header),
+            *_png_chunk(b"IDAT", _stored_zlib(_heat_scanlines(costmap))),
+            *_png_chunk(b"IEND", b""),
+        )
     )
-    rows, cols = np.nonzero(cells > 1.0)  # row-major, like a loop over rows
-    # White at cost 1, warm red toward the map maximum; rint, like round,
-    # breaks ties to even. With no heat cell, t is empty and nothing divides.
-    t = (cells[rows, cols] - 1.0) / (float(cells.max()) - 1.0)
-    green, blue = np.rint(250.0 - 190.0 * t), np.rint(240.0 - 210.0 * t)
-    key = (green * 256.0 + blue).astype(np.int64)  # "#ff", then green and blue in two hex digits each
-    distinct, which = np.unique(key, return_inverse=True)
-    tails = np.array([f'#ff{code:04x}"/>\n' for code in distinct.tolist()], object)
-    pieces = np.empty(3 * len(key) + 2, object)
-    pieces[0], pieces[-1] = '<g shape-rendering="crispEdges">\n', "</g>"
-    pieces[1:-1:3], pieces[2:-1:3], pieces[3:-1:3] = heads[cols], middles[rows], tails[which]
-    return "".join(pieces.tolist())
+    return (
+        f'<image x="0" y="0" width="{width_px:.2f}" height="{height_px:.2f}" '
+        f'preserveAspectRatio="none" image-rendering="optimizeSpeed" href="data:image/png;base64,'
+        f'{binascii.b2a_base64(png, newline=False).decode("ascii")}"/>'
+    )
 
 
 def render_svg(
     costmap: Costmap, paths: Sequence[Path], scene: SceneGraph, labels: Sequence[str]
 ) -> str:
-    """Render the costmap as heat cells with object footprints, human
+    """Render the costmap as a heat image with object footprints, human
     markers, one dashed polyline per path, and a legend with one label per path.
 
     Pure function of its inputs: identical inputs give identical bytes.
@@ -84,8 +113,7 @@ def render_svg(
         f'<rect x="0" y="0" width="{width_px:.2f}" height="{height_px:.2f}" fill="#ffffff"/>',
     ]
 
-    # Its own function, so that its index arrays are freed before the final join.
-    out.append(_heat_group(costmap, sx, sy))
+    out.append(_heat_image(costmap, width_px, height_px))
 
     # Every node's footprint from one corner array, with the float operations
     # of footprint_of, sx and sy, so each coordinate is the same float.

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import base64
 import copy
 import dataclasses
 import functools
 import hashlib
 import json
 import shutil
+import struct
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -59,7 +62,7 @@ def replay_report(scenario):
     return run_scenario(scenario)
 
 
-SHIPPED_SVG_SHA256 = "f641bb9ef3743e2d698f490cae71c97b60f96a04b2207e984a3fbb2f71b81225"
+SHIPPED_SVG_SHA256 = "548021306d1762074eedf010a14315955b7dcf0764294924bf496146611eb120"
 
 
 def _render_digest(report) -> str:
@@ -534,50 +537,67 @@ class TestCompareConditions:
                 assert entry["entries"][object_id]["clearance"] == cc.clearance
 
 
-def _heat_block(svg):
-    lines = svg.splitlines()
-    start = lines.index('<g shape-rendering="crispEdges">')
-    return lines[start + 1 : lines.index("</g>", start)]
-
-
 def _heat_color(value: float, vmax: float) -> str:
     # White at cost 1, warm red toward the map maximum.
-    t = 0.0 if vmax <= 1.0 else (value - 1.0) / (vmax - 1.0)
+    if value <= 1.0:
+        return "#ffffff"
+    t = (value - 1.0) / (vmax - 1.0)
     red = 255
     green = int(round(250.0 - 190.0 * t))
     blue = int(round(240.0 - 210.0 * t))
     return f"#{red:02x}{green:02x}{blue:02x}"
 
 
-def _heat_block_by_cell(costmap):
-    """The heat cells `render_svg` draws, from a plain loop over every cell."""
-    (xmin, ymin), (_, ymax) = costmap.origin, costmap.max_xy
-    res = costmap.resolution
+def _heat_pixels_by_cell(costmap):
+    """The heat image's colors from a plain loop over every cell, the map's
+    highest-y row first."""
     vmax = float(costmap.cells.max())
-    size = res * PX_PER_M
-    block = []
-    for iy, row in enumerate(costmap.cells.tolist()):
-        for ix, value in enumerate(row):
-            if value > 1.0:
-                x = (xmin + ix * res - xmin) * PX_PER_M
-                y = (ymax - (ymin + (iy + 1) * res)) * PX_PER_M
-                block.append(
-                    f'<rect x="{x:.2f}" y="{y:.2f}" width="{size:.2f}" '
-                    f'height="{size:.2f}" fill="{_heat_color(value, vmax)}"/>'
-                )
-    return block
+    return [[_heat_color(value, vmax) for value in row] for row in reversed(costmap.cells.tolist())]
 
 
-def _heat_group(svg):
-    """The whole heat ``<g>`` element of ``svg``, open and close tags included."""
-    start = svg.index('<g shape-rendering="crispEdges">')
-    return svg[start : svg.index("</g>", start) + len("</g>")]
+SVG_NS = "{http://www.w3.org/2000/svg}"
+PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+
+
+def _png_chunks(png):
+    """Each ``(type, data)`` chunk of ``png``, with its length and CRC checked."""
+    assert png[:8] == PNG_SIGNATURE
+    chunks, at = [], 8
+    while at < len(png):
+        (length,) = struct.unpack(">I", png[at : at + 4])
+        kind, data = png[at + 4 : at + 8], png[at + 8 : at + 8 + length]
+        assert len(data) == length
+        assert png[at + 8 + length : at + 12 + length] == struct.pack(">I", zlib.crc32(kind + data))
+        chunks.append((kind, data))
+        at += 12 + length
+    return chunks
+
+
+def _heat_pixels(svg, costmap):
+    """The heat image of ``svg`` read back, each pixel's color as ``#rrggbb``,
+    row 0 first: one PNG over the background's box, one pixel per cell."""
+    background, image = ET.fromstring(svg)[:2]
+    assert (background.tag, image.tag) == (SVG_NS + "rect", SVG_NS + "image")
+    box = ("x", "y", "width", "height")
+    assert [image.get(k) for k in box] == [background.get(k) for k in box]
+    assert image.get("preserveAspectRatio") == "none"
+    assert image.get("image-rendering") == "optimizeSpeed"
+    scheme, encoded = image.get("href").split(",")
+    assert scheme == "data:image/png;base64"
+    chunks = _png_chunks(base64.b64decode(encoded, validate=True))
+    assert [kind for kind, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+    width, height, depth, color, *methods = struct.unpack(">IIBBBBB", chunks[0][1])
+    assert (width, height, depth, color, methods) == (costmap.width, costmap.height, 8, 2, [0, 0, 0])
+    rows = np.frombuffer(zlib.decompress(chunks[1][1]), np.uint8).reshape(height, 1 + 3 * width)
+    assert not rows[:, 0].any()  # filter type 0 on every row
+    return [[f"#{r:02x}{g:02x}{b:02x}" for r, g, b in zip(*[iter(row)] * 3)] for row in rows[:, 1:].tolist()]
 
 
 def _footprint_block(svg):
-    """The footprint lines of an SVG rendered with no path: after the heat group, before ``</svg>``."""
+    """The footprint lines of an SVG rendered with no path: after the heat image, before ``</svg>``."""
     lines = svg.splitlines()
-    return lines[lines.index("</g>") + 1 : lines.index("</svg>")]
+    assert lines[2].startswith("<image ")
+    return lines[3 : lines.index("</svg>")]
 
 
 def _footprint_block_by_node(costmap, scene):
@@ -617,8 +637,8 @@ def _footprint_block_by_node(costmap, scene):
 
 
 class TestRenderSvg:
-    # At 0.0123 m a cell is 1.107 px wide, so some cell edges fall on a .2f
-    # rounding tie and only the same float expressions give the same text.
+    # At 0.0123 m a cell is 1.107 px wide, so the picture's sides fall on
+    # .2f rounding ties; the image must span exactly the background's box.
     @pytest.mark.parametrize("resolution", [0.05, 0.1, 0.25, 0.0123])
     @pytest.mark.parametrize("origin", [(0.0, 0.0), (-3.7, -1.25), (2.3, 0.45)])
     def test_heat_cells_match_a_loop_over_every_cell(self, origin, resolution):
@@ -631,34 +651,56 @@ class TestRenderSvg:
             for cells in (smooth, repeated):
                 costmap = Costmap(origin, resolution, width, height, cells)
                 svg = render_svg(costmap, [], SceneGraph(nodes={}), labels=[])
-                assert _heat_block(svg) == _heat_block_by_cell(costmap)
+                assert _heat_pixels(svg, costmap) == _heat_pixels_by_cell(costmap)
 
     def test_color_ties_round_half_to_even(self):
         # With a maximum of 3, cost 1.5 gives green 202.5 and blue 187.5, and
         # cost 2.5 gives green 107.5 and blue 82.5: every channel is a tie.
         costmap = Costmap((0.0, 0.0), 0.1, 3, 1, np.array([[1.5, 2.5, 3.0]]))
-        block = _heat_block(render_svg(costmap, [], SceneGraph(nodes={}), labels=[]))
-        assert block == _heat_block_by_cell(costmap)
-        assert [line.split('fill="')[1][:7] for line in block] == ["#ffcabc", "#ff6c52", "#ff3c1e"]
+        pixels = _heat_pixels(render_svg(costmap, [], SceneGraph(nodes={}), labels=[]), costmap)
+        assert pixels == _heat_pixels_by_cell(costmap) == [["#ffcabc", "#ff6c52", "#ff3c1e"]]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("resolution", [0.05, 0.1, 0.25])
     def test_all_cost_one_map_has_no_heat_cells(self, resolution):
         costmap = Costmap((-1.5, 2.0), resolution, 9, 4, np.ones((4, 9)))
         svg = render_svg(costmap, [], SceneGraph(nodes={}), labels=[])
-        assert _heat_group(svg) == '<g shape-rendering="crispEdges">\n</g>'
+        assert _heat_pixels(svg, costmap) == [["#ffffff"] * 9] * 4
 
     @pytest.mark.parametrize(
         "cells",
         [np.array([[1.0, 1.0], [2.5, 1.0]]), np.array([[1.5, 2.5], [3.0, 2.0]]), np.ones((2, 2))],
         ids=["one-hot-cell", "all-hot", "no-heat"],
     )
-    def test_whole_heat_group(self, cells):
+    def test_whole_heat_image(self, cells):
+        # With no scene and no path the SVG is its head, the background, the
+        # heat image and its close tag.
         costmap = Costmap((-0.7, 1.3), 0.25, 2, 2, cells)
-        group = _heat_group(render_svg(costmap, [], SceneGraph(nodes={}), labels=[]))
-        lines = _heat_block_by_cell(costmap)
-        assert len(lines) == int((cells > 1.0).sum())
-        assert group == '<g shape-rendering="crispEdges">\n' + "".join(f"{line}\n" for line in lines) + "</g>"
+        svg = render_svg(costmap, [], SceneGraph(nodes={}), labels=[])
+        assert [line.split(" ")[0] for line in svg.splitlines()] == ["<svg", "<rect", "<image", "</svg>"]
+        assert _heat_pixels(svg, costmap) == _heat_pixels_by_cell(costmap)
+
+    # A row of 28 pixels takes 85 bytes with its filter byte, so 771 rows fill
+    # one stored deflate block (65,535 bytes) exactly and 1,542 rows two.
+    @pytest.mark.parametrize("shape", [(771, 28), (1542, 28), (1, 21845), (1, 21846), (3, 7282)])
+    def test_heat_image_across_stored_block_edges(self, shape):
+        cells = 1.0 + np.random.default_rng(sum(shape)).random(shape)
+        cells[::3] = 1.0
+        costmap = Costmap((0.0, 0.0), 0.01, shape[1], shape[0], cells)
+        svg = render_svg(costmap, [], SceneGraph(nodes={}), labels=[])
+        assert _heat_pixels(svg, costmap) == _heat_pixels_by_cell(costmap)
+
+    def test_heat_image_is_the_same_for_any_cells_layout(self):
+        big = 1.0 + 4.0 * np.random.default_rng(41).random((24, 30))
+        big[big < 2.0] = 1.0
+        for cells in (np.asfortranarray(big), big[::2, 1::3], big.T[::2, :], big[::-1, ::-1]):
+            assert not cells.flags.c_contiguous
+            height, width = cells.shape
+            svgs = [
+                render_svg(Costmap((0.4, -0.2), 0.1, width, height, layout), [], SceneGraph(nodes={}), labels=[])
+                for layout in (cells, np.ascontiguousarray(cells))
+            ]
+            assert svgs[0] == svgs[1]
 
     # Corners with up to three decimals: e/2 then has four and x 90 px three,
     # so many coordinates, sides and radii land on a .2f rounding tie.
@@ -681,9 +723,9 @@ class TestRenderSvg:
             assert _footprint_block(svg) == _footprint_block_by_node(costmap, scene)
         assert _footprint_block(render_svg(costmap, [], SceneGraph(nodes={}), labels=[])) == []
 
-    def test_render_memory_stays_within_five_times_the_svg(self):
-        # A 300 x 300 map with every cell above cost 1: the heat rows are
-        # joined once, so the peak holds about two copies of the text.
+    def test_render_memory_stays_within_eight_times_the_cells(self):
+        # A 300 x 300 map with every cell above cost 1: the heat layer holds
+        # a few bytes per cell, so the peak is bounded by the cells' own bytes.
         cells = 1.0 + np.random.default_rng(5).random((300, 300)) + 1e-9
         costmap = Costmap((0.0, 0.0), 0.05, 300, 300, cells)
         tracemalloc.start()
@@ -692,8 +734,8 @@ class TestRenderSvg:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert svg.count("<rect ") == 1 + 300 * 300
-        assert peak < 5 * len(svg)
+        assert all("#ffffff" not in row for row in _heat_pixels(svg, costmap))
+        assert peak < 8 * cells.nbytes
 
     def test_shipped_report_svg_bytes(self):
         report = load_report((DATA_DIR / "bedroom_report.json").read_bytes())

@@ -50,27 +50,27 @@ ops = _bench_module("ops")
 PINNED = {
     ("bedroom", 1): (
         "37292909e86d55ef4797ac6ede6bed72debfeaeb575c1928a9c9e22a461c8fb5",
-        "f641bb9ef3743e2d698f490cae71c97b60f96a04b2207e984a3fbb2f71b81225",
+        "548021306d1762074eedf010a14315955b7dcf0764294924bf496146611eb120",
     ),
     ("cluttered_house", 1): (
         "389b02d63d1bb4a43979e6f3de7a246f49e83704f445caab7a8be74e0c0b3868",
-        "20d6aacb1cf6cf16857e02bcecfe2829637c6dc839e09a96c5e269b821a25fad",
+        "98a2a7ffc3b880e1ef9d99e1f31f1b611d4cbeeb1ceff7fd2308842b49526884",
     ),
     ("open_hall", 1): (
         "79492f8fa86486bbdbce32e7743e489125411fdb769e6b798944cbf3bb2a3094",
-        "8508ce828ec25cdcc4929ac4161bfe42042db4ef5866c5d17404364d300b0c7d",
+        "026175c44def56fdc14d69329c653ba451b6724df0a773ef94f11de8f941a836",
     ),
     ("bedroom", 5): (
         "37292909e86d55ef4797ac6ede6bed72debfeaeb575c1928a9c9e22a461c8fb5",
-        "f641bb9ef3743e2d698f490cae71c97b60f96a04b2207e984a3fbb2f71b81225",
+        "548021306d1762074eedf010a14315955b7dcf0764294924bf496146611eb120",
     ),
     ("cluttered_house", 5): (
         "bfb4e25407540dc50deac740d6bd54e528c5451ed8951ba2d47febd8b53980ca",
-        "831e50a64086ca04d86314b6c48bd31990fd34e70860501f321243f779618652",
+        "5f048084e2f88cf5cc2b1830f4078aef71b2566c0b95f1e6acaae7fad6dc2b4d",
     ),
     ("open_hall", 5): (
         "139c2b56fd38068c2ece352f5512508ebc754489640b8edce5ec2dc4d2b8a97b",
-        "b8297fc1d291047a237bae922b82c2e23a360db8702a7613ad2250a14dba4969",
+        "cfd5378d89ec4bc3e2866b3d3fcd30b3697edf1e8e4bbbbd39f9937100c5cf1b",
     ),
 }
 
